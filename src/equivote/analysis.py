@@ -43,11 +43,12 @@ from .rules import (
     ccc_family,
     has_monotone_certificate,
     is_uniform_tree,
-    outcome,
     rule_degree,
 )
 from .tables import (
+    BATCH_ROWS,
     automorphism_filter,
+    evaluate_batch,
     outcome_table,
     permutation_code_map,
     respects_table,
@@ -75,8 +76,29 @@ def _check_members(n: int, members: Iterable[int]) -> frozenset[int]:
     return ms
 
 
-def _extremal_votes(n: int, members: frozenset[int], x: int) -> tuple[int, ...]:
-    return tuple(x if v in members else -x for v in range(n))
+def _extremal_profiles(n: int, subsets: np.ndarray) -> np.ndarray:
+    """For b subsets (one per row): rows 0..b-1 have the subset voting +1
+    and everyone else -1, rows b..2b-1 are their negations."""
+    b = len(subsets)
+    votes = np.full((2 * b, n), -1, dtype=np.int8)
+    votes[np.arange(b)[:, None], subsets] = 1
+    votes[b:] = -votes[:b]
+    return votes
+
+
+def _extremal_wins(extremal_outcomes: np.ndarray) -> np.ndarray:
+    b = len(extremal_outcomes) // 2
+    return (extremal_outcomes[:b] == 1) & (extremal_outcomes[b:] == -1)
+
+
+def _completions(n: int, ms: frozenset[int], x: int, lo: int, hi: int) -> np.ndarray:
+    """Profiles with the coalition voting x and the others filled with the
+    base-3 digits of codes lo..hi-1."""
+    others = sorted(set(range(n)) - ms)
+    codes = np.arange(lo, hi, dtype=np.int64)[:, None]
+    votes = np.full((hi - lo, n), x, dtype=np.int8)
+    votes[:, others] = codes // 3 ** np.arange(len(others), dtype=np.int64) % 3 - 1
+    return votes
 
 
 def is_winning_coalition(
@@ -98,23 +120,20 @@ def is_winning_coalition(
     if method == "monotone":
         if not (has_monotone_certificate(rule) or assume_monotone):
             raise ValueError("monotone method needs a monotone certificate")
-        return all(
-            outcome(rule, _extremal_votes(n, ms, x)) == x for x in (1, -1)
-        )
-    if method != "exhaustive":
+    elif method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
     free = n - len(ms)
-    if free > scan_cap:
+    if method == "exhaustive" and free > scan_cap:
         raise InfeasibleError(f"3^{free} completions exceed cap {scan_cap}")
-    others = sorted(set(range(n)) - ms)
+    subset = np.array([sorted(ms)], dtype=np.int64)
+    if not _extremal_wins(evaluate_batch(rule, _extremal_profiles(n, subset)))[0]:
+        return False
+    if method == "monotone":
+        return True
     for x in (1, -1):
-        if outcome(rule, _extremal_votes(n, ms, x)) != x:
-            return False
-        votes = [x] * n
-        for combo in itertools.product((-1, 0, 1), repeat=free):
-            for v, val in zip(others, combo):
-                votes[v] = val
-            if outcome(rule, tuple(votes)) != x:
+        for lo in range(0, 3**free, BATCH_ROWS):
+            hi = min(lo + BATCH_ROWS, 3**free)
+            if not np.all(evaluate_batch(rule, _completions(n, ms, x, lo, hi)) == x):
                 return False
     return True
 
@@ -132,18 +151,7 @@ class MinCoalitionSearch:
     witnesses_complete: bool
 
 
-def _winning_by_table(
-    table: np.ndarray,
-    n: int,
-    ms: Sequence[int],
-    monotone: bool,
-) -> bool:
-    pos_code = sum(2 * 3**v for v in ms)
-    neg_code = sum(2 * 3**v for v in range(n)) - pos_code
-    if table[pos_code] != 1 or table[neg_code] != -1:
-        return False
-    if monotone:
-        return True
+def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
     pos = slab_unanimous_codes(n, ms, 1)
     if not np.all(table[pos] == 1):
         return False
@@ -152,25 +160,34 @@ def _winning_by_table(
 
 
 def _scan_size_chunk(args) -> tuple[int, list[tuple[int, ...]]]:
-    rule, n, k, lo, hi, monotone, use_table = args
+    """Check the size-k subsets lo..hi-1 in combination order, block by block.
+
+    Returns the count checked and the first `keep` winners among them.
+    Without a table the rule must be monotone; the caller refuses the rest.
+    """
+    rule, n, k, lo, hi, monotone, use_table, keep = args
     combos = itertools.islice(itertools.combinations(range(n), k), lo, hi)
     table = outcome_table(rule) if use_table else None
+    weights = 3 ** np.arange(n, dtype=np.int64)
     winners: list[tuple[int, ...]] = []
-    checked = 0
-    for ms in combos:
-        checked += 1
+    # each subset gives two extremal profiles: one evaluation block in all
+    step = BATCH_ROWS // 2
+    for start in range(lo, hi, step):
+        size = min(step, hi - start)
+        block = itertools.chain.from_iterable(itertools.islice(combos, size))
+        subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
+        extremal = _extremal_profiles(n, subsets)
         if use_table:
-            won = _winning_by_table(table, n, ms, monotone)
-        elif monotone:
-            fs = frozenset(ms)
-            won = all(
-                outcome(rule, _extremal_votes(n, fs, x)) == x for x in (1, -1)
-            )
+            outcomes = table[(extremal.astype(np.int64) + 1) @ weights]
         else:
-            won = is_winning_coalition(rule, ms, method="exhaustive")
-        if won:
-            winners.append(ms)
-    return checked, winners
+            outcomes = evaluate_batch(rule, extremal)
+        for row in subsets[_extremal_wins(outcomes)]:
+            if len(winners) == keep:
+                break
+            ms = tuple(row.tolist())
+            if monotone or _slab_wins(table, n, ms):
+                winners.append(ms)
+    return hi - lo, winners
 
 
 def min_winning_coalitions(
@@ -183,13 +200,14 @@ def min_winning_coalitions(
     """Smallest winning coalition size with all witnesses of that size.
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
-    lower-bound-only partial result instead of silently truncating.
+    lower-bound-only partial result instead of silently truncating. At most
+    witness_limit witnesses are kept, in combination order.
     """
     n = rule_degree(rule)
     monotone = has_monotone_certificate(rule)
     use_table = n <= scan_cap
     if use_table:
-        outcome_table(rule, workers=workers)  # warm the cache before forking
+        outcome_table(rule)  # warm the cache before forking
     elif not monotone:
         raise InfeasibleError(
             "degree above table cap requires a monotone certificate"
@@ -197,6 +215,8 @@ def min_winning_coalitions(
     method = ("table" if use_table else "direct") + (
         "+monotone" if monotone else "+slab"
     )
+    # one winner past the limit tells whether the witness list is complete
+    keep = witness_limit + 1
     checked = 0
     for k in range(1, n + 1):
         count_k = math.comb(n, k)
@@ -213,11 +233,11 @@ def min_winning_coalitions(
         if workers > 1 and count_k >= 4 * workers:
             import multiprocessing as mp
 
-            bounds = np.linspace(0, count_k, workers * 2 + 1, dtype=np.int64)
+            bounds = np.linspace(0, count_k, workers * 2 + 1, dtype=np.int64).tolist()
             jobs = [
-                (rule, n, k, int(bounds[i]), int(bounds[i + 1]), monotone, use_table)
-                for i in range(len(bounds) - 1)
-                if bounds[i] < bounds[i + 1]
+                (rule, n, k, lo, hi, monotone, use_table, keep)
+                for lo, hi in zip(bounds, bounds[1:])
+                if lo < hi
             ]
             with mp.get_context("fork").Pool(workers) as pool:
                 parts = pool.map(_scan_size_chunk, jobs)
@@ -225,7 +245,7 @@ def min_winning_coalitions(
             winners = [w for _, ws in parts for w in ws]
         else:
             got, winners = _scan_size_chunk(
-                (rule, n, k, 0, count_k, monotone, use_table)
+                (rule, n, k, 0, count_k, monotone, use_table, keep)
             )
         checked += got
         if winners:
@@ -580,36 +600,21 @@ def pivotality(
         raise ValueError(f"unknown distribution {distribution!r}")
     if n > binary_cap:
         raise InfeasibleError(f"2^{n} scan exceeds cap {binary_cap}")
-    if n <= PROFILE_SCAN_CAP:
-        table = outcome_table(rule)
-        bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-        codes = (bits * 2) @ (3 ** np.arange(n, dtype=np.int64))
-        out = []
+    counts = np.zeros(n, dtype=np.int64)
+    voters = np.arange(n, dtype=np.int64)
+    for lo in range(0, 2**n, BATCH_ROWS):
+        codes = np.arange(lo, min(lo + BATCH_ROWS, 2**n), dtype=np.int64)
+        votes = ((codes[:, None] >> voters & 1) * 2 - 1).astype(np.int8)
+        own = evaluate_batch(rule, votes)
         for v in range(n):
-            step = 3**v
-            base = codes - bits[:, v] * 2 * step
-            own = table[codes]
-            pivotal = (
-                (table[base] != own)
-                | (table[base + step] != own)
-                | (table[base + 2 * step] != own)
-            )
-            out.append(Fraction(int(pivotal.sum()), 2**n))
-        return tuple(out)
-    counts = [0] * n
-    for bits in itertools.product((-1, 1), repeat=n):
-        votes = list(bits)
-        ref = outcome(rule, tuple(votes))
-        for v in range(n):
-            for alt in (-1, 0, 1):
-                if alt == bits[v]:
-                    continue
-                votes[v] = alt
-                if outcome(rule, tuple(votes)) != ref:
-                    counts[v] += 1
-                    break
-            votes[v] = bits[v]
-    return tuple(Fraction(c, 2**n) for c in counts)
+            vote = votes[:, v].copy()
+            votes[:, v] = 0
+            pivotal = evaluate_batch(rule, votes) != own
+            votes[:, v] = -vote
+            pivotal |= evaluate_batch(rule, votes) != own
+            votes[:, v] = vote
+            counts[v] += np.count_nonzero(pivotal)
+    return tuple(Fraction(int(c), 2**n) for c in counts)
 
 
 def check_sqrt_lower_bound(

@@ -235,6 +235,8 @@ def eval_coalition(family: tuple[frozenset[int], ...], votes: tuple[int, ...]) -
 
 
 def outcome(rule: VotingRule, votes: tuple[int, ...]) -> int:
+    """Scalar outcome of one profile: the reference that the vectorized
+    `tables.evaluate_batch` is tested against."""
     if isinstance(rule, Majority):
         return eval_majority(votes)
     if isinstance(rule, LongestRun):
@@ -272,7 +274,7 @@ def _require_scan(n: int, cap: int) -> None:
         raise InfeasibleError(f"3^{n} profile scan exceeds cap n<={cap}")
 
 
-def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1) -> bool:
+def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """f(-phi) == -f(phi) over every profile."""
     import numpy as np
 
@@ -280,11 +282,11 @@ def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1) 
 
     n = rule_degree(rule)
     _require_scan(n, cap)
-    table = outcome_table(rule, workers=workers)
+    table = outcome_table(rule)
     return bool(np.array_equal(table[::-1], -table))
 
 
-def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1) -> bool:
+def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """The outcome depends only on the vote tally."""
     import numpy as np
 
@@ -292,7 +294,7 @@ def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1
 
     n = rule_degree(rule)
     _require_scan(n, cap)
-    table = outcome_table(rule, workers=workers)
+    table = outcome_table(rule)
     digits = digits_matrix(n)
     pos = (digits == 2).sum(axis=1)
     neg = (digits == 0).sum(axis=1)
@@ -302,9 +304,7 @@ def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1
     return bool(np.all((sk[1:] != sk[:-1]) | (st[1:] == st[:-1])))
 
 
-def is_positively_responsive(
-    rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1
-) -> bool:
+def is_positively_responsive(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
     import numpy as np
@@ -313,7 +313,7 @@ def is_positively_responsive(
 
     n = rule_degree(rule)
     _require_scan(n, cap)
-    table = outcome_table(rule, workers=workers)
+    table = outcome_table(rule)
     digits = digits_matrix(n)
     codes = np.arange(3**n)
     for v in range(n):
@@ -347,7 +347,7 @@ def is_positively_responsive_by_pairs(rule: VotingRule, cap: int = 5) -> bool:
     return True
 
 
-def is_monotone(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1) -> bool:
+def is_monotone(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """Weak coordinatewise monotonicity of the outcome, by table scan."""
     import numpy as np
 
@@ -355,7 +355,7 @@ def is_monotone(rule: VotingRule, cap: int = PROFILE_SCAN_CAP, workers: int = 1)
 
     n = rule_degree(rule)
     _require_scan(n, cap)
-    table = outcome_table(rule, workers=workers)
+    table = outcome_table(rule)
     digits = digits_matrix(n)
     codes = np.arange(3**n)
     for v in range(n):

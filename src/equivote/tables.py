@@ -1,19 +1,20 @@
-"""Vectorized outcome tables over the full profile space of a rule.
+"""Vectorized rule evaluation and outcome tables over the full profile space.
 
-The table of a degree-n rule assigns the collective vote to every base-3
-profile code; all exhaustive scans (axioms, automorphisms, winningness slabs)
-reduce to index arithmetic on it.
+`evaluate_batch` is the one evaluator behind every exhaustive scan: it maps
+a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes,
+with one numpy kernel per rule family, in row blocks of at most BATCH_ROWS.
+The table of a degree-n rule is its value on every base-3 profile code; the
+axiom, automorphism and winningness scans reduce to index arithmetic on it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .perms import Permutation
-from .profiles import votes_from_code
 from .rules import (
     CCC,
     GRD,
@@ -24,13 +25,14 @@ from .rules import (
     Majority,
     VotingRule,
     ccc_family,
-    outcome,
     rule_degree,
 )
 
+BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
+
 _DIGITS: dict[int, np.ndarray] = {}
 _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
-_TABLE_CACHE_SIZE = 8
+_TABLE_CACHE_BYTES = 32 << 20
 
 
 def digits_matrix(n: int) -> np.ndarray:
@@ -44,78 +46,113 @@ def digits_matrix(n: int) -> np.ndarray:
     return _DIGITS[n]
 
 
-def _grd_column(tree: GRDTree, digits: np.ndarray) -> np.ndarray:
+# Kernels take one block voter-major: row v holds voter v's vote in each
+# profile, so every reduction over voters is elementwise across profiles.
+
+
+def _majority(ballots: np.ndarray) -> np.ndarray:
+    return np.sign(ballots.sum(axis=0, dtype=np.int32)).astype(np.int8)
+
+
+def _longest_run(ballots: np.ndarray) -> np.ndarray:
+    """Cyclic run-length scan: a block ends at voter v when the next voter
+    round the ring votes differently; its length is the distance back to
+    the previous block end, wrapping round for the first one."""
+    n = len(ballots)
+    ends = ballots != np.roll(ballots, -1, axis=0)
+    voters = np.arange(n, dtype=np.int32)[:, None]
+    marks = np.where(ends, voters, -1)
+    before = np.empty_like(marks)
+    before[0] = -1
+    np.maximum.accumulate(marks[:-1], axis=0, out=before[1:])
+    before = np.where(before < 0, marks.max(axis=0) - n, before)
+    lengths = np.where(ends & (ballots != 0), voters - before, 0)
+    best = lengths.max(axis=0)
+    top = lengths == best
+    unique = (best > 0) & (top.sum(axis=0) == 1)
+    winner = np.where(top, ballots, 0).sum(axis=0, dtype=np.int32)
+    out = np.where(unique, winner, _majority(ballots))
+    # no block end: one block round the whole ring, or everyone abstains
+    return np.where(ends.any(axis=0), out, ballots[0]).astype(np.int8)
+
+
+def _grd_sum(tree: GRDTree, ballots: np.ndarray) -> np.ndarray:
     if isinstance(tree, int):
-        return digits[:, tree].astype(np.int16) - 1
-    total = sum(_grd_column(child, digits) for child in tree)
-    return np.sign(total).astype(np.int16)
+        return ballots[tree].astype(np.int16)
+    return np.sign(sum(_grd_sum(child, ballots) for child in tree))
 
 
-def _vector_table(rule: VotingRule, n: int) -> np.ndarray | None:
-    digits = digits_matrix(n)
-    if isinstance(rule, Majority):
-        return np.sign((digits.astype(np.int16) - 1).sum(axis=1)).astype(np.int8)
-    if isinstance(rule, Dictatorship):
-        return (digits[:, rule.dictator].astype(np.int8)) - 1
-    if isinstance(rule, GRD):
-        return _grd_column(rule.tree, digits).astype(np.int8)
-    if isinstance(rule, (CCC, CoalitionRule)):
-        family = ccc_family(rule.rows, rule.cols) if isinstance(rule, CCC) else rule.family
-        table = np.sign((digits.astype(np.int16) - 1).sum(axis=1)).astype(np.int8)
-        for member in family:
-            cols = digits[:, sorted(member)]
-            table[(cols == 2).all(axis=1)] = 1
-            table[(cols == 0).all(axis=1)] = -1
-        return table
-    return None
-
-
-def _loop_chunk(rule: VotingRule, n: int, lo: int, hi: int) -> np.ndarray:
-    out = np.empty(hi - lo, dtype=np.int8)
-    for c in range(lo, hi):
-        out[c - lo] = outcome(rule, votes_from_code(c, n))
+def _coalition(family: Sequence[frozenset[int]], ballots: np.ndarray) -> np.ndarray:
+    out = _majority(ballots)
+    yes, no = ballots == 1, ballots == -1
+    for member in family:
+        rows = sorted(member)
+        out[yes[rows].all(axis=0)] = 1
+        out[no[rows].all(axis=0)] = -1
     return out
 
 
-def _loop_chunk_star(args) -> np.ndarray:
-    return _loop_chunk(*args)
+def _kernel(rule: VotingRule) -> Callable[[np.ndarray], np.ndarray]:
+    if isinstance(rule, Majority):
+        return _majority
+    if isinstance(rule, LongestRun):
+        return _longest_run
+    if isinstance(rule, Dictatorship):
+        return lambda ballots: ballots[rule.dictator]
+    if isinstance(rule, GRD):
+        return lambda ballots: _grd_sum(rule.tree, ballots).astype(np.int8)
+    if isinstance(rule, CCC):
+        family = ccc_family(rule.rows, rule.cols)
+        return lambda ballots: _coalition(family, ballots)
+    if isinstance(rule, CoalitionRule):
+        return lambda ballots: _coalition(rule.family, ballots)
+    raise TypeError(f"unknown rule type {type(rule).__name__}")
 
 
-def outcome_table(rule: VotingRule, workers: int = 1) -> np.ndarray:
-    """Full outcome table of the rule, cached; read-only."""
-    if rule in _TABLES:
-        _TABLES.move_to_end(rule)
-        return _TABLES[rule]
+def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
+    """Outcome of the rule on each row of an (m, n) vote matrix, as int8[m]."""
+    votes = np.asarray(votes, dtype=np.int8)
     n = rule_degree(rule)
-    table = _vector_table(rule, n)
-    if table is None:
-        total = 3**n
-        if workers > 1:
-            import multiprocessing as mp
+    if votes.ndim != 2 or votes.shape[1] != n:
+        raise ValueError(f"expected a vote matrix with {n} columns")
+    kernel = _kernel(rule)
+    out = np.empty(len(votes), dtype=np.int8)
+    for lo in range(0, len(votes), BATCH_ROWS):
+        ballots = np.ascontiguousarray(votes[lo : lo + BATCH_ROWS].T)
+        out[lo : lo + BATCH_ROWS] = kernel(ballots)
+    return out
 
-            bounds = np.linspace(0, total, workers * 2 + 1, dtype=np.int64)
-            jobs = [
-                (rule, n, int(bounds[i]), int(bounds[i + 1]))
-                for i in range(len(bounds) - 1)
-                if bounds[i] < bounds[i + 1]
-            ]
-            with mp.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_loop_chunk_star, jobs)
-            table = np.concatenate(parts)
-        else:
-            table = _loop_chunk(rule, n, 0, total)
+
+def outcome_table(rule: VotingRule) -> np.ndarray:
+    """Full outcome table of the rule, cached; read-only.
+
+    The cache keeps the most recently used tables within a byte budget.
+    """
+    table = _TABLES.get(rule)
+    if table is not None:
+        _TABLES.move_to_end(rule)
+        return table
+    n = rule_degree(rule)
+    digits = digits_matrix(n)
+    table = np.empty(3**n, dtype=np.int8)
+    for lo in range(0, 3**n, BATCH_ROWS):
+        block = digits[lo : lo + BATCH_ROWS]
+        table[lo : lo + len(block)] = evaluate_batch(rule, block - 1)
     table.setflags(write=False)
     _TABLES[rule] = table
-    if len(_TABLES) > _TABLE_CACHE_SIZE:
-        _TABLES.popitem(last=False)
+    cached = sum(t.nbytes for t in _TABLES.values())
+    while len(_TABLES) > 1 and cached > _TABLE_CACHE_BYTES:
+        cached -= _TABLES.popitem(last=False)[1].nbytes
     return table
 
 
 def permutation_code_map(n: int, perm: Permutation) -> np.ndarray:
     """codes such that entry c is the code of the perm-relabelled profile."""
-    digits = digits_matrix(n).astype(np.int64)
-    weights = np.array([3 ** perm.images[u] for u in range(n)], dtype=np.int64)
-    return digits @ weights
+    digits = digits_matrix(n)
+    codes = np.zeros(3**n, dtype=np.int64)
+    for u in range(n):
+        codes += digits[:, u] * np.int64(3 ** perm.images[u])
+    return codes
 
 
 def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:

@@ -125,9 +125,7 @@ def proof_coalition(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(range(r)) | set(range(0, n, r))))
 
 
-def verify_thm1(
-    ns: Iterable[int] = range(4, 17), workers: int = 1
-) -> VerificationReport:
+def verify_thm1(ns: Iterable[int] = range(4, 17)) -> VerificationReport:
     """A small fixed coalition wins the cycle-run rule at every tested size."""
     start = time.monotonic()
     ns = list(ns)
@@ -488,7 +486,7 @@ def coalition_catalog() -> list[CoalitionRule | CCC]:
     return [CCC(2, 2), CCC(2, 3), CCC(3, 3), build_projective_rule(2), chair]
 
 
-def verify_lemma1(workers: int = 1) -> VerificationReport:
+def verify_lemma1() -> VerificationReport:
     """Intersecting families induce well-behaved consensus rules."""
     start = time.monotonic()
     checks: list[CheckResult] = []
@@ -523,14 +521,14 @@ def verify_lemma1(workers: int = 1) -> VerificationReport:
         checks.append(
             _check(
                 f"neutral_{label}",
-                is_neutral(rule, workers=workers),
+                is_neutral(rule),
                 "full profile scan",
             )
         )
         checks.append(
             _check(
                 f"positively_responsive_{label}",
-                is_positively_responsive(rule, workers=workers),
+                is_positively_responsive(rule),
                 "full profile scan",
             )
         )
@@ -727,7 +725,7 @@ _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
     "thm8": verify_thm8,
 }
 
-_TAKES_WORKERS = {"thm1", "thm2", "thm3", "lemma1"}
+_TAKES_WORKERS = {"thm2", "thm3"}
 
 _CLAIM_PARAMS: dict[str, frozenset[str]] = {
     "thm1": frozenset({"ns"}),

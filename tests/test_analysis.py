@@ -170,6 +170,18 @@ def test_min_search_workers_agree():
     assert solo == duo
 
 
+def test_min_search_witness_limit_workers_agree():
+    # 35 winners of size 4; the pool splits them across chunks
+    rule = Majority(7)
+    solo = min_winning_coalitions(rule, witness_limit=3)
+    duo = min_winning_coalitions(rule, witness_limit=3, workers=2)
+    assert solo == duo
+    assert solo.witnesses == tuple(itertools.combinations(range(7), 4))[:3]
+    assert not solo.witnesses_complete
+    exact = min_winning_coalitions(rule, witness_limit=35, workers=2)
+    assert len(exact.witnesses) == 35 and exact.witnesses_complete
+
+
 def test_min_search_above_table_cap():
     got = min_winning_coalitions(Majority(13))
     assert got.min_size == 7
@@ -335,7 +347,7 @@ def test_pivotality_frozen():
 
 
 def test_pivotality_large_binary_path():
-    # degree above the table cap falls back to the direct scan
+    # degree above the table cap: no outcome table, batch evaluation only
     assert pivotality(Majority(13)) == (Fraction(231, 1024),) * 13
 
 

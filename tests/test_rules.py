@@ -273,17 +273,6 @@ def test_table_matches_direct_evaluation():
             assert table[code] == outcome(rule, votes_from_code(code, n))
 
 
-def test_table_workers_deterministic():
-    from equivote.tables import _TABLES
-
-    rule = LongestRun(7)
-    _TABLES.clear()
-    serial = outcome_table(rule).copy()
-    _TABLES.clear()
-    parallel = outcome_table(rule, workers=2).copy()
-    assert (serial == parallel).all()
-
-
 @settings(max_examples=60)
 @given(
     st.integers(min_value=0, max_value=3**5 - 1),

@@ -1,0 +1,213 @@
+import itertools
+from collections import OrderedDict
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equivote import analysis, tables
+from equivote.analysis import is_winning_coalition, min_winning_coalitions, pivotality
+from equivote.profiles import votes_from_code
+from equivote.rules import (
+    CCC,
+    GRD,
+    Dictatorship,
+    LongestRun,
+    Majority,
+    make_coalition_rule,
+    outcome,
+)
+from equivote.tables import evaluate_batch, outcome_table
+from equivote.verify import equitable_catalog, proof_coalition
+
+VOTE = st.sampled_from((-1, 0, 1))
+
+
+@st.composite
+def grd_rules(draw):
+    """Recursive majority over a random, generally non-uniform, tree."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+
+    def split(leaves):
+        if len(leaves) == 1:
+            return leaves[0]
+        cuts = sorted(draw(st.sets(st.integers(1, len(leaves) - 1), max_size=3)))
+        if not cuts:
+            return tuple(leaves)
+        bounds = [0, *cuts, len(leaves)]
+        return tuple(split(leaves[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    return GRD(split(list(order)))
+
+
+@st.composite
+def coalition_rules(draw):
+    """A random pairwise-intersecting family: each drawn member is kept only
+    if it meets every member kept before it."""
+    n = draw(st.integers(1, 12))
+    member = st.frozensets(st.integers(0, n - 1), min_size=1)
+    kept = [draw(member)]
+    for candidate in draw(st.lists(member, max_size=8)):
+        if all(candidate & m for m in kept):
+            kept.append(candidate)
+    return make_coalition_rule(n, kept)
+
+
+@st.composite
+def dictatorships(draw):
+    n = draw(st.integers(1, 12))
+    return Dictatorship(n, draw(st.integers(0, n - 1)))
+
+
+RULES = st.one_of(
+    st.integers(1, 16).map(Majority),
+    st.integers(1, 16).map(LongestRun),
+    dictatorships(),
+    grd_rules(),
+    st.builds(CCC, st.integers(1, 4), st.integers(1, 4)),
+    coalition_rules(),
+)
+
+
+@st.composite
+def profile_rows(draw, n):
+    """Random rows, all-equal rows, and periodic rows; a periodic row that is
+    not constant has several equally long longest blocks."""
+    kind = draw(st.sampled_from(("random", "uniform", "periodic")))
+    if kind == "random":
+        return draw(st.lists(VOTE, min_size=n, max_size=n))
+    if kind == "uniform":
+        return [draw(VOTE)] * n
+    period = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    return draw(st.lists(VOTE, min_size=period, max_size=period)) * (n // period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_batch_matches_outcome(data):
+    rule = data.draw(RULES)
+    rows = data.draw(st.lists(profile_rows(rule.n), min_size=1, max_size=24))
+    got = evaluate_batch(rule, np.array(rows, dtype=np.int8))
+    assert got.dtype == np.int8
+    assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
+
+
+def test_evaluate_batch_tied_and_uniform_rows():
+    rows = [
+        (1, 1, -1, -1, 0, 0),  # two longest nonzero blocks tie: majority, 0
+        (1, 1, 0, -1, -1, -1),  # unique longest block decides
+        (0, 0, 0, 0, 0, 0),
+        (-1, -1, -1, -1, -1, -1),
+        (1, 1, 0, 0, 0, 1),  # the +1 block wraps round the ring
+    ]
+    got = evaluate_batch(LongestRun(6), np.array(rows))
+    assert got.tolist() == [0, -1, 0, -1, 1]
+    assert got.tolist() == [outcome(LongestRun(6), row) for row in rows]
+
+
+def test_evaluate_batch_rejects_bad_shape():
+    with pytest.raises(ValueError):
+        evaluate_batch(Majority(3), np.zeros((4, 2), dtype=np.int8))
+    with pytest.raises(ValueError):
+        evaluate_batch(Majority(3), np.zeros(3, dtype=np.int8))
+
+
+def test_longest_run_table_matches_scalar_loop():
+    for n in range(1, 10):
+        rule = LongestRun(n)
+        scalar = np.empty(3**n, dtype=np.int8)
+        for code in range(3**n):
+            scalar[code] = outcome(rule, votes_from_code(code, n))
+        assert np.array_equal(outcome_table(rule), scalar)
+
+
+def _scalar_winning(rule, members):
+    n = rule.n
+    others = [v for v in range(n) if v not in members]
+    for x in (1, -1):
+        for fill in itertools.product((-1, 0, 1), repeat=len(others)):
+            votes = [x] * n
+            for v, val in zip(others, fill):
+                votes[v] = val
+            if outcome(rule, tuple(votes)) != x:
+                return False
+    return True
+
+
+def test_winning_slab_above_table_cap():
+    rule = LongestRun(13)
+    proof = proof_coalition(13)
+    assert is_winning_coalition(rule, proof) is _scalar_winning(rule, proof) is True
+    block = tuple(range(6))  # the other seven can outrun it
+    assert is_winning_coalition(rule, block) is _scalar_winning(rule, block) is False
+
+
+def test_direct_search_matches_scalar_reference():
+    rule = Majority(13)
+    checked = 0
+    for k in range(1, 14):
+        winners = []
+        for ms in itertools.combinations(range(13), k):
+            checked += 1
+            if all(
+                outcome(rule, tuple(x if v in ms else -x for v in range(13))) == x
+                for x in (1, -1)
+            ):
+                winners.append(ms)
+        if winners:
+            break
+    got = min_winning_coalitions(rule)
+    assert got.method == "direct+monotone"
+    assert got.witnesses == tuple(winners)
+    assert got.subsets_checked == checked
+
+
+def test_binary_pivotality_above_table_cap():
+    assert pivotality(LongestRun(13)) == (Fraction(225, 1024),) * 13
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    lr = LongestRun(9)
+    expected = (
+        outcome_table(lr).copy(),
+        is_winning_coalition(lr, (0, 1, 2, 3, 6)),
+        is_winning_coalition(lr, (0, 1, 2)),
+        pivotality(lr),
+        min_winning_coalitions(Majority(9)),
+        min_winning_coalitions(CCC(2, 3), scan_cap=4),
+    )
+    monkeypatch.setattr(tables, "_TABLES", OrderedDict())
+    monkeypatch.setattr(tables, "BATCH_ROWS", 7)
+    monkeypatch.setattr(analysis, "BATCH_ROWS", 7)
+    got = (
+        outcome_table(lr),
+        is_winning_coalition(lr, (0, 1, 2, 3, 6)),
+        is_winning_coalition(lr, (0, 1, 2)),
+        pivotality(lr),
+        min_winning_coalitions(Majority(9)),
+        min_winning_coalitions(CCC(2, 3), scan_cap=4),
+    )
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:]
+
+
+def test_table_cache_keeps_every_catalog_table(monkeypatch):
+    monkeypatch.setattr(tables, "_TABLES", OrderedDict())
+    catalog = equitable_catalog()
+    built = [outcome_table(rule) for rule in catalog]
+    assert all(outcome_table(rule) is t for rule, t in zip(catalog, built))
+    assert list(tables._TABLES) == catalog
+
+
+def test_table_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(tables, "_TABLES", OrderedDict())
+    monkeypatch.setattr(tables, "_TABLE_CACHE_BYTES", 2 * 3**5)
+    a, b, c = Majority(5), LongestRun(5), Dictatorship(5)
+    first = outcome_table(a)
+    outcome_table(b)
+    assert outcome_table(a) is first  # a is now the most recently used
+    outcome_table(c)
+    assert list(tables._TABLES) == [a, c]
