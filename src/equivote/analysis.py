@@ -8,6 +8,7 @@ requires the exhaustively computed full automorphism group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from .perms import (
     DEFAULT_MAX_ORDER,
+    ClosureOverflow,
     PermGroup,
     Permutation,
     cycle_lengths,
@@ -159,25 +161,31 @@ def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
     return bool(np.all(table[neg] == -1))
 
 
-def _scan_size_chunk(args) -> tuple[int, list[tuple[int, ...]]]:
-    """Check the size-k subsets lo..hi-1 in combination order, block by block.
+def _scan_size(
+    rule: VotingRule,
+    n: int,
+    k: int,
+    monotone: bool,
+    table: Optional[np.ndarray],
+    keep: int,
+) -> list[tuple[int, ...]]:
+    """The first `keep` winning size-k subsets, in combination order.
 
-    Returns the count checked and the first `keep` winners among them.
-    Without a table the rule must be monotone; the caller refuses the rest.
+    Subsets are checked block by block. Without a table the rule must be
+    monotone; the caller refuses the rest.
     """
-    rule, n, k, lo, hi, monotone, use_table, keep = args
-    combos = itertools.islice(itertools.combinations(range(n), k), lo, hi)
-    table = outcome_table(rule) if use_table else None
+    combos = itertools.combinations(range(n), k)
+    count = math.comb(n, k)
     weights = 3 ** np.arange(n, dtype=np.int64)
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
     step = BATCH_ROWS // 2
-    for start in range(lo, hi, step):
-        size = min(step, hi - start)
+    for start in range(0, count, step):
+        size = min(step, count - start)
         block = itertools.chain.from_iterable(itertools.islice(combos, size))
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
         extremal = _extremal_profiles(n, subsets)
-        if use_table:
+        if table is not None:
             outcomes = table[(extremal.astype(np.int64) + 1) @ weights]
         else:
             outcomes = evaluate_batch(rule, extremal)
@@ -187,14 +195,13 @@ def _scan_size_chunk(args) -> tuple[int, list[tuple[int, ...]]]:
             ms = tuple(row.tolist())
             if monotone or _slab_wins(table, n, ms):
                 winners.append(ms)
-    return hi - lo, winners
+    return winners
 
 
 def min_winning_coalitions(
     rule: VotingRule,
     budget: int = 2_000_000,
     witness_limit: int = 20_000,
-    workers: int = 1,
     scan_cap: int = PROFILE_SCAN_CAP,
 ) -> MinCoalitionSearch:
     """Smallest winning coalition size with all witnesses of that size.
@@ -205,18 +212,14 @@ def min_winning_coalitions(
     """
     n = rule_degree(rule)
     monotone = has_monotone_certificate(rule)
-    use_table = n <= scan_cap
-    if use_table:
-        outcome_table(rule)  # warm the cache before forking
-    elif not monotone:
+    table = outcome_table(rule) if n <= scan_cap else None
+    if table is None and not monotone:
         raise InfeasibleError(
             "degree above table cap requires a monotone certificate"
         )
-    method = ("table" if use_table else "direct") + (
+    method = ("direct" if table is None else "table") + (
         "+monotone" if monotone else "+slab"
     )
-    # one winner past the limit tells whether the witness list is complete
-    keep = witness_limit + 1
     checked = 0
     for k in range(1, n + 1):
         count_k = math.comb(n, k)
@@ -230,24 +233,9 @@ def min_winning_coalitions(
                 method=method,
                 witnesses_complete=False,
             )
-        if workers > 1 and count_k >= 4 * workers:
-            import multiprocessing as mp
-
-            bounds = np.linspace(0, count_k, workers * 2 + 1, dtype=np.int64).tolist()
-            jobs = [
-                (rule, n, k, lo, hi, monotone, use_table, keep)
-                for lo, hi in zip(bounds, bounds[1:])
-                if lo < hi
-            ]
-            with mp.get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_scan_size_chunk, jobs)
-            got = sum(c for c, _ in parts)
-            winners = [w for _, ws in parts for w in ws]
-        else:
-            got, winners = _scan_size_chunk(
-                (rule, n, k, 0, count_k, monotone, use_table, keep)
-            )
-        checked += got
+        # one winner past the limit tells whether the witness list is complete
+        winners = _scan_size(rule, n, k, monotone, table, witness_limit + 1)
+        checked += count_k
         if winners:
             complete = len(winners) <= witness_limit
             return MinCoalitionSearch(
@@ -286,15 +274,15 @@ def grd_min_coalition_structural(tree: GRDTree) -> int:
 
 def grd_recursion_bound(n: int) -> int:
     """min over divisors d of (majority count of d) times the bound at n/d."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n == 1:
         return 1
-    best = None
-    for d in range(2, n + 1):
-        if n % d == 0:
-            val = (d // 2 + 1) * grd_recursion_bound(n // d)
-            best = val if best is None else min(best, val)
-    assert best is not None
-    return best
+    return min(
+        (d // 2 + 1) * grd_recursion_bound(n // d)
+        for d in range(2, n + 1)
+        if n % d == 0
+    )
 
 
 def _family_of(rule: VotingRule) -> Optional[tuple[frozenset[int], ...]]:
@@ -314,6 +302,16 @@ def _preserves_family(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _full_group(rule: VotingRule) -> PermGroup:
+    """The exhaustive automorphism group, memoized per process; it depends
+    only on the outcome table, so a rule key (which ignores provenance) is
+    sound."""
+    n = rule_degree(rule)
+    kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
+    return PermGroup.from_elements(n, kept)
+
+
 def automorphism_group(
     rule: VotingRule,
     method: str = "exhaustive",
@@ -330,19 +328,20 @@ def automorphism_group(
     if n > cap:
         raise InfeasibleError(f"{n}! permutations exceed cap n<={cap}")
     if method == "exhaustive":
-        table = outcome_table(rule)
-        kept = automorphism_filter(table, n, iter_permutations(n))
+        group = _full_group(rule)
     elif method == "coalition_preserving":
         family = _family_of(rule)
         if family is None:
             raise ValueError("coalition_preserving needs a coalition family")
         family_set = frozenset(family)
-        kept = [p for p in iter_permutations(n) if _preserves_family(p, family_set)]
+        group = PermGroup.from_elements(
+            n, (p for p in iter_permutations(n) if _preserves_family(p, family_set))
+        )
     else:
         raise ValueError(f"unknown method {method!r}")
-    if max_order is not None and len(kept) > max_order:
-        raise InfeasibleError(f"group order {len(kept)} exceeds {max_order}")
-    return PermGroup.from_elements(n, kept)
+    if max_order is not None and group.order > max_order:
+        raise InfeasibleError(f"group order {group.order} exceeds {max_order}")
+    return group
 
 
 @dataclass(frozen=True)
@@ -515,7 +514,7 @@ def is_k_equitable(
         if group.elements is None:
             try:
                 group = generate_closure(n, group.generators)
-            except Exception:
+            except ClosureOverflow:
                 group = None
         if group is not None and is_k_transitive(group, k):
             return True
@@ -626,7 +625,8 @@ def check_sqrt_lower_bound(
 
     Rejects rules not certified equitable. Returns the measured minimum, the
     squared comparison, and a translate-overlap audit of every witness
-    against the certified subgroup.
+    against the certified subgroup, or against the full automorphism group
+    when the rule has no certificate.
     """
     n = rule_degree(rule)
     if is_equitable(rule) is not True:
@@ -637,14 +637,14 @@ def check_sqrt_lower_bound(
         raise InfeasibleError("minimal coalition search did not complete")
     size = search.min_size
     cert = certified_subgroup(rule)
-    assert cert is not None
     overlap_ok = True
-    if cert.kind == "symmetric":
+    if cert is not None and cert.kind == "symmetric":
         # every relabelling of a witness is reachable, so overlap for all
         # translates needs 2*size > n
         overlap_ok = 2 * size > n
     else:
-        group = cert.group
+        # with no certificate, is_equitable used (and cached) the full group
+        group = automorphism_group(rule) if cert is None else cert.group
         if group.elements is None:
             group = generate_closure(n, group.generators, max_order=max_group_order)
         for g in group.elements:
@@ -755,7 +755,6 @@ def analyze_rule(
     want_cyclic: bool = False,
     pivot_distributions: Sequence[str] = (),
     budget: int = 2_000_000,
-    workers: int = 1,
     scan_cap: int = PROFILE_SCAN_CAP,
     factorial_cap: int = FACTORIAL_CAP,
 ) -> AnalysisReport:
@@ -798,9 +797,7 @@ def analyze_rule(
     min_coalition = None
     if want_min_coalition:
         try:
-            search = min_winning_coalitions(
-                rule, budget=budget, workers=workers, scan_cap=scan_cap
-            )
+            search = min_winning_coalitions(rule, budget=budget, scan_cap=scan_cap)
         except InfeasibleError:
             search = None
             methods["min_coalition"] = "infeasible"

@@ -154,7 +154,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         want_cyclic=args.cyclic,
         pivot_distributions=distributions,
         budget=budget,
-        workers=args.workers,
         scan_cap=effective["scan"],
         factorial_cap=effective["factorial"],
     )
@@ -196,7 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("parameter overrides require a single claim, not 'all'")
     claims = list(CLAIM_IDS) if args.claim == "all" else [args.claim]
     reports = {
-        claim: verify_claim(claim, workers=args.workers, **_verify_params(claim, args))
+        claim: verify_claim(claim, **_verify_params(claim, args))
         for claim in claims
     }
     overall = all(r.passed for r in reports.values())
@@ -281,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--caps", help="cap overrides, e.g. scan=10,factorial=7,budget=50000"
     )
-    p_analyze.add_argument("--workers", type=int, default=1)
+    p_analyze.add_argument(
+        "--workers", type=int, default=1, help="accepted; has no effect"
+    )
     p_analyze.add_argument("--format", choices=["human", "machine"], default="human")
     p_analyze.add_argument("--out")
     p_analyze.set_defaults(fn=cmd_analyze)
@@ -293,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--p", help="prime grid, e.g. 3,5,7")
     p_verify.add_argument("--group", choices=["cyclic", "pgl2"])
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1, help="accepted; has no effect"
+    )
     p_verify.add_argument("--format", choices=["human", "machine"], default="human")
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=cmd_verify)

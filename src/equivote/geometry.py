@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -143,7 +144,9 @@ def _apply_matrix(
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _induced_group(p: int, dim: int) -> PermGroup:
+    """The matrix group's action on the points, built once per process."""
     pts = projective_points(p, dim=dim)
     index = {pt: i for i, pt in enumerate(pts)}
     perms = []

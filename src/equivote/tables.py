@@ -5,6 +5,9 @@ a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes,
 with one numpy kernel per rule family, in row blocks of at most BATCH_ROWS.
 The table of a degree-n rule is its value on every base-3 profile code; the
 axiom, automorphism and winningness scans reduce to index arithmetic on it.
+The automorphism scan checks every candidate permutation at once, one block
+of codes at a time in code order, and drops a candidate at its first block
+with a mismatch.
 """
 
 from __future__ import annotations
@@ -162,36 +165,28 @@ def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:
 
 
 def automorphism_filter(
-    table: np.ndarray,
-    n: int,
-    perms: Iterable[Permutation],
-    chunk_size: int = 2000,
+    table: np.ndarray, n: int, perms: Iterable[Permutation]
 ) -> list[Permutation]:
-    """All perms in the iterable that preserve the outcome table."""
-    digits = digits_matrix(n).astype(np.int32)
-    pw3 = 3 ** np.arange(n, dtype=np.int32)
-    kept: list[Permutation] = []
-    batch: list[Permutation] = []
+    """All perms in the iterable that preserve the outcome table, in order.
 
-    def flush() -> None:
-        if not batch:
-            return
-        weights = np.empty((n, len(batch)), dtype=np.int32)
-        for j, p in enumerate(batch):
-            weights[:, j] = pw3[np.array(p.images)]
-        codes = digits @ weights
-        ok = (table[codes] == table[:, None]).all(axis=0)
-        for j, good in enumerate(ok):
-            if good:
-                kept.append(batch[j])
-        batch.clear()
-
-    for p in perms:
-        batch.append(p)
-        if len(batch) >= chunk_size:
-            flush()
-    flush()
-    return kept
+    The candidates are checked together, one block of codes at a time in
+    code order, and each is dropped at its first block with a mismatch; a
+    survivor has been compared on every code.
+    """
+    perms = list(perms)
+    # weights[j, u]: the place value of voter u's digit once perm j relabels
+    images = np.array([p.images for p in perms], dtype=np.int64).reshape(-1, n)
+    weights = 3**images
+    digits = digits_matrix(n)
+    live = np.arange(len(perms))
+    lo = 0
+    while lo < 3**n and len(live):
+        # about BATCH_ROWS * 32 gathered codes per block
+        hi = min(3**n, lo + max(1, (BATCH_ROWS << 5) // len(live)))
+        codes = digits[lo:hi] @ weights[live].T
+        live = live[(table[codes] == table[lo:hi, None]).all(axis=0)]
+        lo = hi
+    return [perms[j] for j in live]
 
 
 def slab_unanimous_codes(n: int, members: Sequence[int], value: int) -> np.ndarray:

@@ -194,7 +194,7 @@ def _rule_label(rule: VotingRule) -> str:
     return f"coalition{rule.n}"
 
 
-def verify_thm2(workers: int = 1) -> VerificationReport:
+def verify_thm2() -> VerificationReport:
     """Equitable rules never have winning coalitions below sqrt(n)."""
     start = time.monotonic()
     checks: list[CheckResult] = []
@@ -204,7 +204,7 @@ def verify_thm2(workers: int = 1) -> VerificationReport:
         need = math.isqrt(n)
         if need * need < n:
             need += 1
-        search = min_winning_coalitions(rule, workers=workers)
+        search = min_winning_coalitions(rule)
         ok = search.exact and search.min_size is not None
         size = search.min_size if ok else -1
         checks.append(
@@ -258,7 +258,7 @@ def verify_thm2(workers: int = 1) -> VerificationReport:
     return _finish("thm2", checks, {"catalog_size": len(equitable_catalog())}, start)
 
 
-def verify_thm3(depths: Sequence[int] = (1, 2, 3), workers: int = 1) -> VerificationReport:
+def verify_thm3(depths: Sequence[int] = (1, 2, 3)) -> VerificationReport:
     """Uniform ternary trees: minimal coalitions double with each level."""
     start = time.monotonic()
     checks: list[CheckResult] = []
@@ -290,7 +290,7 @@ def verify_thm3(depths: Sequence[int] = (1, 2, 3), workers: int = 1) -> Verifica
             )
         )
         if n <= 12:
-            search = min_winning_coalitions(rule, workers=workers)
+            search = min_winning_coalitions(rule)
             witness_formula = _ternary_witness_count(depth)
             checks.append(
                 _check(
@@ -725,8 +725,6 @@ _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
     "thm8": verify_thm8,
 }
 
-_TAKES_WORKERS = {"thm2", "thm3"}
-
 _CLAIM_PARAMS: dict[str, frozenset[str]] = {
     "thm1": frozenset({"ns"}),
     "thm3": frozenset({"depths"}),
@@ -736,7 +734,7 @@ _CLAIM_PARAMS: dict[str, frozenset[str]] = {
 }
 
 
-def verify_claim(claim: str, workers: int = 1, **params) -> VerificationReport:
+def verify_claim(claim: str, **params) -> VerificationReport:
     """Run one verifier, optionally overriding its default parameter grid."""
     if claim not in _VERIFIERS:
         raise ValueError(f"unknown claim {claim!r}")
@@ -746,11 +744,8 @@ def verify_claim(claim: str, workers: int = 1, **params) -> VerificationReport:
         raise ValueError(
             f"claim {claim!r} does not accept parameters {sorted(unknown)}"
         )
-    kwargs = dict(params)
-    if claim in _TAKES_WORKERS:
-        kwargs["workers"] = workers
-    return _VERIFIERS[claim](**kwargs)
+    return _VERIFIERS[claim](**params)
 
 
-def verify_all(workers: int = 1) -> dict[str, VerificationReport]:
-    return {claim: verify_claim(claim, workers=workers) for claim in CLAIM_IDS}
+def verify_all() -> dict[str, VerificationReport]:
+    return {claim: verify_claim(claim) for claim in CLAIM_IDS}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from equivote import analysis
 from equivote.analysis import (
     ASSIGNMENT_CAP,
     EquityCertificate,
@@ -27,7 +28,7 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import Permutation, is_transitive
+from equivote.perms import ClosureOverflow, Permutation, is_transitive
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -164,21 +165,13 @@ def test_min_search_witness_limit():
     assert not got.witnesses_complete
 
 
-def test_min_search_workers_agree():
-    solo = min_winning_coalitions(LongestRun(9))
-    duo = min_winning_coalitions(LongestRun(9), workers=2)
-    assert solo == duo
-
-
-def test_min_search_witness_limit_workers_agree():
-    # 35 winners of size 4; the pool splits them across chunks
+def test_min_search_witness_limit_keeps_combination_order():
+    # 35 winners of size 4
     rule = Majority(7)
-    solo = min_winning_coalitions(rule, witness_limit=3)
-    duo = min_winning_coalitions(rule, witness_limit=3, workers=2)
-    assert solo == duo
-    assert solo.witnesses == tuple(itertools.combinations(range(7), 4))[:3]
-    assert not solo.witnesses_complete
-    exact = min_winning_coalitions(rule, witness_limit=35, workers=2)
+    got = min_winning_coalitions(rule, witness_limit=3)
+    assert got.witnesses == tuple(itertools.combinations(range(7), 4))[:3]
+    assert not got.witnesses_complete
+    exact = min_winning_coalitions(rule, witness_limit=35)
     assert len(exact.witnesses) == 35 and exact.witnesses_complete
 
 
@@ -216,6 +209,8 @@ def test_grd_recursion_bound():
         6,
         8,
     ]
+    with pytest.raises(ValueError):
+        grd_recursion_bound(0)
 
 
 def test_automorphism_group_orders():
@@ -246,6 +241,31 @@ def test_automorphism_group_errors():
         automorphism_group(Majority(9))
     with pytest.raises(InfeasibleError):
         automorphism_group(Majority(4), max_order=10)
+
+
+def test_automorphism_group_memoized():
+    rule = LongestRun(6)
+    first = automorphism_group(rule)
+    assert automorphism_group(LongestRun(6)) == first
+    assert first.order == 12
+    # max_order is checked against the cached group too
+    with pytest.raises(InfeasibleError):
+        automorphism_group(rule, max_order=11)
+    assert automorphism_group(rule, max_order=12) == first
+
+
+def test_automorphism_group_cap_refused_before_scan(monkeypatch):
+    automorphism_group(Majority(5))  # cached
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the cap")
+
+    monkeypatch.setattr(analysis, "automorphism_filter", no_scan)
+    monkeypatch.setattr(analysis, "outcome_table", no_scan)
+    with pytest.raises(InfeasibleError):
+        automorphism_group(Majority(9))
+    with pytest.raises(InfeasibleError):
+        automorphism_group(Majority(5), cap=4)
 
 
 def test_certified_subgroup_kinds():
@@ -298,6 +318,22 @@ def test_is_k_equitable():
         is_k_equitable(fano, 0)
     with pytest.raises(ValueError):
         is_k_equitable(fano, 8)
+
+
+def test_is_k_equitable_closure_errors(monkeypatch):
+    # the rotation certificate of LongestRun(5) needs its closure enumerated
+    def overflow(*args, **kwargs):
+        raise ClosureOverflow("too big")
+
+    monkeypatch.setattr(analysis, "generate_closure", overflow)
+    assert is_k_equitable(LongestRun(5), 2) is False  # exhaustive fallback
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an overflow")
+
+    monkeypatch.setattr(analysis, "generate_closure", broken)
+    with pytest.raises(RuntimeError):
+        is_k_equitable(LongestRun(5), 2)
 
 
 def test_is_cyclic_rule():
@@ -375,6 +411,13 @@ def test_sqrt_lower_bound():
     assert lr9["min_size"] == 5
     assert lr9["bound_ok"]
     assert lr9["witness_overlap_ok"]
+
+
+def test_sqrt_lower_bound_without_certificate():
+    # equitable only by the exhaustive check: the audit uses the full group
+    assert certified_subgroup(Dictatorship(1)) is None
+    got = check_sqrt_lower_bound(Dictatorship(1))
+    assert got == {"n": 1, "min_size": 1, "bound_ok": True, "witness_overlap_ok": True}
 
 
 def test_sqrt_lower_bound_rejects_inequitable():

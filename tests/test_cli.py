@@ -121,6 +121,29 @@ def test_analyze_machine(capsys, tmp_path):
     assert doc["caps"]["workers"] == 1
 
 
+def test_analyze_workers_has_no_effect(capsys, tmp_path):
+    rule = make_rule(capsys, tmp_path, "lr9.rule", "--type", "longest_run", "--n", "9")
+    docs = []
+    for workers in ("1", "2"):
+        rc, out, _ = run(
+            capsys,
+            "analyze",
+            "--rule",
+            rule,
+            "--equity",
+            "--min-coalition",
+            "--workers",
+            workers,
+            "--format",
+            "machine",
+        )
+        assert rc == 0
+        docs.append(json.loads(out))
+    assert [doc["caps"].pop("workers") for doc in docs] == [1, 2]
+    assert docs[0] == docs[1]
+    assert docs[0]["min_coalition"]["size"] == 5
+
+
 def test_analyze_dictatorship(capsys, tmp_path):
     rule = make_rule(
         capsys, tmp_path, "d.rule", "--type", "dictatorship", "--n", "4"

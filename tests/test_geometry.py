@@ -119,6 +119,11 @@ def test_pgl2_orders():
         assert group.order == pgl2_order(p) == (p + 1) * p * (p - 1)
 
 
+def test_pgl2_elements_repeated_calls_agree():
+    assert pgl2_elements(7) == pgl2_elements(7)
+    assert pgl2_elements(7).order == pgl2_order(7)
+
+
 def test_pgl2_sharply_three_transitive():
     group = pgl2_elements(5)
     assert is_k_transitive(group, 3)

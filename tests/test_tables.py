@@ -1,6 +1,7 @@
 import itertools
 from collections import OrderedDict
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from equivote import analysis, tables
 from equivote.analysis import is_winning_coalition, min_winning_coalitions, pivotality
+from equivote.geometry import build_projective_rule
+from equivote.perms import Permutation, iter_permutations
 from equivote.profiles import votes_from_code
 from equivote.rules import (
     CCC,
@@ -19,7 +22,12 @@ from equivote.rules import (
     make_coalition_rule,
     outcome,
 )
-from equivote.tables import evaluate_batch, outcome_table
+from equivote.tables import (
+    automorphism_filter,
+    evaluate_batch,
+    outcome_table,
+    respects_table,
+)
 from equivote.verify import equitable_catalog, proof_coalition
 
 VOTE = st.sampled_from((-1, 0, 1))
@@ -211,3 +219,68 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
     assert outcome_table(a) is first  # a is now the most recently used
     outcome_table(c)
     assert list(tables._TABLES) == [a, c]
+
+
+@st.composite
+def filter_tables(draw):
+    """A random, constant or majority table, with a few entries overwritten."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("random", "constant", "majority")))
+    if kind == "random":
+        values = draw(st.lists(VOTE, min_size=3**n, max_size=3**n))
+        table = np.array(values, dtype=np.int8)
+    elif kind == "constant":
+        table = np.full(3**n, draw(VOTE), dtype=np.int8)
+    else:
+        table = outcome_table(Majority(n)).copy()
+    for code in draw(st.lists(st.integers(0, 3**n - 1), max_size=3)):
+        table[code] = draw(VOTE)
+    return n, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_automorphism_filter_matches_respects_table(data):
+    n, table = data.draw(filter_tables())
+    perm = st.permutations(range(n)).map(lambda images: Permutation(tuple(images)))
+    perms = data.draw(st.lists(perm, max_size=30))
+    batch_rows = data.draw(st.sampled_from((1, 4, tables.BATCH_ROWS)))
+    with mock.patch.object(tables, "BATCH_ROWS", batch_rows):
+        got = automorphism_filter(table, n, iter(perms))
+    assert got == [p for p in perms if respects_table(table, n, p)]
+
+
+def test_automorphism_filter_rejects_in_a_late_block(monkeypatch):
+    # Majority(5) with one change at the profile (0, +1, +1, +1, +1). A
+    # permutation that moves voter 0 first disagrees at a code where one
+    # voter abstains and the rest vote +1, all of them 161 or later; with
+    # 120 candidates live, each block is a single code
+    table = outcome_table(Majority(5)).copy()
+    late = 3**5 - 2
+    assert votes_from_code(late, 5) == (0, 1, 1, 1, 1)
+    table[late] = -1
+    monkeypatch.setattr(tables, "BATCH_ROWS", 4)  # 128 codes per block
+    perms = list(iter_permutations(5))
+    got = automorphism_filter(table, 5, perms)
+    assert got == [p for p in perms if p.images[0] == 0]
+    assert got == [p for p in perms if respects_table(table, 5, p)]
+
+
+def test_automorphism_filter_empty_perms():
+    table = outcome_table(Majority(3))
+    assert automorphism_filter(table, 3, []) == []
+    assert automorphism_filter(table, 3, iter(())) == []
+
+
+def test_automorphism_filter_orders_unchanged():
+    cases = [
+        (Dictatorship(8), 5040),
+        (LongestRun(8), 16),
+        (build_projective_rule(2), 168),
+        (CCC(2, 4), 40320),
+    ]
+    for rule, order in cases:
+        n = rule.n
+        kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
+        assert len(kept) == order
+        assert kept[0] == Permutation.identity(n)
