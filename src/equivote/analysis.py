@@ -22,27 +22,23 @@ from .perms import (
     ClosureOverflow,
     PermGroup,
     Permutation,
+    compose,
     cycle_lengths,
     find_n_cycle,
     generate_closure,
     is_k_transitive,
     is_transitive,
     iter_permutations,
-    orbit,
     symmetric_generators,
 )
 from .rules import (
-    CCC,
     GRD,
-    CoalitionRule,
-    Dictatorship,
     GRDTree,
     InfeasibleError,
     LongestRun,
     Majority,
     PROFILE_SCAN_CAP,
     VotingRule,
-    ccc_family,
     has_monotone_certificate,
     is_uniform_tree,
     rule_degree,
@@ -285,14 +281,6 @@ def grd_recursion_bound(n: int) -> int:
     )
 
 
-def _family_of(rule: VotingRule) -> Optional[tuple[frozenset[int], ...]]:
-    if isinstance(rule, CoalitionRule):
-        return rule.family
-    if isinstance(rule, CCC):
-        return ccc_family(rule.rows, rule.cols)
-    return None
-
-
 def _preserves_family(
     perm: Permutation, family_set: frozenset[frozenset[int]]
 ) -> bool:
@@ -330,10 +318,9 @@ def automorphism_group(
     if method == "exhaustive":
         group = _full_group(rule)
     elif method == "coalition_preserving":
-        family = _family_of(rule)
-        if family is None:
+        if rule.family is None:
             raise ValueError("coalition_preserving needs a coalition family")
-        family_set = frozenset(family)
+        family_set = frozenset(rule.family)
         group = PermGroup.from_elements(
             n, (p for p in iter_permutations(n) if _preserves_family(p, family_set))
         )
@@ -346,11 +333,13 @@ def automorphism_group(
 
 @dataclass(frozen=True)
 class EquityCertificate:
-    """A subgroup of the automorphism group with how it was justified."""
+    """A subgroup of the automorphism group with how it was justified, and
+    an n-cycle in it when the construction provides one."""
 
     group: PermGroup
     kind: str
     validated: bool
+    cycle: Optional[Permutation] = None
 
 
 def _grid_shift_perms(rows: int, cols: int) -> tuple[Permutation, Permutation]:
@@ -411,17 +400,26 @@ def _odometer(branching: tuple[int, ...]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _group_from_provenance(prov: dict) -> Optional[PermGroup]:
+def _group_from_provenance(prov: dict, n: int) -> Optional[PermGroup]:
+    """The group a provenance names, if it names one of degree n.
+
+    Provenance is an untrusted hint: anything else gives None.
+    """
     kind = prov.get("kind")
     if kind == "projective_plane":
-        from .geometry import pgl3_elements, pgl3_order
+        from .geometry import is_prime, pgl3_elements, pgl3_order
 
-        p = prov["p"]
-        return pgl3_elements(p, max_order=pgl3_order(p))
+        p = prov.get("p")
+        if type(p) is int and p * p + p + 1 == n and is_prime(p):
+            return pgl3_elements(p, max_order=pgl3_order(p))
     if kind == "group_orbit":
-        from .randomized import group_from_descriptor
+        from .geometry import is_prime, pgl2_elements
 
-        return group_from_descriptor(prov["group"])
+        group = prov.get("group")
+        if group == {"kind": "cyclic", "n": n}:
+            return generate_closure(n, [Permutation.rotation(n)])
+        if group == {"kind": "pgl2", "p": n - 1} and is_prime(n - 1):
+            return pgl2_elements(n - 1)
     return None
 
 
@@ -432,40 +430,46 @@ def certified_subgroup(
 
     Generators of profile-defined rules are validated by a full outcome-table
     scan when the degree is within the scan cap; coalition families validate
-    their groups by set preservation at any degree.
+    their groups by set preservation at any degree: the grid shifts of a CCC
+    grid, else the group the provenance names, else the exhaustive family
+    stabilizer while n! is within its cap. A named group that breaks the
+    family is dropped.
     """
     n = rule_degree(rule)
-    family = _family_of(rule)
-    if family is not None:
-        family_set = frozenset(family)
-        if isinstance(rule, CCC):
-            gens = list(_grid_shift_perms(rule.rows, rule.cols))
+    if rule.family is not None:
+        family_set = frozenset(rule.family)
+        cycle = None
+        if rule.grid is not None:
+            rows, cols = rule.grid
+            row_shift, col_shift = _grid_shift_perms(rows, cols)
+            group = PermGroup(n=n, generators=(row_shift, col_shift))
             kind = "grid_shifts"
-            group = PermGroup(n=n, generators=tuple(gens))
+            if math.gcd(rows, cols) == 1:
+                # the diagonal shift is one n-cycle (Chinese remainder theorem)
+                cycle = compose(row_shift, col_shift)
         else:
-            prov = rule.provenance or {}
-            group = _group_from_provenance(prov)
-            if group is None:
-                if n > FACTORIAL_CAP:
-                    return None
-                group = automorphism_group(rule, method="coalition_preserving")
-                kind = "family_stabilizer"
-            else:
-                kind = "family_group"
-            gens = list(group.generating_set())
-        for g in gens:
-            if not _preserves_family(g, family_set):
-                raise AssertionError("certificate generator breaks the family")
-        return EquityCertificate(group=group, kind=kind, validated=True)
+            group = _group_from_provenance(rule.provenance or {}, n)
+            kind = "family_group"
+        if group is not None and not all(
+            _preserves_family(g, family_set) for g in group.generating_set()
+        ):
+            group = None
+        if group is None:
+            if n > FACTORIAL_CAP:
+                return None
+            group = automorphism_group(rule, method="coalition_preserving")
+            kind, cycle = "family_stabilizer", None
+        return EquityCertificate(group=group, kind=kind, validated=True, cycle=cycle)
     if isinstance(rule, Majority):
         gens = list(symmetric_generators(n))
-        kind = "symmetric"
+        kind, cycle = "symmetric", Permutation.rotation(n)
     elif isinstance(rule, LongestRun):
         gens = [Permutation.rotation(n)]
-        kind = "rotation"
+        kind, cycle = "rotation", gens[0]
     elif isinstance(rule, GRD) and is_uniform_tree(rule.tree):
-        gens = _torus_generators(_tree_branching(rule.tree))
-        kind = "torus"
+        branching = _tree_branching(rule.tree)
+        gens = _torus_generators(branching)
+        kind, cycle = "torus", _odometer(branching)
     else:
         return None
     validated = False
@@ -476,7 +480,10 @@ def certified_subgroup(
                 raise AssertionError("certificate generator is not an automorphism")
         validated = True
     return EquityCertificate(
-        group=PermGroup(n=n, generators=tuple(gens)), kind=kind, validated=validated
+        group=PermGroup(n=n, generators=tuple(gens)),
+        kind=kind,
+        validated=validated,
+        cycle=cycle,
     )
 
 
@@ -532,28 +539,13 @@ def is_cyclic_rule(
     """True iff the automorphism group contains a single n-cycle."""
     n = rule_degree(rule)
     cert = certified_subgroup(rule, scan_cap=scan_cap)
-    certified: list[Permutation] = []
     if cert is not None:
-        if cert.kind in ("symmetric", "rotation"):
-            certified.append(Permutation.rotation(n))
-        elif cert.kind == "torus" and isinstance(rule, GRD):
-            certified.append(_odometer(_tree_branching(rule.tree)))
-        elif cert.kind == "grid_shifts" and isinstance(rule, CCC):
-            if math.gcd(rule.rows, rule.cols) == 1:
-                row_shift, col_shift = _grid_shift_perms(rule.rows, rule.cols)
-                diag = Permutation(
-                    tuple(row_shift.images[col_shift.images[v]] for v in range(n))
-                )
-                certified.append(diag)
-        if cert.group.elements is not None:
-            cyc = find_n_cycle(cert.group)
-            if cyc is not None:
-                certified.append(cyc)
-    if any(cycle_lengths(g) == (n,) for g in certified):
-        return True
+        if cert.cycle is not None and cycle_lengths(cert.cycle) == (n,):
+            return True
+        if cert.group.elements is not None and find_n_cycle(cert.group) is not None:
+            return True
     rot = Permutation.rotation(n)
-    family = _family_of(rule)
-    if family is not None and _preserves_family(rot, frozenset(family)):
+    if rule.family is not None and _preserves_family(rot, frozenset(rule.family)):
         return True
     if n <= scan_cap and respects_table(outcome_table(rule), n, rot):
         return True

@@ -34,7 +34,7 @@ from .serialize import (
     report_to_dict,
     rule_to_dict,
 )
-from .verify import CLAIM_IDS, report_to_dict as verification_to_dict, verify_claim
+from .verify import CLAIM_IDS, verification_to_dict, verify_claim
 
 
 def _emit(text: str, out: Optional[str]) -> None:

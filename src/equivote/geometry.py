@@ -1,4 +1,4 @@
-"""Prime fields, projective planes over them, and the induced matrix groups."""
+"""Projective planes over prime fields and the induced matrix groups."""
 
 from __future__ import annotations
 
@@ -26,33 +26,6 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic mod a prime."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse for 0")
-        return pow(a, self.p - 2, self.p)
 
 
 def _canonical(vec: tuple[int, ...], p: int) -> tuple[int, ...]:

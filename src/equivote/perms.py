@@ -45,13 +45,6 @@ class Permutation:
         images[i], images[j] = images[j], images[i]
         return cls(tuple(images))
 
-    @classmethod
-    def from_mapping(cls, n: int, mapping: dict[int, int]) -> "Permutation":
-        images = list(range(n))
-        for src, dst in mapping.items():
-            images[src] = dst
-        return cls(tuple(images))
-
 
 def compose(g: Permutation, h: Permutation) -> Permutation:
     """g after h: the result maps i to g(h(i))."""
@@ -65,32 +58,6 @@ def inverse(p: Permutation) -> Permutation:
     for i, img in enumerate(p.images):
         images[img] = i
     return Permutation(tuple(images))
-
-
-def permute_values(p: Permutation, values: Iterable) -> tuple:
-    """Relabel positions by p: output[p(i)] = values[i]."""
-    vals = tuple(values)
-    if len(vals) != p.n:
-        raise ValueError("degree mismatch")
-    out = [None] * p.n
-    for i, v in enumerate(vals):
-        out[p.images[i]] = v
-    return tuple(out)
-
-
-def is_even(p: Permutation) -> bool:
-    """Parity via cycle decomposition; even iff n minus cycle count is even."""
-    seen = [False] * p.n
-    cycles = 0
-    for i in range(p.n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p.images[j]
-    return (p.n - cycles) % 2 == 0
 
 
 def cycle_lengths(p: Permutation) -> tuple[int, ...]:
@@ -174,10 +141,6 @@ def generate_closure(
     return PermGroup(n=n, generators=gens or elements, elements=elements)
 
 
-def cyclic_group(n: int) -> PermGroup:
-    return generate_closure(n, [Permutation.rotation(n)], max_order=max(n, 1))
-
-
 def symmetric_generators(n: int) -> tuple[Permutation, ...]:
     """Transposition plus full cycle; generates all n! permutations."""
     if n < 2:
@@ -204,28 +167,8 @@ def orbit(group: PermGroup, point: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def orbit_partition(group: PermGroup) -> tuple[frozenset[int], ...]:
-    """The orbits of the group action, sorted by least member."""
-    remaining = set(range(group.n))
-    parts = []
-    while remaining:
-        x = min(remaining)
-        orb = orbit(group, x)
-        parts.append(orb)
-        remaining -= orb
-    return tuple(parts)
-
-
 def is_transitive(group: PermGroup) -> bool:
     return group.n > 0 and len(orbit(group, 0)) == group.n
-
-
-def stabilizer(group: PermGroup, point: int) -> PermGroup:
-    """Subgroup fixing the point; requires the group to be enumerated."""
-    if group.elements is None:
-        raise ValueError("stabilizer requires an enumerated group")
-    fixed = [g for g in group.elements if g.images[point] == point]
-    return PermGroup.from_elements(group.n, fixed)
 
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:

@@ -30,17 +30,6 @@ class VoteProfile:
         return cls(tuple(votes))
 
 
-def negate(phi: VoteProfile) -> VoteProfile:
-    return VoteProfile(tuple(-v for v in phi.votes))
-
-
-def tally(phi: VoteProfile) -> tuple[int, int, int]:
-    """Counts of (+1, -1, 0) votes."""
-    pos = sum(1 for v in phi.votes if v == 1)
-    neg = sum(1 for v in phi.votes if v == -1)
-    return pos, neg, phi.n - pos - neg
-
-
 def apply_to_profile(p: Permutation, phi: VoteProfile) -> VoteProfile:
     """Relabel voters by p: the new profile maps v to phi(p^-1(v))."""
     if p.n != phi.n:
@@ -57,14 +46,6 @@ def profile_code(phi: VoteProfile) -> int:
     return code
 
 
-def profile_from_code(code: int, n: int) -> VoteProfile:
-    votes = []
-    for _ in range(n):
-        votes.append(code % 3 - 1)
-        code //= 3
-    return VoteProfile(tuple(votes))
-
-
 def votes_from_code(code: int, n: int) -> tuple[int, ...]:
     votes = []
     for _ in range(n):
@@ -76,4 +57,4 @@ def votes_from_code(code: int, n: int) -> tuple[int, ...]:
 def all_profiles(n: int) -> Iterator[VoteProfile]:
     """All 3^n profiles in code order."""
     for code in range(3**n):
-        yield profile_from_code(code, n)
+        yield VoteProfile(votes_from_code(code, n))

@@ -2,9 +2,15 @@
 
 A rule maps profiles over {-1, 0, +1} to a collective vote in {-1, 0, +1}.
 Variants: plain majority, cyclic longest-run, dictatorship, recursive majority
-over a partition tree (GRD), crosscutting row/column grids (CCC), and rules
-induced by a pairwise-intersecting family of coalitions (consensus on a family
-member wins, otherwise majority decides).
+over a partition tree (GRD), and rules induced by a pairwise-intersecting
+family of coalitions (consensus on a family member wins, otherwise majority
+decides). Crosscutting committees (CCC) are the coalition rule whose family
+is every row union column of a voter grid.
+
+Each rule class carries everything that differs between families: whether
+it is monotone by construction, its coalition family (None outside coalition
+rules), its scalar evaluator, its vectorized batch kernel, its rule document
+and its label in verification reports.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .profiles import VoteProfile, votes_from_code
 
@@ -37,9 +45,25 @@ def eval_majority(votes: tuple[int, ...]) -> int:
 class Majority:
     n: int
 
+    monotone: ClassVar[bool] = True
+    family: ClassVar[None] = None
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+
+    def scalar(self, votes: tuple[int, ...]) -> int:
+        return eval_majority(votes)
+
+    def batch(self, ballots: np.ndarray) -> np.ndarray:
+        return _majority(ballots)
+
+    def to_doc(self) -> dict:
+        return {"type": "majority", "n": self.n}
+
+    @property
+    def label(self) -> str:
+        return f"majority{self.n}"
 
 
 @dataclass(frozen=True)
@@ -49,9 +73,25 @@ class LongestRun:
 
     n: int
 
+    monotone: ClassVar[bool] = False
+    family: ClassVar[None] = None
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+
+    def scalar(self, votes: tuple[int, ...]) -> int:
+        return eval_longest_run(votes)
+
+    def batch(self, ballots: np.ndarray) -> np.ndarray:
+        return _longest_run(ballots)
+
+    def to_doc(self) -> dict:
+        return {"type": "longest_run", "n": self.n}
+
+    @property
+    def label(self) -> str:
+        return f"longest_run{self.n}"
 
 
 @dataclass(frozen=True)
@@ -59,9 +99,25 @@ class Dictatorship:
     n: int
     dictator: int = 0
 
+    monotone: ClassVar[bool] = True
+    family: ClassVar[None] = None
+
     def __post_init__(self) -> None:
         if not 0 <= self.dictator < self.n:
             raise ValueError("dictator out of range")
+
+    def scalar(self, votes: tuple[int, ...]) -> int:
+        return votes[self.dictator]
+
+    def batch(self, ballots: np.ndarray) -> np.ndarray:
+        return ballots[self.dictator]
+
+    def to_doc(self) -> dict:
+        return {"type": "dictatorship", "n": self.n, "dictator": self.dictator}
+
+    @property
+    def label(self) -> str:
+        return f"dictatorship{self.n}"
 
 
 @dataclass(frozen=True)
@@ -69,6 +125,9 @@ class GRD:
     """Recursive majority over a partition tree; leaves are voter indices."""
 
     tree: GRDTree
+
+    monotone: ClassVar[bool] = True
+    family: ClassVar[None] = None
 
     def __post_init__(self) -> None:
         leaves = tree_leaves(self.tree)
@@ -79,21 +138,18 @@ class GRD:
     def n(self) -> int:
         return len(tree_leaves(self.tree))
 
+    def scalar(self, votes: tuple[int, ...]) -> int:
+        return eval_grd(self.tree, votes)
 
-@dataclass(frozen=True)
-class CCC:
-    """Coalition rule over all row-union-column sets of a rows x cols grid."""
+    def batch(self, ballots: np.ndarray) -> np.ndarray:
+        return _grd_sum(self.tree, ballots).astype(np.int8)
 
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid dimensions must be positive")
+    def to_doc(self) -> dict:
+        return {"type": "grd", "tree": _tree_to_json(self.tree)}
 
     @property
-    def n(self) -> int:
-        return self.rows * self.cols
+    def label(self) -> str:
+        return f"grd{self.n}"
 
 
 @dataclass(frozen=True)
@@ -101,12 +157,16 @@ class CoalitionRule:
     """Consensus on any family member forces the outcome; majority otherwise.
 
     The family must be pairwise intersecting, so the two consensus branches
-    can never both fire.
+    can never both fire. `grid` is set only by `CCC`: the rows x cols grid
+    whose row-union-column sets make up the family.
     """
 
     n: int
     family: tuple[frozenset[int], ...]
     provenance: Optional[dict] = field(default=None, compare=False)
+    grid: Optional[tuple[int, int]] = field(default=None, compare=False)
+
+    monotone: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not self.family:
@@ -117,12 +177,42 @@ class CoalitionRule:
                 raise ValueError("family members must be nonempty")
             if not all(0 <= v < self.n for v in m):
                 raise ValueError("family member out of range")
+        if self.grid is not None and self.family == ccc_family(*self.grid):
+            return  # row i + column j meets row k + column l in cell (i, l)
         for a, b in itertools.combinations(members, 2):
             if a.isdisjoint(b):
                 raise ValueError(f"family members {sorted(a)} and {sorted(b)} are disjoint")
 
+    def scalar(self, votes: tuple[int, ...]) -> int:
+        return eval_coalition(self.family, votes)
 
-VotingRule = Union[Majority, LongestRun, Dictatorship, GRD, CCC, CoalitionRule]
+    def batch(self, ballots: np.ndarray) -> np.ndarray:
+        return _coalition(self.family, ballots)
+
+    def to_doc(self) -> dict:
+        if self.grid is not None:
+            rows, cols = self.grid
+            return {"type": "ccc", "rows": rows, "cols": cols}
+        doc = {
+            "type": "coalition",
+            "n": self.n,
+            "family": [sorted(member) for member in self.family],
+        }
+        if self.provenance is not None:
+            doc["provenance"] = self.provenance
+        return doc
+
+    @property
+    def label(self) -> str:
+        if self.grid is not None:
+            return "ccc{}x{}".format(*self.grid)
+        prov = self.provenance or {}
+        if prov.get("kind") == "projective_plane":
+            return f"projective_p{prov['p']}"
+        return f"coalition{self.n}"
+
+
+VotingRule = Union[Majority, LongestRun, Dictatorship, GRD, CoalitionRule]
 
 
 def make_coalition_rule(
@@ -190,6 +280,14 @@ def ccc_family(rows: int, cols: int) -> tuple[frozenset[int], ...]:
     return tuple(sorted(set(members), key=lambda s: (len(s), sorted(s))))
 
 
+def CCC(rows: int, cols: int) -> CoalitionRule:
+    """Crosscutting committees: the coalition rule over all row-union-column
+    sets of a rows x cols voter grid."""
+    if rows < 1 or cols < 1:
+        raise ValueError("grid dimensions must be positive")
+    return CoalitionRule(rows * cols, ccc_family(rows, cols), grid=(rows, cols))
+
+
 def rule_degree(rule: VotingRule) -> int:
     return rule.n
 
@@ -234,22 +332,62 @@ def eval_coalition(family: tuple[frozenset[int], ...], votes: tuple[int, ...]) -
     return eval_majority(votes)
 
 
+# Batch kernels take one block voter-major: row v holds voter v's vote in
+# each profile, so every reduction over voters is elementwise across profiles.
+
+
+def _majority(ballots: np.ndarray) -> np.ndarray:
+    return np.sign(ballots.sum(axis=0, dtype=np.int32)).astype(np.int8)
+
+
+def _longest_run(ballots: np.ndarray) -> np.ndarray:
+    """Cyclic run-length scan: a block ends at voter v when the next voter
+    round the ring votes differently; its length is the distance back to
+    the previous block end, wrapping round for the first one."""
+    n = len(ballots)
+    ends = ballots != np.roll(ballots, -1, axis=0)
+    voters = np.arange(n, dtype=np.int32)[:, None]
+    marks = np.where(ends, voters, -1)
+    before = np.empty_like(marks)
+    before[0] = -1
+    np.maximum.accumulate(marks[:-1], axis=0, out=before[1:])
+    before = np.where(before < 0, marks.max(axis=0) - n, before)
+    lengths = np.where(ends & (ballots != 0), voters - before, 0)
+    best = lengths.max(axis=0)
+    top = lengths == best
+    unique = (best > 0) & (top.sum(axis=0) == 1)
+    winner = np.where(top, ballots, 0).sum(axis=0, dtype=np.int32)
+    out = np.where(unique, winner, _majority(ballots))
+    # no block end: one block round the whole ring, or everyone abstains
+    return np.where(ends.any(axis=0), out, ballots[0]).astype(np.int8)
+
+
+def _grd_sum(tree: GRDTree, ballots: np.ndarray) -> np.ndarray:
+    if isinstance(tree, int):
+        return ballots[tree].astype(np.int16)
+    return np.sign(sum(_grd_sum(child, ballots) for child in tree))
+
+
+def _coalition(family: Sequence[frozenset[int]], ballots: np.ndarray) -> np.ndarray:
+    out = _majority(ballots)
+    yes, no = ballots == 1, ballots == -1
+    for member in family:
+        rows = sorted(member)
+        out[yes[rows].all(axis=0)] = 1
+        out[no[rows].all(axis=0)] = -1
+    return out
+
+
+def _tree_to_json(tree: GRDTree):
+    if isinstance(tree, int):
+        return tree
+    return [_tree_to_json(child) for child in tree]
+
+
 def outcome(rule: VotingRule, votes: tuple[int, ...]) -> int:
     """Scalar outcome of one profile: the reference that the vectorized
     `tables.evaluate_batch` is tested against."""
-    if isinstance(rule, Majority):
-        return eval_majority(votes)
-    if isinstance(rule, LongestRun):
-        return eval_longest_run(votes)
-    if isinstance(rule, Dictatorship):
-        return votes[rule.dictator]
-    if isinstance(rule, GRD):
-        return eval_grd(rule.tree, votes)
-    if isinstance(rule, CCC):
-        return eval_coalition(ccc_family(rule.rows, rule.cols), votes)
-    if isinstance(rule, CoalitionRule):
-        return eval_coalition(rule.family, votes)
-    raise TypeError(f"unknown rule type {type(rule).__name__}")
+    return rule.scalar(votes)
 
 
 def evaluate(rule: VotingRule, phi: VoteProfile) -> int:
@@ -266,7 +404,7 @@ def has_monotone_certificate(rule: VotingRule) -> bool:
     monotonicity through composition. The longest-run rule carries no
     certificate: it fails monotonicity for some degrees (first at n=10).
     """
-    return isinstance(rule, (Majority, Dictatorship, GRD, CCC, CoalitionRule))
+    return rule.monotone
 
 
 def _require_scan(n: int, cap: int) -> None:
@@ -276,8 +414,6 @@ def _require_scan(n: int, cap: int) -> None:
 
 def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """f(-phi) == -f(phi) over every profile."""
-    import numpy as np
-
     from .tables import outcome_table
 
     n = rule_degree(rule)
@@ -288,8 +424,6 @@ def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
 
 def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """The outcome depends only on the vote tally."""
-    import numpy as np
-
     from .tables import digits_matrix, outcome_table
 
     n = rule_degree(rule)
@@ -307,8 +441,6 @@ def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
 def is_positively_responsive(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
-    import numpy as np
-
     from .tables import digits_matrix, outcome_table
 
     n = rule_degree(rule)
@@ -349,8 +481,6 @@ def is_positively_responsive_by_pairs(rule: VotingRule, cap: int = 5) -> bool:
 
 def is_monotone(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     """Weak coordinatewise monotonicity of the outcome, by table scan."""
-    import numpy as np
-
     from .tables import digits_matrix, outcome_table
 
     n = rule_degree(rule)

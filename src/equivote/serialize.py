@@ -15,7 +15,6 @@ from .profiles import VoteProfile
 from .rules import (
     CCC,
     GRD,
-    CoalitionRule,
     Dictatorship,
     GRDTree,
     LongestRun,
@@ -33,14 +32,12 @@ def canonical_json(obj: Any, indent: int | None = None) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent)
 
 
-def _tree_to_json(tree: GRDTree):
-    if isinstance(tree, int):
-        return tree
-    return [_tree_to_json(child) for child in tree]
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _tree_from_json(node) -> GRDTree:
-    if isinstance(node, int):
+    if _is_int(node):
         return node
     if isinstance(node, list):
         return tuple(_tree_from_json(child) for child in node)
@@ -48,51 +45,73 @@ def _tree_from_json(node) -> GRDTree:
 
 
 def rule_to_dict(rule: VotingRule) -> dict:
-    doc: dict[str, Any] = {"format": FORMAT_VERSION}
-    if isinstance(rule, Majority):
-        doc.update(type="majority", n=rule.n)
-    elif isinstance(rule, LongestRun):
-        doc.update(type="longest_run", n=rule.n)
-    elif isinstance(rule, Dictatorship):
-        doc.update(type="dictatorship", n=rule.n, dictator=rule.dictator)
-    elif isinstance(rule, GRD):
-        doc.update(type="grd", tree=_tree_to_json(rule.tree))
-    elif isinstance(rule, CCC):
-        doc.update(type="ccc", rows=rule.rows, cols=rule.cols)
-    elif isinstance(rule, CoalitionRule):
-        doc.update(
-            type="coalition",
-            n=rule.n,
-            family=[sorted(member) for member in rule.family],
-        )
-        if rule.provenance is not None:
-            doc["provenance"] = rule.provenance
-    else:
-        raise TypeError(f"unknown rule {type(rule).__name__}")
-    return doc
+    return {"format": FORMAT_VERSION, **rule.to_doc()}
 
 
-def rule_from_dict(doc: dict) -> VotingRule:
-    if doc.get("format") != FORMAT_VERSION:
+# fields of each rule document type besides "format" and "type": required,
+# then optional
+_RULE_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "majority": (("n",), ()),
+    "longest_run": (("n",), ()),
+    "dictatorship": (("n",), ("dictator",)),
+    "grd": (("tree",), ()),
+    "ccc": (("rows", "cols"), ()),
+    "coalition": (("n", "family"), ("provenance",)),
+}
+
+
+def _int_field(doc: dict, key: str, default: int | None = None) -> int:
+    value = doc.get(key, default)
+    if not _is_int(value):
+        raise ValueError(f"rule field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _family_field(doc: dict) -> list[frozenset[int]]:
+    family = doc["family"]
+    if not isinstance(family, list) or not all(
+        isinstance(member, list) and all(_is_int(v) for v in member)
+        for member in family
+    ):
+        raise ValueError("rule field 'family' must be a list of integer lists")
+    return [frozenset(member) for member in family]
+
+
+def rule_from_dict(doc: Any) -> VotingRule:
+    """The rule a document describes; a malformed document raises a
+    ValueError naming the offending field."""
+    if not isinstance(doc, dict):
+        raise ValueError("a rule document must be a JSON object")
+    if not _is_int(doc.get("format")) or doc["format"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
     kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in _RULE_FIELDS:
+        raise ValueError(f"unknown rule type {kind!r}")
+    required, optional = _RULE_FIELDS[kind]
+    unknown = sorted(set(doc) - {"format", "type", *required, *optional})
+    if unknown:
+        raise ValueError(f"unknown rule field {unknown[0]!r} for type {kind!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing rule field {missing[0]!r} for type {kind!r}")
     if kind == "majority":
-        return Majority(n=doc["n"])
+        return Majority(n=_int_field(doc, "n"))
     if kind == "longest_run":
-        return LongestRun(n=doc["n"])
+        return LongestRun(n=_int_field(doc, "n"))
     if kind == "dictatorship":
-        return Dictatorship(n=doc["n"], dictator=doc.get("dictator", 0))
+        return Dictatorship(
+            n=_int_field(doc, "n"), dictator=_int_field(doc, "dictator", 0)
+        )
     if kind == "grd":
         return GRD(tree=_tree_from_json(doc["tree"]))
     if kind == "ccc":
-        return CCC(rows=doc["rows"], cols=doc["cols"])
-    if kind == "coalition":
-        return make_coalition_rule(
-            doc["n"],
-            [frozenset(member) for member in doc["family"]],
-            provenance=doc.get("provenance"),
-        )
-    raise ValueError(f"unknown rule type {kind!r}")
+        return CCC(rows=_int_field(doc, "rows"), cols=_int_field(doc, "cols"))
+    provenance = doc.get("provenance")
+    if "provenance" in doc and not isinstance(provenance, dict):
+        raise ValueError("rule field 'provenance' must be an object")
+    return make_coalition_rule(
+        _int_field(doc, "n"), _family_field(doc), provenance=provenance
+    )
 
 
 def dumps_rule(rule: VotingRule, indent: int | None = 2) -> str:
@@ -132,14 +151,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
 
 def load_rule_file(path: str) -> VotingRule:
     with open(path, "r", encoding="utf-8") as fh:
-        return rule_from_dict(json.load(fh))
-
-
-def save_rule_file(rule: VotingRule, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_rule(rule) + "\n")
-
-
-def load_profile_file(path: str) -> VoteProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        return rule_from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("rule document nests too deeply") from None

@@ -1,8 +1,9 @@
 """Vectorized rule evaluation and outcome tables over the full profile space.
 
 `evaluate_batch` is the one evaluator behind every exhaustive scan: it maps
-a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes,
-with one numpy kernel per rule family, in row blocks of at most BATCH_ROWS.
+a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes
+in row blocks of at most BATCH_ROWS, handing each block, voter-major, to
+the numpy kernel the rule class carries (`rule.batch`).
 The table of a degree-n rule is its value on every base-3 profile code; the
 axiom, automorphism and winningness scans reduce to index arithmetic on it.
 The automorphism scan checks every candidate permutation at once, one block
@@ -13,23 +14,12 @@ with a mismatch.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .perms import Permutation
-from .rules import (
-    CCC,
-    GRD,
-    CoalitionRule,
-    Dictatorship,
-    GRDTree,
-    LongestRun,
-    Majority,
-    VotingRule,
-    ccc_family,
-    rule_degree,
-)
+from .rules import VotingRule, rule_degree
 
 BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
 
@@ -49,80 +39,16 @@ def digits_matrix(n: int) -> np.ndarray:
     return _DIGITS[n]
 
 
-# Kernels take one block voter-major: row v holds voter v's vote in each
-# profile, so every reduction over voters is elementwise across profiles.
-
-
-def _majority(ballots: np.ndarray) -> np.ndarray:
-    return np.sign(ballots.sum(axis=0, dtype=np.int32)).astype(np.int8)
-
-
-def _longest_run(ballots: np.ndarray) -> np.ndarray:
-    """Cyclic run-length scan: a block ends at voter v when the next voter
-    round the ring votes differently; its length is the distance back to
-    the previous block end, wrapping round for the first one."""
-    n = len(ballots)
-    ends = ballots != np.roll(ballots, -1, axis=0)
-    voters = np.arange(n, dtype=np.int32)[:, None]
-    marks = np.where(ends, voters, -1)
-    before = np.empty_like(marks)
-    before[0] = -1
-    np.maximum.accumulate(marks[:-1], axis=0, out=before[1:])
-    before = np.where(before < 0, marks.max(axis=0) - n, before)
-    lengths = np.where(ends & (ballots != 0), voters - before, 0)
-    best = lengths.max(axis=0)
-    top = lengths == best
-    unique = (best > 0) & (top.sum(axis=0) == 1)
-    winner = np.where(top, ballots, 0).sum(axis=0, dtype=np.int32)
-    out = np.where(unique, winner, _majority(ballots))
-    # no block end: one block round the whole ring, or everyone abstains
-    return np.where(ends.any(axis=0), out, ballots[0]).astype(np.int8)
-
-
-def _grd_sum(tree: GRDTree, ballots: np.ndarray) -> np.ndarray:
-    if isinstance(tree, int):
-        return ballots[tree].astype(np.int16)
-    return np.sign(sum(_grd_sum(child, ballots) for child in tree))
-
-
-def _coalition(family: Sequence[frozenset[int]], ballots: np.ndarray) -> np.ndarray:
-    out = _majority(ballots)
-    yes, no = ballots == 1, ballots == -1
-    for member in family:
-        rows = sorted(member)
-        out[yes[rows].all(axis=0)] = 1
-        out[no[rows].all(axis=0)] = -1
-    return out
-
-
-def _kernel(rule: VotingRule) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(rule, Majority):
-        return _majority
-    if isinstance(rule, LongestRun):
-        return _longest_run
-    if isinstance(rule, Dictatorship):
-        return lambda ballots: ballots[rule.dictator]
-    if isinstance(rule, GRD):
-        return lambda ballots: _grd_sum(rule.tree, ballots).astype(np.int8)
-    if isinstance(rule, CCC):
-        family = ccc_family(rule.rows, rule.cols)
-        return lambda ballots: _coalition(family, ballots)
-    if isinstance(rule, CoalitionRule):
-        return lambda ballots: _coalition(rule.family, ballots)
-    raise TypeError(f"unknown rule type {type(rule).__name__}")
-
-
 def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
     """Outcome of the rule on each row of an (m, n) vote matrix, as int8[m]."""
     votes = np.asarray(votes, dtype=np.int8)
     n = rule_degree(rule)
     if votes.ndim != 2 or votes.shape[1] != n:
         raise ValueError(f"expected a vote matrix with {n} columns")
-    kernel = _kernel(rule)
     out = np.empty(len(votes), dtype=np.int8)
     for lo in range(0, len(votes), BATCH_ROWS):
         ballots = np.ascontiguousarray(votes[lo : lo + BATCH_ROWS].T)
-        out[lo : lo + BATCH_ROWS] = kernel(ballots)
+        out[lo : lo + BATCH_ROWS] = rule.batch(ballots)
     return out
 
 

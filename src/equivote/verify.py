@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     assignment_classes,
     automorphism_group,
-    certified_subgroup,
     check_sqrt_lower_bound,
     grd_min_coalition_structural,
     grd_recursion_bound,
@@ -49,7 +48,6 @@ from .rules import (
     is_positively_responsive,
     is_symmetric,
     make_coalition_rule,
-    outcome,
     uniform_grd,
 )
 
@@ -100,7 +98,7 @@ def _finish(
     )
 
 
-def report_to_dict(report: VerificationReport, machine: bool = True) -> dict:
+def verification_to_dict(report: VerificationReport, machine: bool = True) -> dict:
     doc = {
         "format": 1,
         "kind": "verification",
@@ -117,11 +115,13 @@ def report_to_dict(report: VerificationReport, machine: bool = True) -> dict:
     return doc
 
 
+def _ceil_sqrt(n: int) -> int:
+    return math.isqrt(n - 1) + 1
+
+
 def proof_coalition(n: int) -> tuple[int, ...]:
     """One short consecutive block plus evenly spaced run breakers."""
-    r = math.isqrt(n)
-    if r * r < n:
-        r += 1
+    r = _ceil_sqrt(n)
     return tuple(sorted(set(range(r)) | set(range(0, n, r))))
 
 
@@ -131,11 +131,8 @@ def verify_thm1(ns: Iterable[int] = range(4, 17)) -> VerificationReport:
     ns = list(ns)
     checks: list[CheckResult] = []
     for n in ns:
-        r = math.isqrt(n)
-        if r * r < n:
-            r += 1
         w = proof_coalition(n)
-        bound = 2 * r - 1
+        bound = 2 * _ceil_sqrt(n) - 1
         checks.append(
             _check(
                 f"size_bound_n{n}",
@@ -177,33 +174,14 @@ def equitable_catalog() -> list[VotingRule]:
     return rules
 
 
-def _rule_label(rule: VotingRule) -> str:
-    if isinstance(rule, Majority):
-        return f"majority{rule.n}"
-    if isinstance(rule, LongestRun):
-        return f"longest_run{rule.n}"
-    if isinstance(rule, Dictatorship):
-        return f"dictatorship{rule.n}"
-    if isinstance(rule, CCC):
-        return f"ccc{rule.rows}x{rule.cols}"
-    if isinstance(rule, GRD):
-        return f"grd{rule.n}"
-    prov = rule.provenance or {}
-    if prov.get("kind") == "projective_plane":
-        return f"projective_p{prov['p']}"
-    return f"coalition{rule.n}"
-
-
 def verify_thm2() -> VerificationReport:
     """Equitable rules never have winning coalitions below sqrt(n)."""
     start = time.monotonic()
     checks: list[CheckResult] = []
     for rule in equitable_catalog():
         n = rule.n
-        label = _rule_label(rule)
-        need = math.isqrt(n)
-        if need * need < n:
-            need += 1
+        label = rule.label
+        need = _ceil_sqrt(n)
         search = min_winning_coalitions(rule)
         ok = search.exact and search.min_size is not None
         size = search.min_size if ok else -1
@@ -318,7 +296,8 @@ def verify_thm3(depths: Sequence[int] = (1, 2, 3)) -> VerificationReport:
                 )
             )
             refuted = all(
-                not _extremal_wins(rule, witness - {v}) for v in witness
+                not is_winning_coalition(rule, witness - {v}, method="monotone")
+                for v in witness
             )
             checks.append(
                 _check(
@@ -328,15 +307,6 @@ def verify_thm3(depths: Sequence[int] = (1, 2, 3)) -> VerificationReport:
                 )
             )
     return _finish("thm3", checks, {"depths": list(depths)}, start)
-
-
-def _extremal_wins(rule: VotingRule, members: set[int]) -> bool:
-    n = rule.n
-    for x in (1, -1):
-        votes = tuple(x if v in members else -x for v in range(n))
-        if outcome(rule, votes) != x:
-            return False
-    return True
 
 
 def _ternary_witness(depth: int) -> set[int]:
@@ -481,7 +451,7 @@ def verify_thm8(
     return _finish("thm8", checks, {"primes": list(primes), "seed": seed}, start)
 
 
-def coalition_catalog() -> list[CoalitionRule | CCC]:
+def coalition_catalog() -> list[CoalitionRule]:
     chair = make_coalition_rule(4, [frozenset({0})])
     return [CCC(2, 2), CCC(2, 3), CCC(3, 3), build_projective_rule(2), chair]
 
@@ -491,12 +461,8 @@ def verify_lemma1() -> VerificationReport:
     start = time.monotonic()
     checks: list[CheckResult] = []
     for rule in coalition_catalog():
-        label = _rule_label(rule)
-        family = (
-            rule.family
-            if isinstance(rule, CoalitionRule)
-            else tuple(_ccc_family_of(rule))
-        )
+        label = rule.label
+        family = rule.family
         pairwise = all(
             a & b for a in family for b in family
         )
@@ -549,12 +515,6 @@ def verify_lemma1() -> VerificationReport:
     )
 
 
-def _ccc_family_of(rule: CCC):
-    from .rules import ccc_family
-
-    return ccc_family(rule.rows, rule.cols)
-
-
 def verify_lemma3(ns: Sequence[int] = (3, 4, 5, 6)) -> VerificationReport:
     """Majority rule admits no winning coalition below half the voters."""
     start = time.monotonic()
@@ -593,7 +553,7 @@ def verify_prop1A() -> VerificationReport:
     start = time.monotonic()
     checks: list[CheckResult] = []
     for rule in roles_catalog():
-        label = _rule_label(rule)
+        label = rule.label
         sym = is_symmetric(rule)
         single = len(assignment_classes(rule)) == 1
         checks.append(
@@ -611,7 +571,7 @@ def verify_prop1B() -> VerificationReport:
     start = time.monotonic()
     checks: list[CheckResult] = []
     for rule in roles_catalog():
-        label = _rule_label(rule)
+        label = rule.label
         n = rule.n
         eq = is_equitable(rule)
         all_roles = all(

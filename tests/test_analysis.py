@@ -28,7 +28,7 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import ClosureOverflow, Permutation, is_transitive
+from equivote.perms import ClosureOverflow, Permutation, cycle_lengths, is_transitive
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -36,6 +36,7 @@ from equivote.rules import (
     InfeasibleError,
     LongestRun,
     Majority,
+    ccc_family,
     make_coalition_rule,
     outcome,
     rule_degree,
@@ -275,6 +276,8 @@ def test_certified_subgroup_kinds():
         (LongestRun(14), "rotation", False),
         (uniform_grd((3, 3)), "torus", True),
         (CCC(2, 3), "grid_shifts", True),
+        # the same rule from a coalition document carries no grid
+        (make_coalition_rule(6, ccc_family(2, 3)), "family_stabilizer", True),
         (build_projective_rule(2), "family_group", True),
         (chair(4), "family_stabilizer", True),
     ]
@@ -285,6 +288,33 @@ def test_certified_subgroup_kinds():
         assert cert.validated == validated
     assert certified_subgroup(Dictatorship(6)) is None
     assert certified_subgroup(GRD((0, 1, (2, 3, 4)))) is None
+    # the grid diagonal is an n-cycle exactly when gcd(rows, cols) = 1
+    assert cycle_lengths(certified_subgroup(CCC(2, 3)).cycle) == (6,)
+    assert certified_subgroup(CCC(2, 2)).cycle is None
+
+
+@pytest.mark.parametrize(
+    "provenance",
+    [
+        {"kind": "projective_plane", "p": 2},
+        {"kind": "group_orbit", "group": {"kind": "cyclic", "n": 7}},
+        {"kind": "projective_plane", "p": 3},  # another degree
+        {"kind": "projective_plane", "p": "2"},
+        {"kind": "group_orbit", "group": {"kind": "pgl2", "p": 5}},
+        {"kind": "group_orbit", "group": "cyclic"},
+    ],
+)
+def test_untrusted_provenance_falls_back(provenance):
+    # no named group preserves these families: fall back to the stabilizer
+    # within the factorial cap, and to no certificate above it
+    small = make_coalition_rule(7, [{0, 1}, {0, 2}], provenance=provenance)
+    cert = certified_subgroup(small)
+    assert cert.kind == "family_stabilizer"
+    assert is_equitable(small) is False
+    assert is_cyclic_rule(small) is False
+    large = make_coalition_rule(13, [{0, 1}, {0, 2}], provenance=provenance)
+    assert certified_subgroup(large) is None
+    assert is_equitable(large) is None
 
 
 def test_certified_subgroup_transitivity():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivote.cli import main
 from equivote.serialize import load_rule_file
@@ -292,3 +296,100 @@ def test_construct_serialize_parse_analyze_roundtrip(capsys, tmp_path):
     doc = json.loads(out1)
     assert doc["equitable"] == "true"
     assert doc["cyclic"] == "true"
+
+
+def test_malformed_rule_documents_exit_two(capsys, tmp_path):
+    path = tmp_path / "bad.rule"
+    for doc in (
+        {"format": 1, "type": "majority"},
+        [{"format": 1, "type": "majority", "n": 3}],
+        {"format": 1, "type": "majority", "n": "3"},
+        {"format": 1, "type": "dictatorship", "n": 3, "dictator": True},
+    ):
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ("eval", "--rule", str(path), "--profile", "1,1,-1"),
+            ("analyze", "--rule", str(path), "--equity"),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (2, ""), doc
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _valid_documents():
+    sizes = st.integers(1, 6)
+    return st.one_of(
+        sizes.map(lambda n: {"type": "majority", "n": n}),
+        sizes.map(lambda n: {"type": "longest_run", "n": n}),
+        sizes.flatmap(
+            lambda n: st.integers(0, n - 1).map(
+                lambda d: {"type": "dictatorship", "n": n, "dictator": d}
+            )
+        ),
+        st.sampled_from([0, [0, 1, 2], [[0, 1], [2, 3]], [0, 1, [2, 3, 4]]]).map(
+            lambda tree: {"type": "grd", "tree": tree}
+        ),
+        st.tuples(st.integers(1, 3), st.integers(1, 2)).map(
+            lambda rc: {"type": "ccc", "rows": rc[0], "cols": rc[1]}
+        ),
+        st.sampled_from([[[0]], [[0, 1], [1, 2], [0, 2]]]).map(
+            lambda family: {"type": "coalition", "n": 3, "family": family}
+        ),
+    ).map(lambda doc: {"format": 1, **doc})
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(
+        st.one_of(st.integers(-1, 3), st.booleans(), st.lists(st.integers(-1, 3), max_size=2)),
+        max_size=3,
+    ),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+_DROP = object()
+_KEYS = (
+    "format", "type", "n", "dictator", "tree", "rows", "cols", "family", "provenance", "x",
+)
+
+
+def _mutate(doc_and_edits):
+    doc, edits = doc_and_edits
+    for key, value in edits:
+        if value is _DROP:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return doc
+
+
+_DOCUMENTS = st.one_of(
+    _valid_documents(),
+    st.tuples(
+        _valid_documents(),
+        st.lists(
+            st.tuples(st.sampled_from(_KEYS), st.one_of(st.just(_DROP), _JUNK)),
+            min_size=1,
+            max_size=2,
+        ),
+    ).map(_mutate),
+    _JUNK,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS, st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=9))
+def test_eval_rule_documents_fuzzed(tmp_path_factory, doc, votes):
+    path = tmp_path_factory.mktemp("fuzz") / "rule.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--rule", str(path), "--profile=" + ",".join(map(str, votes))])
+    if rc == 0:
+        assert out.getvalue() in ("-1\n", "0\n", "1\n")
+    else:
+        assert rc == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from equivote.geometry import (
-    PrimeField,
     ProjectivePlane,
     build_projective_rule,
     is_prime,
@@ -22,25 +21,11 @@ def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-def test_prime_field_ops():
-    f = PrimeField(5)
-    assert f.add(3, 4) == 2
-    assert f.sub(1, 3) == 3
-    assert f.mul(3, 4) == 2
-    assert f.neg(2) == 3
-    for a in range(1, 5):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(10)
-
-
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
-        PrimeField(6)
+        projective_points(6)
     with pytest.raises(ValueError):
-        PrimeField(1)
+        pgl2_elements(1)
 
 
 def test_projective_points_frozen():

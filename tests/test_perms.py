@@ -8,32 +8,19 @@ from equivote.perms import (
     Permutation,
     compose,
     cycle_lengths,
-    cyclic_group,
     find_n_cycle,
     generate_closure,
     inverse,
-    is_even,
     is_k_transitive,
     is_transitive,
     iter_permutations,
     orbit,
-    orbit_partition,
-    permute_values,
-    stabilizer,
     symmetric_generators,
 )
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im)))
 )
-
-
-def same_degree_pair(n):
-    p = st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im)))
-    return st.tuples(p, p)
-
-
-perm_pairs = st.integers(min_value=1, max_value=6).flatmap(same_degree_pair)
 
 
 def test_validation():
@@ -44,8 +31,6 @@ def test_validation():
     with pytest.raises(ValueError):
         compose(Permutation((0, 1)), Permutation((0, 1, 2)))
     with pytest.raises(ValueError):
-        permute_values(Permutation((1, 0)), (5, 6, 7))
-    with pytest.raises(ValueError):
         PermGroup(n=3, generators=(Permutation((1, 0)),))
 
 
@@ -54,7 +39,6 @@ def test_constructors():
     assert Permutation.rotation(5).images == (1, 2, 3, 4, 0)
     assert Permutation.rotation(5, shift=2).images == (2, 3, 4, 0, 1)
     assert Permutation.transposition(4, 1, 3).images == (0, 3, 2, 1)
-    assert Permutation.from_mapping(4, {0: 2, 2: 0}).images == (2, 1, 0, 3)
 
 
 def test_compose_frozen():
@@ -64,11 +48,6 @@ def test_compose_frozen():
     assert compose(g, g).images == (1, 2, 0)
 
 
-def test_permute_values_places_image():
-    p = Permutation((2, 0, 1))
-    assert permute_values(p, ("a", "b", "c")) == ("b", "c", "a")
-
-
 @given(perms)
 def test_inverse_law(p):
     assert compose(p, inverse(p)) == Permutation.identity(p.n)
@@ -76,33 +55,11 @@ def test_inverse_law(p):
     assert inverse(inverse(p)) == p
 
 
-@given(perm_pairs)
-def test_parity_multiplicative(pair):
-    a, b = pair
-    assert is_even(compose(a, b)) == (is_even(a) == is_even(b))
-
-
 @given(perms)
 def test_cycle_lengths_partition(p):
     lens = cycle_lengths(p)
     assert sum(lens) == p.n
     assert lens == tuple(sorted(lens))
-
-
-@given(perm_pairs)
-def test_permute_values_composes(pair):
-    a, b = pair
-    vals = tuple(range(a.n))
-    assert permute_values(a, permute_values(b, vals)) == permute_values(
-        compose(a, b), vals
-    )
-
-
-def test_parity_frozen():
-    assert is_even(Permutation.identity(5))
-    assert not is_even(Permutation.transposition(5, 0, 3))
-    assert is_even(Permutation.rotation(5))  # 5-cycle, four transpositions
-    assert not is_even(Permutation.rotation(4))
 
 
 def test_iter_permutations_lex():
@@ -120,7 +77,7 @@ def test_closure_symmetric():
 
 
 def test_closure_cyclic():
-    group = cyclic_group(5)
+    group = generate_closure(5, [Permutation.rotation(5)])
     assert group.order == 5
     assert set(group.elements) == {
         Permutation.rotation(5, shift=s) for s in range(5)
@@ -158,12 +115,12 @@ def test_orbits():
     group = PermGroup(n=5, generators=(Permutation((1, 0, 2, 3, 4)),))
     assert orbit(group, 0) == frozenset({0, 1})
     assert orbit(group, 3) == frozenset({3})
-    assert orbit_partition(group) == (
+    assert {orbit(group, x) for x in range(5)} == {
         frozenset({0, 1}),
         frozenset({2}),
         frozenset({3}),
         frozenset({4}),
-    )
+    }
     assert not is_transitive(group)
     with pytest.raises(ValueError):
         orbit(group, 5)
@@ -173,17 +130,15 @@ def test_orbit_stabilizer_sizes():
     for group in (
         generate_closure(4, symmetric_generators(4)),
         PermGroup.from_elements(4, KLEIN),
-        cyclic_group(6),
+        generate_closure(6, [Permutation.rotation(6)]),
     ):
         for point in range(group.n):
-            stab = stabilizer(group, point)
-            assert len(orbit(group, point)) * stab.order == group.order
+            fixing = sum(1 for g in group.elements if g.images[point] == point)
+            assert len(orbit(group, point)) * fixing == group.order
 
 
 def test_stabilizer_requires_elements():
     lazy = PermGroup(n=4, generators=(Permutation.rotation(4),))
-    with pytest.raises(ValueError):
-        stabilizer(lazy, 0)
     with pytest.raises(ValueError):
         is_k_transitive(lazy, 2)
     with pytest.raises(ValueError):
@@ -201,13 +156,13 @@ def test_k_transitivity_symmetric():
 
 
 def test_k_transitivity_cyclic():
-    c7 = cyclic_group(7)
+    c7 = generate_closure(7, [Permutation.rotation(7)])
     assert is_k_transitive(c7, 1)
     assert not is_k_transitive(c7, 2)
 
 
 def test_find_n_cycle_rotation():
-    got = find_n_cycle(cyclic_group(6))
+    got = find_n_cycle(generate_closure(6, [Permutation.rotation(6)]))
     assert got is not None
     assert cycle_lengths(got) == (6,)
 

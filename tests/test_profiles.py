@@ -7,10 +7,7 @@ from equivote.profiles import (
     VoteProfile,
     all_profiles,
     apply_to_profile,
-    negate,
     profile_code,
-    profile_from_code,
-    tally,
     votes_from_code,
 )
 
@@ -37,30 +34,24 @@ def test_validation():
         VoteProfile.of([0.5])
 
 
-def test_tally_and_negate():
-    phi = VoteProfile((1, 1, -1, 0))
-    assert tally(phi) == (2, 1, 1)
-    assert negate(phi) == VoteProfile((-1, -1, 1, 0))
-    assert negate(negate(phi)) == phi
-
-
 def test_code_frozen():
     # digit for voter v is vote+1 with weight 3^v
     assert profile_code(VoteProfile((1, 0, -1))) == 2 + 1 * 3 + 0 * 9
     assert profile_code(VoteProfile((-1, -1, -1))) == 0
     assert profile_code(VoteProfile((1, 1, 1))) == 26
     assert votes_from_code(5, 3) == (1, 0, -1)
-    assert profile_from_code(5, 3) == VoteProfile((1, 0, -1))
 
 
 @given(profiles)
 def test_code_roundtrip(phi):
-    assert profile_from_code(profile_code(phi), phi.n) == phi
+    assert votes_from_code(profile_code(phi), phi.n) == phi.votes
 
 
 @given(profiles)
 def test_negation_mirrors_code(phi):
-    assert profile_code(negate(phi)) == 3**phi.n - 1 - profile_code(phi)
+    # why outcome_table(rule)[::-1] is the table of the negated profiles
+    negated = VoteProfile(tuple(-v for v in phi.votes))
+    assert profile_code(negated) == 3**phi.n - 1 - profile_code(phi)
 
 
 def test_apply_rotation_frozen():

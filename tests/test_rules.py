@@ -190,6 +190,9 @@ def test_ccc_family_frozen():
 
 
 def test_ccc_matches_its_family():
+    assert CCC(2, 3) == make_coalition_rule(6, ccc_family(2, 3))
+    with pytest.raises(ValueError, match="grid dimensions must be positive"):
+        CCC(0, 3)
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         rule = CCC(rows, cols)
         fam = ccc_family(rows, cols)
@@ -213,6 +216,9 @@ def test_coalition_rule_validation():
         make_coalition_rule(4, [frozenset()])
     with pytest.raises(ValueError):
         make_coalition_rule(4, [frozenset({0, 4})])
+    # a grid only skips the pairwise check for its own row-union-column family
+    with pytest.raises(ValueError):
+        CoalitionRule(4, (frozenset({0}), frozenset({1})), grid=(2, 2))
 
 
 def test_coalition_rule_canonicalizes():
@@ -227,7 +233,7 @@ def test_evaluate_checks_degree():
 
 
 def test_outcome_rejects_unknown_rule():
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
         outcome(object(), (1, -1))
 
 

@@ -12,6 +12,7 @@ from equivote.rules import (
     GRD,
     LongestRun,
     Majority,
+    ccc_family,
     make_coalition_rule,
 )
 from equivote.serialize import (
@@ -27,7 +28,6 @@ from equivote.serialize import (
     report_to_dict,
     rule_from_dict,
     rule_to_dict,
-    save_rule_file,
 )
 
 ROUNDTRIP_RULES = [
@@ -58,6 +58,24 @@ def test_rule_doc_shape():
     assert tree == [0, 1, [2, 3, 4]]
 
 
+def test_grid_documents_frozen():
+    # bytes recorded before CCC became a coalition rule over a grid
+    ccc = '{"cols":3,"format":1,"rows":2,"type":"ccc"}'
+    assert dumps_rule(CCC(2, 3), indent=None) == ccc
+    assert dumps_rule(loads_rule(ccc), indent=None) == ccc
+    coalition = (
+        '{"family":[[0,1,2,3],[0,1,2,4],[0,1,2,5],[0,3,4,5],[1,3,4,5],[2,3,4,5]],'
+        '"format":1,"n":6,"provenance":{"cols":3,"kind":"grid_note","rows":2},'
+        '"type":"coalition"}'
+    )
+    rule = make_coalition_rule(
+        6, ccc_family(2, 3), provenance={"kind": "grid_note", "rows": 2, "cols": 3}
+    )
+    assert rule == CCC(2, 3)
+    assert dumps_rule(rule, indent=None) == coalition
+    assert dumps_rule(loads_rule(coalition), indent=None) == coalition
+
+
 def test_provenance_survives_roundtrip():
     rule = build_projective_rule(2)
     back = loads_rule(dumps_rule(rule))
@@ -79,8 +97,34 @@ def test_bad_documents_rejected():
         rule_from_dict({"format": FORMAT_VERSION, "type": "plurality", "n": 3})
     with pytest.raises(ValueError):
         rule_from_dict({"format": FORMAT_VERSION, "type": "grd", "tree": [0, "x"]})
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
         rule_to_dict(object())
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"format": 1, "type": "majority"}, "'n'"),
+        ([{"format": 1, "type": "majority", "n": 3}], "JSON object"),
+        ({"format": 1, "type": "majority", "n": "3"}, "'n'"),
+        ({"format": 1, "type": "majority", "n": 3.0}, "'n'"),
+        ({"format": 1, "type": "dictatorship", "n": 3, "dictator": True}, "'dictator'"),
+        ({"format": 1, "type": "majority", "n": 3, "dictator": 0}, "'dictator'"),
+        ({"format": True, "type": "majority", "n": 3}, "format"),
+        ({"format": 1, "type": ["majority"], "n": 3}, "type"),
+        ({"format": 1, "type": "grd", "tree": [0, True]}, "tree node"),
+        ({"format": 1, "type": "ccc", "rows": 2}, "'cols'"),
+        ({"format": 1, "type": "coalition", "n": 3, "family": [[0], 1]}, "'family'"),
+        ({"format": 1, "type": "coalition", "n": 3, "family": [[0, True]]}, "'family'"),
+        (
+            {"format": 1, "type": "coalition", "n": 3, "family": [[0]], "provenance": 7},
+            "'provenance'",
+        ),
+    ],
+)
+def test_malformed_documents_name_the_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        rule_from_dict(doc)
 
 
 def test_profile_roundtrip():
@@ -106,6 +150,10 @@ def test_report_to_dict_drops_empty_fields():
 
 def test_rule_files(tmp_path):
     path = tmp_path / "rule.json"
-    save_rule_file(CCC(3, 4), str(path))
+    path.write_text(dumps_rule(CCC(3, 4)) + "\n")
     assert load_rule_file(str(path)) == CCC(3, 4)
-    assert path.read_text().endswith("\n")
+    deep = tmp_path / "deep.json"
+    nested = "[" * 100_000 + "0" + "]" * 100_000
+    deep.write_text('{"format":1,"type":"grd","tree":' + nested + "}")
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_rule_file(str(deep))
