@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import is_prime, pgl3_elements, pgl3_order
 from .perms import (
     DEFAULT_MAX_ORDER,
     ClosureOverflow,
@@ -31,6 +32,7 @@ from .perms import (
     iter_permutations,
     symmetric_generators,
 )
+from .randomized import group_from_descriptor
 from .rules import (
     GRD,
     GRDTree,
@@ -403,23 +405,23 @@ def _odometer(branching: tuple[int, ...]) -> Permutation:
 def _group_from_provenance(prov: dict, n: int) -> Optional[PermGroup]:
     """The group a provenance names, if it names one of degree n.
 
-    Provenance is an untrusted hint: anything else gives None.
+    Provenance is an untrusted hint: anything else, or a named group above
+    the size caps, gives None.
     """
     kind = prov.get("kind")
-    if kind == "projective_plane":
-        from .geometry import is_prime, pgl3_elements, pgl3_order
-
-        p = prov.get("p")
-        if type(p) is int and p * p + p + 1 == n and is_prime(p):
-            return pgl3_elements(p, max_order=pgl3_order(p))
-    if kind == "group_orbit":
-        from .geometry import is_prime, pgl2_elements
-
-        group = prov.get("group")
-        if group == {"kind": "cyclic", "n": n}:
-            return generate_closure(n, [Permutation.rotation(n)])
-        if group == {"kind": "pgl2", "p": n - 1} and is_prime(n - 1):
-            return pgl2_elements(n - 1)
+    try:
+        if kind == "projective_plane":
+            p = prov.get("p")
+            if type(p) is int and p * p + p + 1 == n and is_prime(p):
+                return pgl3_elements(p, max_order=pgl3_order(p))
+        if kind == "group_orbit":
+            group = prov.get("group")
+            if group == {"kind": "cyclic", "n": n}:
+                return group_from_descriptor({"kind": "cyclic", "n": n})
+            if group == {"kind": "pgl2", "p": n - 1} and is_prime(n - 1):
+                return group_from_descriptor({"kind": "pgl2", "p": n - 1})
+    except ClosureOverflow:
+        pass  # too large to build
     return None
 
 

@@ -6,10 +6,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .perms import ClosureOverflow, PermGroup, Permutation
 from .rules import CoalitionRule, make_coalition_rule
 
 PGL3_DEFAULT_MAX_ORDER = 1000  # fits p=2 (order 168); larger p needs an explicit cap
+# order x degree of the largest induced group built: admits PGL(2,p) up to
+# p = 31 (952,320 entries) and PGL(3,3) (73,008), refuses PGL(3,5)
+MAX_GROUP_ENTRIES = 1 << 20
 
 
 def is_prime(p: int) -> bool:
@@ -86,48 +91,57 @@ def build_projective_rule(p: int) -> CoalitionRule:
     )
 
 
-def _det2(m: tuple[int, ...], p: int) -> int:
-    a, b, c, d = m
-    return (a * d - b * c) % p
+def _matrix_classes(p: int, dim: int) -> np.ndarray:
+    """One invertible matrix per scalar class, int64 of shape (m, dim, dim).
 
-
-def _det3(m: tuple[int, ...], p: int) -> int:
-    a, b, c, d, e, f, g, h, i = m
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-
-
-def _matrix_classes(p: int, dim: int) -> list[tuple[int, ...]]:
-    """One invertible matrix per scalar class: first nonzero entry equals 1."""
-    det = _det2 if dim == 2 else _det3
-    out = []
-    for m in itertools.product(range(p), repeat=dim * dim):
-        first = next((x for x in m if x != 0), 0)
-        if first != 1:
-            continue
-        if det(m, p) != 0:
-            out.append(m)
-    return out
-
-
-def _apply_matrix(
-    m: tuple[int, ...], vec: tuple[int, ...], p: int, dim: int
-) -> tuple[int, ...]:
-    return tuple(
-        sum(m[r * dim + c] * vec[c] for c in range(dim)) % p for r in range(dim)
-    )
+    Each candidate is built directly with its first nonzero entry 1: zeros
+    before that entry, every base-p tail after it, (p^k - 1)/(p - 1)
+    candidates for k = dim^2 entries. The determinant mod p is exact
+    integer arithmetic.
+    """
+    k = dim * dim
+    blocks = []
+    for lead in range(k):
+        tail = k - 1 - lead
+        codes = np.arange(p**tail, dtype=np.int64)
+        block = np.zeros((codes.size, k), dtype=np.int64)
+        block[:, lead] = 1
+        for j in range(tail):
+            block[:, k - 1 - j] = (codes // p**j) % p
+        blocks.append(block)
+    m = np.concatenate(blocks)
+    if dim == 2:
+        a, b, c, d = m.T
+        det = a * d - b * c
+    else:
+        a, b, c, d, e, f, g, h, i = m.T
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return m[det % p != 0].reshape(-1, dim, dim)
 
 
 @functools.lru_cache(maxsize=8)
 def _induced_group(p: int, dim: int) -> PermGroup:
-    """The matrix group's action on the points, built once per process."""
-    pts = projective_points(p, dim=dim)
-    index = {pt: i for i, pt in enumerate(pts)}
-    perms = []
-    for m in _matrix_classes(p, dim):
-        images = [0] * len(pts)
-        for i, pt in enumerate(pts):
-            images[i] = index[_canonical(_apply_matrix(m, pt, p, dim), p)]
-        perms.append(Permutation(tuple(images)))
+    """The matrix group's action on the points, built once per process.
+
+    A group whose order times degree exceeds MAX_GROUP_ENTRIES is refused
+    before the primality test and before any allocation.
+    """
+    order = pgl2_order(p) if dim == 2 else pgl3_order(p)
+    degree = sum(p**i for i in range(dim))
+    if order * degree > MAX_GROUP_ENTRIES:
+        raise ClosureOverflow(
+            f"PGL({dim},{p}) has {order} elements of degree {degree}; "
+            f"order x degree is limited to {MAX_GROUP_ENTRIES}"
+        )
+    pts = np.array(projective_points(p, dim=dim), dtype=np.int64)
+    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    # every nonzero multiple s*pt of a point, by its base-p code, names pt
+    lookup = np.empty(p**dim, dtype=np.int64)
+    scalars = np.arange(1, p, dtype=np.int64)[:, None, None]
+    lookup[(scalars * pts % p) @ weights] = np.arange(len(pts))
+    mats = _matrix_classes(p, dim)
+    images = lookup[(np.einsum("mrc,qc->mqr", mats, pts) % p) @ weights]
+    perms = [Permutation(tuple(row)) for row in images.tolist()]
     if len(set(perms)) != len(perms):
         raise AssertionError("matrix classes induced duplicate permutations")
     return PermGroup.from_elements(len(pts), perms)
@@ -138,13 +152,11 @@ def pgl2_order(p: int) -> int:
 
 
 def pgl3_order(p: int) -> int:
-    q = p**3
-    return (q - 1) * (q - p) * (q - p * p) // (p - 1)
+    return p**3 * (p**2 - 1) * (p**3 - 1)
 
 
 def pgl2_elements(p: int) -> PermGroup:
     """Fractional-linear action on the p+1 points of the projective line."""
-    _require_prime(p)
     group = _induced_group(p, dim=2)
     if group.order != pgl2_order(p):
         raise AssertionError("projective line group order mismatch")
@@ -153,7 +165,6 @@ def pgl2_elements(p: int) -> PermGroup:
 
 def pgl3_elements(p: int, max_order: int = PGL3_DEFAULT_MAX_ORDER) -> PermGroup:
     """Matrix action on the plane's points; refuses orders above max_order."""
-    _require_prime(p)
     expected = pgl3_order(p)
     if expected > max_order:
         raise ClosureOverflow(

@@ -16,7 +16,13 @@ import random
 from dataclasses import dataclass
 
 from .geometry import pgl2_elements
-from .perms import PermGroup, Permutation, generate_closure
+from .perms import (
+    DEFAULT_MAX_ORDER,
+    ClosureOverflow,
+    PermGroup,
+    Permutation,
+    generate_closure,
+)
 from .rules import CoalitionRule, make_coalition_rule
 
 MAX_ATTEMPTS = 64
@@ -94,10 +100,17 @@ def intersecting_set(
 
 
 def group_from_descriptor(desc: dict) -> PermGroup:
-    """Rebuild an enumerated group from its serializable description."""
+    """Rebuild an enumerated group from its serializable description.
+
+    A group above the size caps raises ClosureOverflow before it is built.
+    """
     kind = desc.get("kind")
     if kind == "cyclic":
         n = desc["n"]
+        if n > DEFAULT_MAX_ORDER:
+            raise ClosureOverflow(
+                f"cyclic group of order {n} exceeds max_order {DEFAULT_MAX_ORDER}"
+            )
         return generate_closure(n, [Permutation.rotation(n)])
     if kind == "pgl2":
         return pgl2_elements(desc["p"])

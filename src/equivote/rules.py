@@ -27,6 +27,7 @@ from .profiles import VoteProfile, votes_from_code
 GRDTree = Union[int, tuple]
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
+CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
 
 
 class InfeasibleError(ValueError):
@@ -285,6 +286,12 @@ def CCC(rows: int, cols: int) -> CoalitionRule:
     sets of a rows x cols voter grid."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    entries = rows * cols * (rows + cols - 1)
+    if entries > CCC_MAX_ENTRIES:
+        raise ValueError(
+            f"a {rows} x {cols} grid lists {entries} voters over its members, "
+            f"above the limit of {CCC_MAX_ENTRIES}"
+        )
     return CoalitionRule(rows * cols, ccc_family(rows, cols), grid=(rows, cols))
 
 

@@ -21,9 +21,13 @@ from .rules import (
     Majority,
     VotingRule,
     make_coalition_rule,
+    tree_leaves,
 )
 
 FORMAT_VERSION = 1
+# voters a rule document may declare; above CCC(100, 100)'s 10,000, and low
+# enough that n-sized permutations and orbits stay small
+MAX_DEGREE = 1 << 14
 
 
 def canonical_json(obj: Any, indent: int | None = None) -> str:
@@ -67,6 +71,13 @@ def _int_field(doc: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _check_degree(degree: int, fields: str) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"rule {fields}: {degree} voters, above the limit of {MAX_DEGREE}"
+        )
+
+
 def _family_field(doc: dict) -> list[frozenset[int]]:
     family = doc["family"]
     if not isinstance(family, list) or not all(
@@ -94,6 +105,8 @@ def rule_from_dict(doc: Any) -> VotingRule:
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"missing rule field {missing[0]!r} for type {kind!r}")
+    if "n" in required:
+        _check_degree(_int_field(doc, "n"), "field 'n'")
     if kind == "majority":
         return Majority(n=_int_field(doc, "n"))
     if kind == "longest_run":
@@ -103,8 +116,11 @@ def rule_from_dict(doc: Any) -> VotingRule:
             n=_int_field(doc, "n"), dictator=_int_field(doc, "dictator", 0)
         )
     if kind == "grd":
-        return GRD(tree=_tree_from_json(doc["tree"]))
+        tree = _tree_from_json(doc["tree"])
+        _check_degree(len(tree_leaves(tree)), "field 'tree'")
+        return GRD(tree=tree)
     if kind == "ccc":
+        # CCC_MAX_ENTRIES admits at most about 10,400 voters, below MAX_DEGREE
         return CCC(rows=_int_field(doc, "rows"), cols=_int_field(doc, "cols"))
     provenance = doc.get("provenance")
     if "provenance" in doc and not isinstance(provenance, dict):

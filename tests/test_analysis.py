@@ -317,6 +317,26 @@ def test_untrusted_provenance_falls_back(provenance):
     assert is_equitable(large) is None
 
 
+@pytest.mark.parametrize(
+    "provenance, n",
+    [
+        ({"kind": "projective_plane", "p": 5}, 31),
+        ({"kind": "group_orbit", "group": {"kind": "pgl2", "p": 101}}, 102),
+        ({"kind": "group_orbit", "group": {"kind": "cyclic", "n": 20_000}}, 20_000),
+    ],
+)
+def test_oversized_provenance_group_gives_none(provenance, n):
+    # a named group above the size caps is no hint, not an error or a hang
+    assert analysis._group_from_provenance(provenance, n) is None
+
+
+def test_oversized_plane_group_leaves_equity_capped():
+    rule = build_projective_rule(5)
+    assert certified_subgroup(rule) is None
+    assert is_equitable(rule) is None
+    assert analyze_rule(rule).methods == {"equitable": "capped"}
+
+
 def test_certified_subgroup_transitivity():
     assert is_transitive(certified_subgroup(LongestRun(6)).group)
     assert not is_transitive(certified_subgroup(chair(4)).group)

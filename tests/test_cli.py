@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,16 +51,16 @@ def test_eval_grd(capsys, tmp_path):
 
 
 def test_construct_documents(capsys, tmp_path):
-    fano = json.loads(open(make_rule(capsys, tmp_path, "f.rule", "--type", "fano", "--p", "2")).read())
+    fano = json.loads(Path(make_rule(capsys, tmp_path, "f.rule", "--type", "fano", "--p", "2")).read_text())
     assert fano["type"] == "coalition"
     assert fano["n"] == 7
     assert fano["provenance"]["kind"] == "projective_plane"
 
-    grd = json.loads(open(make_rule(capsys, tmp_path, "g.rule", "--type", "grd", "--branching", "3,3")).read())
+    grd = json.loads(Path(make_rule(capsys, tmp_path, "g.rule", "--type", "grd", "--branching", "3,3")).read_text())
     assert grd["tree"] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
     orbit = json.loads(
-        open(
+        Path(
             make_rule(
                 capsys,
                 tmp_path,
@@ -72,7 +74,7 @@ def test_construct_documents(capsys, tmp_path):
                 "--seed",
                 "0",
             )
-        ).read()
+        ).read_text()
     )
     assert orbit["n"] == 16
     assert orbit["provenance"]["kind"] == "group_orbit"
@@ -283,7 +285,7 @@ def test_construct_serialize_parse_analyze_roundtrip(capsys, tmp_path):
     from equivote.serialize import dumps_rule
 
     reparsed.write_text(dumps_rule(load_rule_file(first)) + "\n")
-    assert reparsed.read_text() == open(first).read()
+    assert reparsed.read_text() == Path(first).read_text()
 
     rc1, out1, _ = run(
         capsys, "analyze", "--rule", first, "--equity", "--cyclic", "--format", "machine"
@@ -305,6 +307,7 @@ def test_malformed_rule_documents_exit_two(capsys, tmp_path):
         [{"format": 1, "type": "majority", "n": 3}],
         {"format": 1, "type": "majority", "n": "3"},
         {"format": 1, "type": "dictatorship", "n": 3, "dictator": True},
+        {"format": 1, "type": "majority", "n": 2_000_000},
     ):
         path.write_text(json.dumps(doc))
         for argv in (
@@ -314,6 +317,28 @@ def test_malformed_rule_documents_exit_two(capsys, tmp_path):
             rc, out, err = run(capsys, *argv)
             assert (rc, out) == (2, ""), doc
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_groups_exit_two(capsys):
+    start = time.perf_counter()
+    for argv in (
+        ("--group", "pgl2", "--p", "101"),
+        ("--group", "cyclic", "--n", "20000"),
+    ):
+        rc, out, err = run(capsys, "construct", "--type", "group_orbit", *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 5.0
+
+
+def test_oversized_plane_group_is_capped(capsys, tmp_path):
+    rule = make_rule(capsys, tmp_path, "fano5.rule", "--type", "fano", "--p", "5")
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "analyze", "--rule", rule, "--equity", "--format", "machine")
+    assert time.perf_counter() - start < 10.0
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["equitable"], doc["methods"]) == ("unknown", {"equitable": "capped"})
 
 
 def _valid_documents():

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import time
 
 import pytest
 
 from equivote.geometry import (
+    MAX_GROUP_ENTRIES,
     ProjectivePlane,
     build_projective_rule,
     is_prime,
@@ -133,3 +136,58 @@ def test_pgl3_overflow():
         pgl3_elements(3)
     group = pgl3_elements(3, max_order=5616)
     assert group.order == pgl3_order(3) == 5616
+
+
+def _digest(group):
+    return hashlib.sha256(repr([g.images for g in group.elements]).encode()).hexdigest()[:16]
+
+
+def test_induced_group_elements_frozen():
+    # digests of the element lists built by the per-matrix scalar loop
+    assert _digest(pgl2_elements(13)) == "86055b62434e153e"
+    assert _digest(pgl2_elements(19)) == "070b91e7cc4b9826"
+    assert _digest(pgl3_elements(3, max_order=5616)) == "5a67eb02666b9bdc"
+
+
+def _scalar_induced_images(p, dim):
+    """Each matrix with leading entry 1 times each point, canonicalised;
+    a singular matrix sends some point to zero and is skipped."""
+    pts = projective_points(p, dim=dim)
+    index = {pt: i for i, pt in enumerate(pts)}
+    out = set()
+    for m in itertools.product(range(p), repeat=dim * dim):
+        if next((x for x in m if x), 0) != 1:
+            continue
+        images = []
+        for pt in pts:
+            vec = [sum(m[r * dim + c] * pt[c] for c in range(dim)) % p for r in range(dim)]
+            lead = next((x for x in vec if x), 0)
+            if lead == 0:
+                break
+            inv = pow(lead, p - 2, p)
+            images.append(index[tuple(inv * x % p for x in vec)])
+        else:
+            out.add(tuple(images))
+    return out
+
+
+@pytest.mark.parametrize("p, dim", [(2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (2, 3), (3, 3)])
+def test_induced_group_matches_scalar_action(p, dim):
+    group = pgl2_elements(p) if dim == 2 else pgl3_elements(p, max_order=pgl3_order(p))
+    expected = _scalar_induced_images(p, dim)
+    assert len(expected) == group.order
+    assert [g.images for g in group.elements] == sorted(expected)
+
+
+def test_induced_group_size_cap():
+    start = time.perf_counter()
+    with pytest.raises(ClosureOverflow, match=rf"PGL\(2,101\).*{MAX_GROUP_ENTRIES}"):
+        pgl2_elements(101)
+    with pytest.raises(ClosureOverflow, match=r"PGL\(3,5\)"):
+        pgl3_elements(5, max_order=pgl3_order(5))
+    with pytest.raises(ClosureOverflow):
+        pgl2_elements(10**18 + 9)  # refused before the primality test
+    assert time.perf_counter() - start < 1.0
+    # every prime the verifier and the benchmark use stays admitted
+    assert pgl2_order(19) * 20 <= pgl2_order(31) * 32 <= MAX_GROUP_ENTRIES
+    assert pgl3_order(3) * 13 <= MAX_GROUP_ENTRIES

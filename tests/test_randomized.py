@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 
 from equivote.analysis import certified_subgroup, is_equitable, is_k_equitable
-from equivote.perms import PermGroup, Permutation
+from equivote.perms import ClosureOverflow, PermGroup, Permutation
 from equivote.randomized import (
     ConstructionFailed,
     IntersectingSet,
@@ -28,6 +29,15 @@ def test_group_from_descriptor():
     assert group_from_descriptor({"kind": "pgl2", "p": 3}).order == 24
     with pytest.raises(ValueError):
         group_from_descriptor({"kind": "frieze"})
+
+
+def test_group_from_descriptor_refuses_oversized_groups():
+    start = time.perf_counter()
+    with pytest.raises(ClosureOverflow, match="20000"):
+        cyclic(20_000)
+    with pytest.raises(ClosureOverflow, match="101"):
+        group_from_descriptor({"kind": "pgl2", "p": 101})
+    assert time.perf_counter() - start < 1.0
 
 
 def test_intersecting_set_c16():

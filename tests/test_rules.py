@@ -14,6 +14,7 @@ from equivote.profiles import (
 )
 from equivote.rules import (
     CCC,
+    CCC_MAX_ENTRIES,
     CoalitionRule,
     Dictatorship,
     GRD,
@@ -193,6 +194,11 @@ def test_ccc_matches_its_family():
     assert CCC(2, 3) == make_coalition_rule(6, ccc_family(2, 3))
     with pytest.raises(ValueError, match="grid dimensions must be positive"):
         CCC(0, 3)
+    # a thin grid lists n voters in each of its n members: refused before
+    # the family is built, while CCC(100, 100) stays within the limit
+    with pytest.raises(ValueError, match="1 x 10000 grid"):
+        CCC(1, 10_000)
+    assert 100 * 100 * 199 <= CCC_MAX_ENTRIES
     for rows, cols in ((2, 2), (2, 3), (3, 3)):
         rule = CCC(rows, cols)
         fam = ccc_family(rows, cols)

@@ -17,6 +17,7 @@ from equivote.rules import (
 )
 from equivote.serialize import (
     FORMAT_VERSION,
+    MAX_DEGREE,
     canonical_json,
     dumps_profile,
     dumps_rule,
@@ -120,6 +121,10 @@ def test_bad_documents_rejected():
             {"format": 1, "type": "coalition", "n": 3, "family": [[0]], "provenance": 7},
             "'provenance'",
         ),
+        ({"format": 1, "type": "majority", "n": 2_000_000}, "'n'.*limit"),
+        ({"format": 1, "type": "coalition", "n": 10**9, "family": [[0]]}, "'n'.*limit"),
+        ({"format": 1, "type": "ccc", "rows": 200, "cols": 200}, "200 x 200 grid"),
+        ({"format": 1, "type": "grd", "tree": list(range(MAX_DEGREE + 1))}, "'tree'"),
     ],
 )
 def test_malformed_documents_name_the_field(doc, field):
