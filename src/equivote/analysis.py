@@ -11,38 +11,31 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import is_prime, pgl3_elements, pgl3_order
+from .geometry import is_prime, pgl2_elements, pgl3_elements
 from .perms import (
-    DEFAULT_MAX_ORDER,
     ClosureOverflow,
     PermGroup,
     Permutation,
-    compose,
     cycle_lengths,
     find_n_cycle,
     generate_closure,
     is_k_transitive,
     is_transitive,
     iter_permutations,
-    symmetric_generators,
 )
-from .randomized import group_from_descriptor
 from .rules import (
-    GRD,
+    EquityCertificate,
     GRDTree,
     InfeasibleError,
-    LongestRun,
-    Majority,
     PROFILE_SCAN_CAP,
     VotingRule,
     has_monotone_certificate,
-    is_uniform_tree,
     rule_degree,
 )
 from .tables import (
@@ -293,12 +286,17 @@ def _preserves_family(
 
 
 @functools.lru_cache(maxsize=8)
-def _full_group(rule: VotingRule) -> PermGroup:
-    """The exhaustive automorphism group, memoized per process; it depends
-    only on the outcome table, so a rule key (which ignores provenance) is
+def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
+    """The exhaustive automorphism group or the family stabilizer, found by
+    an n! scan once per process. Each depends only on the outcome table or
+    on the family, so a rule key (which ignores grid and provenance) is
     sound."""
     n = rule_degree(rule)
-    kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
+    if method == "exhaustive":
+        kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
+    else:
+        family_set = frozenset(rule.family)
+        kept = (p for p in iter_permutations(n) if _preserves_family(p, family_set))
     return PermGroup.from_elements(n, kept)
 
 
@@ -306,7 +304,6 @@ def automorphism_group(
     rule: VotingRule,
     method: str = "exhaustive",
     cap: int = FACTORIAL_CAP,
-    max_order: Optional[int] = None,
 ) -> PermGroup:
     """Relabelling symmetries of the rule.
 
@@ -317,112 +314,47 @@ def automorphism_group(
     n = rule_degree(rule)
     if n > cap:
         raise InfeasibleError(f"{n}! permutations exceed cap n<={cap}")
-    if method == "exhaustive":
-        group = _full_group(rule)
-    elif method == "coalition_preserving":
-        if rule.family is None:
-            raise ValueError("coalition_preserving needs a coalition family")
-        family_set = frozenset(rule.family)
-        group = PermGroup.from_elements(
-            n, (p for p in iter_permutations(n) if _preserves_family(p, family_set))
-        )
-    else:
+    if method not in ("exhaustive", "coalition_preserving"):
         raise ValueError(f"unknown method {method!r}")
-    if max_order is not None and group.order > max_order:
-        raise InfeasibleError(f"group order {group.order} exceeds {max_order}")
-    return group
-
-
-@dataclass(frozen=True)
-class EquityCertificate:
-    """A subgroup of the automorphism group with how it was justified, and
-    an n-cycle in it when the construction provides one."""
-
-    group: PermGroup
-    kind: str
-    validated: bool
-    cycle: Optional[Permutation] = None
-
-
-def _grid_shift_perms(rows: int, cols: int) -> tuple[Permutation, Permutation]:
-    row_shift = Permutation(
-        tuple(((i + 1) % rows) * cols + j for i in range(rows) for j in range(cols))
-    )
-    col_shift = Permutation(
-        tuple(i * cols + (j + 1) % cols for i in range(rows) for j in range(cols))
-    )
-    return row_shift, col_shift
-
-
-def _tree_branching(tree: GRDTree) -> tuple[int, ...]:
-    branching = []
-    node = tree
-    while not isinstance(node, int):
-        branching.append(len(node))
-        node = node[0]
-    return tuple(branching)
-
-
-def _torus_generators(branching: tuple[int, ...]) -> list[Permutation]:
-    """One generator per level, rotating every block at that level in step."""
-    n = math.prod(branching)
-    gens = []
-    for level, b in enumerate(branching):
-        inner = math.prod(branching[level + 1 :])
-        images = []
-        for leaf in range(n):
-            block = (leaf // inner) % b
-            base = leaf - ((leaf // inner) % b) * inner
-            images.append(base + ((block + 1) % b) * inner)
-        gens.append(Permutation(tuple(images)))
-    return gens
-
-
-def _odometer(branching: tuple[int, ...]) -> Permutation:
-    """Increment the top-level block index, carrying into deeper levels."""
-    n = math.prod(branching)
-    radii = list(branching)
-    images = []
-    for leaf in range(n):
-        digits = []
-        rest = leaf
-        for b in reversed(radii):
-            digits.append(rest % b)
-            rest //= b
-        digits.reverse()  # digits[0] is the top-level block
-        for level in range(len(digits)):
-            digits[level] += 1
-            if digits[level] < radii[level]:
-                break
-            digits[level] = 0
-        img = 0
-        for level, b in enumerate(radii):
-            img = img * b + digits[level]
-        images.append(img)
-    return Permutation(tuple(images))
+    if method == "coalition_preserving" and rule.family is None:
+        raise ValueError("coalition_preserving needs a coalition family")
+    return _scanned_group(rule, method)
 
 
 def _group_from_provenance(prov: dict, n: int) -> Optional[PermGroup]:
     """The group a provenance names, if it names one of degree n.
 
-    Provenance is an untrusted hint: anything else, or a named group above
-    the size caps, gives None.
+    Provenance is an untrusted hint: anything else, or a PGL group above
+    the size cap, gives None. A cyclic group is named by its rotation alone.
     """
     kind = prov.get("kind")
     try:
         if kind == "projective_plane":
             p = prov.get("p")
             if type(p) is int and p * p + p + 1 == n and is_prime(p):
-                return pgl3_elements(p, max_order=pgl3_order(p))
+                return pgl3_elements(p)
         if kind == "group_orbit":
             group = prov.get("group")
             if group == {"kind": "cyclic", "n": n}:
-                return group_from_descriptor({"kind": "cyclic", "n": n})
+                return PermGroup(n=n, generators=(Permutation.rotation(n),))
             if group == {"kind": "pgl2", "p": n - 1} and is_prime(n - 1):
-                return group_from_descriptor({"kind": "pgl2", "p": n - 1})
+                return pgl2_elements(n - 1)
     except ClosureOverflow:
         pass  # too large to build
     return None
+
+
+@functools.lru_cache(maxsize=32)
+def _validated_generators(rule: VotingRule) -> bool:
+    """Check a profile rule's certificate generators against its outcome
+    table, once per process: profile rules compare on every field, so the
+    rule is a sound key. `verify all` validates 15 rules."""
+    n = rule_degree(rule)
+    table = outcome_table(rule)
+    for g in rule.certificate().group.generators:
+        if not respects_table(table, n, g):
+            raise AssertionError("certificate generator is not an automorphism")
+    return True
 
 
 def certified_subgroup(
@@ -430,63 +362,32 @@ def certified_subgroup(
 ) -> Optional[EquityCertificate]:
     """A by-construction automorphism subgroup, validated where feasible.
 
-    Generators of profile-defined rules are validated by a full outcome-table
-    scan when the degree is within the scan cap; coalition families validate
-    their groups by set preservation at any degree: the grid shifts of a CCC
-    grid, else the group the provenance names, else the exhaustive family
-    stabilizer while n! is within its cap. A named group that breaks the
-    family is dropped.
+    The rule names its own certificate. Generators of profile-defined rules
+    are validated by a full outcome-table scan when the degree is within the
+    scan cap; coalition families validate their groups by set preservation
+    of each generator at any degree: the grid shifts of a CCC grid, else
+    the group the provenance names, else the exhaustive family stabilizer
+    while n! is within its cap. A named group that breaks the family is
+    dropped.
     """
     n = rule_degree(rule)
-    if rule.family is not None:
-        family_set = frozenset(rule.family)
-        cycle = None
-        if rule.grid is not None:
-            rows, cols = rule.grid
-            row_shift, col_shift = _grid_shift_perms(rows, cols)
-            group = PermGroup(n=n, generators=(row_shift, col_shift))
-            kind = "grid_shifts"
-            if math.gcd(rows, cols) == 1:
-                # the diagonal shift is one n-cycle (Chinese remainder theorem)
-                cycle = compose(row_shift, col_shift)
-        else:
-            group = _group_from_provenance(rule.provenance or {}, n)
-            kind = "family_group"
-        if group is not None and not all(
-            _preserves_family(g, family_set) for g in group.generating_set()
-        ):
-            group = None
-        if group is None:
-            if n > FACTORIAL_CAP:
-                return None
-            group = automorphism_group(rule, method="coalition_preserving")
-            kind, cycle = "family_stabilizer", None
-        return EquityCertificate(group=group, kind=kind, validated=True, cycle=cycle)
-    if isinstance(rule, Majority):
-        gens = list(symmetric_generators(n))
-        kind, cycle = "symmetric", Permutation.rotation(n)
-    elif isinstance(rule, LongestRun):
-        gens = [Permutation.rotation(n)]
-        kind, cycle = "rotation", gens[0]
-    elif isinstance(rule, GRD) and is_uniform_tree(rule.tree):
-        branching = _tree_branching(rule.tree)
-        gens = _torus_generators(branching)
-        kind, cycle = "torus", _odometer(branching)
-    else:
+    cert = rule.certificate()
+    if rule.family is None:
+        if cert is not None and n <= scan_cap:
+            cert = replace(cert, validated=_validated_generators(rule))
+        return cert
+    if cert is None:
+        group = _group_from_provenance(rule.provenance or {}, n)
+        cert = None if group is None else EquityCertificate(group, "family_group")
+    family_set = frozenset(rule.family)
+    if cert is not None and all(
+        _preserves_family(g, family_set) for g in cert.group.generating_set()
+    ):
+        return replace(cert, validated=True)
+    if n > FACTORIAL_CAP:
         return None
-    validated = False
-    if n <= scan_cap:
-        table = outcome_table(rule)
-        for g in gens:
-            if not respects_table(table, n, g):
-                raise AssertionError("certificate generator is not an automorphism")
-        validated = True
-    return EquityCertificate(
-        group=PermGroup(n=n, generators=tuple(gens)),
-        kind=kind,
-        validated=validated,
-        cycle=cycle,
-    )
+    stabilizer = automorphism_group(rule, method="coalition_preserving")
+    return EquityCertificate(stabilizer, "family_stabilizer", validated=True)
 
 
 def is_equitable(
@@ -516,17 +417,11 @@ def is_k_equitable(
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     cert = certified_subgroup(rule, scan_cap=scan_cap)
-    if cert is not None:
-        if cert.kind == "symmetric":
-            return True
-        group = cert.group
-        if group.elements is None:
-            try:
-                group = generate_closure(n, group.generators)
-            except ClosureOverflow:
-                group = None
-        if group is not None and is_k_transitive(group, k):
-            return True
+    # under Sym(n) the tuple orbit has n!/(n-k)! members: no walk needed
+    if cert is not None and (
+        cert.kind == "symmetric" or is_k_transitive(cert.group, k)
+    ):
+        return True
     if n <= factorial_cap and n <= scan_cap:
         full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
         return is_k_transitive(full, k)
@@ -611,9 +506,7 @@ def pivotality(
 
 
 def check_sqrt_lower_bound(
-    rule: VotingRule,
-    search: Optional[MinCoalitionSearch] = None,
-    max_group_order: int = DEFAULT_MAX_ORDER,
+    rule: VotingRule, search: Optional[MinCoalitionSearch] = None
 ) -> dict:
     """Equitable rules cannot have winning coalitions smaller than sqrt(n).
 
@@ -640,7 +533,7 @@ def check_sqrt_lower_bound(
         # with no certificate, is_equitable used (and cached) the full group
         group = automorphism_group(rule) if cert is None else cert.group
         if group.elements is None:
-            group = generate_closure(n, group.generators, max_order=max_group_order)
+            group = generate_closure(n, group.generators)
         for g in group.elements:
             for w in search.witnesses:
                 if all(g.images[v] not in w for v in w):

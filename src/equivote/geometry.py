@@ -11,7 +11,6 @@ import numpy as np
 from .perms import ClosureOverflow, PermGroup, Permutation
 from .rules import CoalitionRule, make_coalition_rule
 
-PGL3_DEFAULT_MAX_ORDER = 1000  # fits p=2 (order 168); larger p needs an explicit cap
 # order x degree of the largest induced group built: admits PGL(2,p) up to
 # p = 31 (952,320 entries) and PGL(3,3) (73,008), refuses PGL(3,5)
 MAX_GROUP_ENTRIES = 1 << 20
@@ -119,9 +118,29 @@ def _matrix_classes(p: int, dim: int) -> np.ndarray:
     return m[det % p != 0].reshape(-1, dim, dim)
 
 
+def _primitive_root(p: int) -> int:
+    """The smallest generator of the multiplicative group mod p."""
+    return next(
+        r for r in range(1, p) if len({pow(r, e, p) for e in range(p - 1)}) == p - 1
+    )
+
+
+def _generator_matrices(p: int, dim: int) -> np.ndarray:
+    """diag(r, 1, ...) for a primitive root r, and every elementary
+    transvection I + E_ij: the transvections generate SL(dim, p) and the
+    dilation adds every determinant, so together they generate GL(dim, p)."""
+    mats = np.tile(np.eye(dim, dtype=np.int64), (1 + dim * (dim - 1), 1, 1))
+    mats[0, 0, 0] = _primitive_root(p)
+    for m, (i, j) in enumerate(itertools.permutations(range(dim), 2), start=1):
+        mats[m, i, j] = 1
+    return mats
+
+
 @functools.lru_cache(maxsize=8)
 def _induced_group(p: int, dim: int) -> PermGroup:
-    """The matrix group's action on the points, built once per process.
+    """The matrix group's action on the points, built once per process:
+    every element, sorted by images, and a generating set of 1 + dim(dim-1)
+    elements.
 
     A group whose order times degree exceeds MAX_GROUP_ENTRIES is refused
     before the primality test and before any allocation.
@@ -139,12 +158,17 @@ def _induced_group(p: int, dim: int) -> PermGroup:
     lookup = np.empty(p**dim, dtype=np.int64)
     scalars = np.arange(1, p, dtype=np.int64)[:, None, None]
     lookup[(scalars * pts % p) @ weights] = np.arange(len(pts))
-    mats = _matrix_classes(p, dim)
-    images = lookup[(np.einsum("mrc,qc->mqr", mats, pts) % p) @ weights]
-    perms = [Permutation(tuple(row)) for row in images.tolist()]
-    if len(set(perms)) != len(perms):
-        raise AssertionError("matrix classes induced duplicate permutations")
-    return PermGroup.from_elements(len(pts), perms)
+
+    def action(mats: np.ndarray) -> list[Permutation]:
+        images = lookup[(np.einsum("mrc,qc->mqr", mats, pts) % p) @ weights]
+        return [Permutation(tuple(row)) for row in images.tolist()]
+
+    perms = action(_matrix_classes(p, dim))
+    if len(set(perms)) != order:
+        raise AssertionError(f"PGL({dim},{p}) induced {len(set(perms))} elements")
+    elements = tuple(sorted(perms, key=lambda g: g.images))
+    gens = tuple(action(_generator_matrices(p, dim)))
+    return PermGroup(n=len(pts), generators=gens, elements=elements)
 
 
 def pgl2_order(p: int) -> int:
@@ -157,20 +181,9 @@ def pgl3_order(p: int) -> int:
 
 def pgl2_elements(p: int) -> PermGroup:
     """Fractional-linear action on the p+1 points of the projective line."""
-    group = _induced_group(p, dim=2)
-    if group.order != pgl2_order(p):
-        raise AssertionError("projective line group order mismatch")
-    return group
+    return _induced_group(p, dim=2)
 
 
-def pgl3_elements(p: int, max_order: int = PGL3_DEFAULT_MAX_ORDER) -> PermGroup:
-    """Matrix action on the plane's points; refuses orders above max_order."""
-    expected = pgl3_order(p)
-    if expected > max_order:
-        raise ClosureOverflow(
-            f"group order {expected} exceeds max_order {max_order}"
-        )
-    group = _induced_group(p, dim=3)
-    if group.order != expected:
-        raise AssertionError("plane group order mismatch")
-    return group
+def pgl3_elements(p: int) -> PermGroup:
+    """Matrix action on the p^2+p+1 points of the projective plane."""
+    return _induced_group(p, dim=3)

@@ -172,11 +172,10 @@ def is_transitive(group: PermGroup) -> bool:
 
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Whether ordered k-tuples of distinct points form a single orbit."""
+    """Whether ordered k-tuples of distinct points form a single orbit; the
+    orbit under the generators is the orbit under the group."""
     if not 1 <= k <= group.n:
         raise ValueError("k out of range")
-    if group.elements is None:
-        raise ValueError("k-transitivity requires an enumerated group")
     target = 1
     for i in range(k):
         target *= group.n - i

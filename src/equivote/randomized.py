@@ -15,14 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import pgl2_elements
-from .perms import (
-    DEFAULT_MAX_ORDER,
-    ClosureOverflow,
-    PermGroup,
-    Permutation,
-    generate_closure,
-)
+from .geometry import MAX_GROUP_ENTRIES, pgl2_elements
+from .perms import ClosureOverflow, PermGroup, Permutation, generate_closure
 from .rules import CoalitionRule, make_coalition_rule
 
 MAX_ATTEMPTS = 64
@@ -102,14 +96,16 @@ def intersecting_set(
 def group_from_descriptor(desc: dict) -> PermGroup:
     """Rebuild an enumerated group from its serializable description.
 
-    A group above the size caps raises ClosureOverflow before it is built.
+    A group whose order times degree exceeds MAX_GROUP_ENTRIES raises
+    ClosureOverflow before it is built.
     """
     kind = desc.get("kind")
     if kind == "cyclic":
         n = desc["n"]
-        if n > DEFAULT_MAX_ORDER:
+        if n * n > MAX_GROUP_ENTRIES:
             raise ClosureOverflow(
-                f"cyclic group of order {n} exceeds max_order {DEFAULT_MAX_ORDER}"
+                f"cyclic group of order {n} on {n} points: order x degree "
+                f"is limited to {MAX_GROUP_ENTRIES}"
             )
         return generate_closure(n, [Permutation.rotation(n)])
     if kind == "pgl2":
@@ -134,8 +130,8 @@ def build_rule_from_group(
     """Coalition rule whose family is the orbit of a drawn intersecting set.
 
     Pairwise intersection of the family is re-validated directly by the rule
-    constructor, and every group element is checked to permute the family,
-    which makes the input group a certified automorphism subgroup.
+    constructor, and every generator is checked to permute the family, so
+    the whole group does and is a certified automorphism subgroup.
     """
     found = intersecting_set(group, seed=seed, max_attempts=max_attempts)
     family = orbit_family(group, found.points)
@@ -152,10 +148,10 @@ def build_rule_from_group(
         },
     )
     family_set = frozenset(rule.family)
-    for g in group.elements:
+    for g in group.generating_set():
         mapped = {frozenset(g.images[v] for v in member) for member in family_set}
         if mapped != family_set:
-            raise AssertionError("group element does not permute the family")
+            raise AssertionError("group generator does not permute the family")
     return rule
 
 

@@ -9,19 +9,22 @@ is every row union column of a voter grid.
 
 Each rule class carries everything that differs between families: whether
 it is monotone by construction, its coalition family (None outside coalition
-rules), its scalar evaluator, its vectorized batch kernel, its rule document
-and its label in verification reports.
+rules), its scalar evaluator, its vectorized batch kernel, its rule document,
+its label in verification reports and its by-construction symmetry
+certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile, votes_from_code
 
 GRDTree = Union[int, tuple]
@@ -43,6 +46,18 @@ def eval_majority(votes: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
+class EquityCertificate:
+    """A subgroup of the automorphism group with how it was justified, and
+    an n-cycle in it when the construction provides one. A rule's own
+    `certificate()` comes unvalidated."""
+
+    group: PermGroup
+    kind: str
+    validated: bool = False
+    cycle: Optional[Permutation] = None
+
+
+@dataclass(frozen=True)
 class Majority:
     n: int
 
@@ -61,6 +76,10 @@ class Majority:
 
     def to_doc(self) -> dict:
         return {"type": "majority", "n": self.n}
+
+    def certificate(self) -> Optional[EquityCertificate]:
+        group = PermGroup(self.n, symmetric_generators(self.n))
+        return EquityCertificate(group, "symmetric", cycle=Permutation.rotation(self.n))
 
     @property
     def label(self) -> str:
@@ -90,6 +109,11 @@ class LongestRun:
     def to_doc(self) -> dict:
         return {"type": "longest_run", "n": self.n}
 
+    def certificate(self) -> Optional[EquityCertificate]:
+        rotation = Permutation.rotation(self.n)
+        group = PermGroup(self.n, (rotation,))
+        return EquityCertificate(group, "rotation", cycle=rotation)
+
     @property
     def label(self) -> str:
         return f"longest_run{self.n}"
@@ -115,6 +139,9 @@ class Dictatorship:
 
     def to_doc(self) -> dict:
         return {"type": "dictatorship", "n": self.n, "dictator": self.dictator}
+
+    def certificate(self) -> Optional[EquityCertificate]:
+        return None  # every automorphism fixes the dictator
 
     @property
     def label(self) -> str:
@@ -147,6 +174,13 @@ class GRD:
 
     def to_doc(self) -> dict:
         return {"type": "grd", "tree": _tree_to_json(self.tree)}
+
+    def certificate(self) -> Optional[EquityCertificate]:
+        branching = uniform_branching(self.tree)
+        if branching is None:
+            return None
+        group = PermGroup(self.n, _torus_generators(branching))
+        return EquityCertificate(group, "torus", cycle=_odometer(branching))
 
     @property
     def label(self) -> str:
@@ -203,6 +237,20 @@ class CoalitionRule:
             doc["provenance"] = self.provenance
         return doc
 
+    def certificate(self) -> Optional[EquityCertificate]:
+        if self.grid is None:
+            return None  # a coalition document's provenance is only a hint
+        rows, cols = self.grid
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        row_shift = Permutation(tuple((i + 1) % rows * cols + j for i, j in cells))
+        col_shift = Permutation(tuple(i * cols + (j + 1) % cols for i, j in cells))
+        cycle = None
+        if math.gcd(rows, cols) == 1:
+            # the diagonal shift is one n-cycle (Chinese remainder theorem)
+            cycle = compose(row_shift, col_shift)
+        group = PermGroup(self.n, (row_shift, col_shift))
+        return EquityCertificate(group, "grid_shifts", cycle=cycle)
+
     @property
     def label(self) -> str:
         if self.grid is not None:
@@ -235,18 +283,20 @@ def tree_leaves(tree: GRDTree) -> list[int]:
     return out
 
 
-def is_uniform_tree(tree: GRDTree) -> bool:
-    """Every level is all-leaves or all-nodes of one arity."""
+def uniform_branching(tree: GRDTree) -> Optional[tuple[int, ...]]:
+    """The arity at each level when every level is all leaves or all nodes
+    of one arity; None for any other tree."""
+    branching = []
     level = [tree]
-    while True:
-        if all(isinstance(t, int) for t in level):
-            return True
+    while not all(isinstance(t, int) for t in level):
         if any(isinstance(t, int) for t in level):
-            return False
+            return None
         arities = {len(t) for t in level}
         if len(arities) != 1:
-            return False
+            return None
+        branching.append(arities.pop())
         level = [child for t in level for child in t]
+    return tuple(branching)
 
 
 def uniform_tree(branching: tuple[int, ...]) -> GRDTree:
@@ -297,6 +347,45 @@ def CCC(rows: int, cols: int) -> CoalitionRule:
 
 def rule_degree(rule: VotingRule) -> int:
     return rule.n
+
+
+def _torus_generators(branching: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """One generator per level, rotating every block at that level in step."""
+    n = math.prod(branching)
+    gens = []
+    for level, b in enumerate(branching):
+        inner = math.prod(branching[level + 1 :])
+        images = []
+        for leaf in range(n):
+            block = (leaf // inner) % b
+            base = leaf - ((leaf // inner) % b) * inner
+            images.append(base + ((block + 1) % b) * inner)
+        gens.append(Permutation(tuple(images)))
+    return tuple(gens)
+
+
+def _odometer(branching: tuple[int, ...]) -> Permutation:
+    """Increment the top-level block index, carrying into deeper levels."""
+    n = math.prod(branching)
+    radii = list(branching)
+    images = []
+    for leaf in range(n):
+        digits = []
+        rest = leaf
+        for b in reversed(radii):
+            digits.append(rest % b)
+            rest //= b
+        digits.reverse()  # digits[0] is the top-level block
+        for level in range(len(digits)):
+            digits[level] += 1
+            if digits[level] < radii[level]:
+                break
+            digits[level] = 0
+        img = 0
+        for level, b in enumerate(radii):
+            img = img * b + digits[level]
+        images.append(img)
+    return Permutation(tuple(images))
 
 
 def eval_longest_run(votes: tuple[int, ...]) -> int:

@@ -28,7 +28,7 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import ClosureOverflow, Permutation, cycle_lengths, is_transitive
+from equivote.perms import Permutation, cycle_lengths, is_transitive
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -42,6 +42,7 @@ from equivote.rules import (
     rule_degree,
     uniform_grd,
 )
+from equivote.tables import respects_table
 
 
 def chair(n=4):
@@ -240,19 +241,15 @@ def test_automorphism_group_errors():
         automorphism_group(Majority(4), method="sideways")
     with pytest.raises(InfeasibleError):
         automorphism_group(Majority(9))
-    with pytest.raises(InfeasibleError):
-        automorphism_group(Majority(4), max_order=10)
 
 
 def test_automorphism_group_memoized():
-    rule = LongestRun(6)
-    first = automorphism_group(rule)
-    assert automorphism_group(LongestRun(6)) == first
+    first = automorphism_group(LongestRun(6))
+    assert automorphism_group(LongestRun(6)) is first
     assert first.order == 12
-    # max_order is checked against the cached group too
-    with pytest.raises(InfeasibleError):
-        automorphism_group(rule, max_order=11)
-    assert automorphism_group(rule, max_order=12) == first
+    stab = automorphism_group(build_projective_rule(2), method="coalition_preserving")
+    twin = make_coalition_rule(7, build_projective_rule(2).family)
+    assert automorphism_group(twin, method="coalition_preserving") is stab
 
 
 def test_automorphism_group_cap_refused_before_scan(monkeypatch):
@@ -322,12 +319,61 @@ def test_untrusted_provenance_falls_back(provenance):
     [
         ({"kind": "projective_plane", "p": 5}, 31),
         ({"kind": "group_orbit", "group": {"kind": "pgl2", "p": 101}}, 102),
-        ({"kind": "group_orbit", "group": {"kind": "cyclic", "n": 20_000}}, 20_000),
     ],
 )
 def test_oversized_provenance_group_gives_none(provenance, n):
     # a named group above the size caps is no hint, not an error or a hang
     assert analysis._group_from_provenance(provenance, n) is None
+
+
+def test_cyclic_provenance_is_its_rotation():
+    # a cyclic group of any degree is named by its rotation, never enumerated
+    prov = {"kind": "group_orbit", "group": {"kind": "cyclic", "n": 20_000}}
+    group = analysis._group_from_provenance(prov, 20_000)
+    assert group.generators == (Permutation.rotation(20_000),)
+    assert group.elements is None
+
+
+@pytest.mark.parametrize(
+    "rule, twin, kinds",
+    [
+        (
+            CCC(2, 3),
+            make_coalition_rule(6, ccc_family(2, 3)),
+            ("grid_shifts", "family_stabilizer"),
+        ),
+        (
+            build_projective_rule(2),
+            make_coalition_rule(7, build_projective_rule(2).family),
+            ("family_group", "family_stabilizer"),
+        ),
+    ],
+)
+def test_memos_do_not_mix_coalition_twins(rule, twin, kinds):
+    # grid and provenance do not take part in rule equality, so no memo
+    # may answer for one twin with the other's certificate
+    assert rule == twin
+    for order in ((rule, twin), (twin, rule)):
+        analysis._scanned_group.cache_clear()
+        for r in order:
+            certified_subgroup(r)
+        assert (certified_subgroup(rule).kind, certified_subgroup(twin).kind) == kinds
+
+
+def test_generators_validated_once_per_process(monkeypatch):
+    calls = []
+
+    def counting(table, n, perm):
+        calls.append(perm)
+        return respects_table(table, n, perm)
+
+    analysis._validated_generators.cache_clear()
+    monkeypatch.setattr(analysis, "respects_table", counting)
+    report = analyze_rule(Majority(12), want_equity=True, k=2, want_cyclic=True)
+    verdicts = (report.equitable, report.k_equity, report.cyclic)
+    assert verdicts == ("true", {"2": "true"}, "true")
+    gens = Majority(12).certificate().group.generators
+    assert len(calls) == len(gens) and set(calls) == set(gens)
 
 
 def test_oversized_plane_group_leaves_equity_capped():
@@ -371,19 +417,17 @@ def test_is_k_equitable():
 
 
 def test_is_k_equitable_closure_errors(monkeypatch):
-    # the rotation certificate of LongestRun(5) needs its closure enumerated
-    def overflow(*args, **kwargs):
-        raise ClosureOverflow("too big")
+    # k-equity walks tuples under the certificate's generators: no closure
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closed a group")
 
-    monkeypatch.setattr(analysis, "generate_closure", overflow)
+    monkeypatch.setattr(analysis, "generate_closure", no_closure)
+    assert is_k_equitable(LongestRun(5), 1) is True
     assert is_k_equitable(LongestRun(5), 2) is False  # exhaustive fallback
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("not an overflow")
-
-    monkeypatch.setattr(analysis, "generate_closure", broken)
-    with pytest.raises(RuntimeError):
-        is_k_equitable(LongestRun(5), 2)
+    assert is_k_equitable(CCC(2, 3), 1) is True
+    assert is_k_equitable(LongestRun(4000), 2) is None
+    # the rotation certifies 1-equity at any degree
+    assert is_k_equitable(LongestRun(12_000), 1) is True
 
 
 def test_is_cyclic_rule():

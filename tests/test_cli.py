@@ -324,6 +324,7 @@ def test_oversized_groups_exit_two(capsys):
     for argv in (
         ("--group", "pgl2", "--p", "101"),
         ("--group", "cyclic", "--n", "20000"),
+        ("--group", "cyclic", "--n", "2000"),
     ):
         rc, out, err = run(capsys, "construct", "--type", "group_orbit", *argv)
         assert (rc, out) == (2, "")

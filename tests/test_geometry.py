@@ -16,7 +16,7 @@ from equivote.geometry import (
     projective_plane,
     projective_points,
 )
-from equivote.perms import ClosureOverflow, is_k_transitive
+from equivote.perms import ClosureOverflow, generate_closure, is_k_transitive
 from equivote.rules import CoalitionRule
 
 
@@ -132,10 +132,18 @@ def test_pgl3_fano_group():
 
 
 def test_pgl3_overflow():
-    with pytest.raises(ClosureOverflow):
-        pgl3_elements(3)
-    group = pgl3_elements(3, max_order=5616)
-    assert group.order == pgl3_order(3) == 5616
+    assert pgl3_elements(3).order == pgl3_order(3) == 5616
+    with pytest.raises(ClosureOverflow, match=r"PGL\(3,5\)"):
+        pgl3_elements(5)
+
+
+@pytest.mark.parametrize(
+    "p, dim", [(p, 2) for p in (2, 3, 5, 7, 11, 13, 19)] + [(2, 3), (3, 3)]
+)
+def test_induced_group_generators_close_to_elements(p, dim):
+    group = pgl2_elements(p) if dim == 2 else pgl3_elements(p)
+    assert len(group.generators) == 1 + dim * (dim - 1)
+    assert generate_closure(group.n, group.generators).elements == group.elements
 
 
 def _digest(group):
@@ -146,7 +154,7 @@ def test_induced_group_elements_frozen():
     # digests of the element lists built by the per-matrix scalar loop
     assert _digest(pgl2_elements(13)) == "86055b62434e153e"
     assert _digest(pgl2_elements(19)) == "070b91e7cc4b9826"
-    assert _digest(pgl3_elements(3, max_order=5616)) == "5a67eb02666b9bdc"
+    assert _digest(pgl3_elements(3)) == "5a67eb02666b9bdc"
 
 
 def _scalar_induced_images(p, dim):
@@ -173,7 +181,7 @@ def _scalar_induced_images(p, dim):
 
 @pytest.mark.parametrize("p, dim", [(2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (2, 3), (3, 3)])
 def test_induced_group_matches_scalar_action(p, dim):
-    group = pgl2_elements(p) if dim == 2 else pgl3_elements(p, max_order=pgl3_order(p))
+    group = pgl2_elements(p) if dim == 2 else pgl3_elements(p)
     expected = _scalar_induced_images(p, dim)
     assert len(expected) == group.order
     assert [g.images for g in group.elements] == sorted(expected)
@@ -184,7 +192,7 @@ def test_induced_group_size_cap():
     with pytest.raises(ClosureOverflow, match=rf"PGL\(2,101\).*{MAX_GROUP_ENTRIES}"):
         pgl2_elements(101)
     with pytest.raises(ClosureOverflow, match=r"PGL\(3,5\)"):
-        pgl3_elements(5, max_order=pgl3_order(5))
+        pgl3_elements(5)
     with pytest.raises(ClosureOverflow):
         pgl2_elements(10**18 + 9)  # refused before the primality test
     assert time.perf_counter() - start < 1.0

@@ -139,10 +139,27 @@ def test_orbit_stabilizer_sizes():
 
 def test_stabilizer_requires_elements():
     lazy = PermGroup(n=4, generators=(Permutation.rotation(4),))
-    with pytest.raises(ValueError):
-        is_k_transitive(lazy, 2)
+    # k-transitivity walks tuples under the generators alone
+    assert is_k_transitive(lazy, 1)
+    assert not is_k_transitive(lazy, 2)
     with pytest.raises(ValueError):
         find_n_cycle(lazy)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im))),
+            max_size=3,
+        ).map(lambda gens: (n, tuple(gens)))
+    )
+)
+def test_k_transitivity_needs_only_generators(case):
+    n, gens = case
+    lazy = PermGroup(n=n, generators=gens)
+    closed = generate_closure(n, gens)
+    for k in range(1, n + 1):
+        assert is_k_transitive(lazy, k) == is_k_transitive(closed, k)
 
 
 def test_k_transitivity_symmetric():

@@ -35,6 +35,9 @@ def test_group_from_descriptor_refuses_oversized_groups():
     start = time.perf_counter()
     with pytest.raises(ClosureOverflow, match="20000"):
         cyclic(20_000)
+    # order x degree is capped as for the PGL groups: n*n <= 2^20
+    with pytest.raises(ClosureOverflow, match="1025"):
+        cyclic(1025)
     with pytest.raises(ClosureOverflow, match="101"):
         group_from_descriptor({"kind": "pgl2", "p": 101})
     assert time.perf_counter() - start < 1.0
@@ -124,7 +127,9 @@ def test_built_rule_is_certified_equitable():
     cert = certified_subgroup(rule)
     assert cert.kind == "family_group"
     assert cert.validated
-    assert cert.group.order == 16
+    # the provenance names the group by its rotation, with no element list
+    assert cert.group.generators == (Permutation.rotation(16),)
+    assert cert.group.elements is None
     assert is_equitable(rule) is True
 
 

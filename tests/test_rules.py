@@ -33,12 +33,12 @@ from equivote.rules import (
     is_positively_responsive,
     is_positively_responsive_by_pairs,
     is_symmetric,
-    is_uniform_tree,
     make_coalition_rule,
     outcome,
     rule_degree,
     sign,
     tree_leaves,
+    uniform_branching,
     uniform_grd,
     uniform_tree,
 )
@@ -172,8 +172,11 @@ def test_uniform_tree_shape():
     assert uniform_tree((2, 2)) == ((0, 1), (2, 3))
     assert uniform_tree((3,)) == (0, 1, 2)
     assert tree_leaves(uniform_tree((3, 3))) == list(range(9))
-    assert is_uniform_tree(uniform_tree((3, 3)))
-    assert not is_uniform_tree((0, 1, (2, 3, 4)))
+    assert uniform_branching(uniform_tree((3, 3))) == (3, 3)
+    assert uniform_branching(uniform_tree((2, 4, 3))) == (2, 4, 3)
+    assert uniform_branching(0) == ()
+    assert uniform_branching((0, 1, (2, 3, 4))) is None
+    assert uniform_branching(((0, 1), (2, 3, 4))) is None
     assert uniform_grd((3, 3)).n == 9
 
 
