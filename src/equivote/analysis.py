@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,21 +26,20 @@ from .perms import (
     find_n_cycle,
     generate_closure,
     is_k_transitive,
-    is_transitive,
     iter_permutations,
 )
+from .randomized import verify_intersecting_set
 from .rules import (
     EquityCertificate,
     GRDTree,
     InfeasibleError,
     PROFILE_SCAN_CAP,
     VotingRule,
-    has_monotone_certificate,
-    rule_degree,
 )
 from .tables import (
     BATCH_ROWS,
     automorphism_filter,
+    digits_matrix,
     evaluate_batch,
     outcome_table,
     permutation_code_map,
@@ -51,7 +50,6 @@ from .tables import (
 FACTORIAL_CAP = 8
 ASSIGNMENT_CAP = 5
 PIVOT_BINARY_CAP = 20
-PIVOT_TERNARY_CAP = 12
 
 Verdict = Optional[bool]
 
@@ -99,7 +97,6 @@ def is_winning_coalition(
     members: Iterable[int],
     method: str = "exhaustive",
     assume_monotone: bool = False,
-    scan_cap: int = PROFILE_SCAN_CAP,
 ) -> bool:
     """Whether unanimity on the coalition forces the outcome either way.
 
@@ -108,16 +105,16 @@ def is_winning_coalition(
     exactly for monotone rules; it is refused unless the rule carries a
     monotone certificate or the caller attests one with assume_monotone.
     """
-    n = rule_degree(rule)
+    n = rule.n
     ms = _check_members(n, members)
     if method == "monotone":
-        if not (has_monotone_certificate(rule) or assume_monotone):
+        if not (rule.monotone or assume_monotone):
             raise ValueError("monotone method needs a monotone certificate")
     elif method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
     free = n - len(ms)
-    if method == "exhaustive" and free > scan_cap:
-        raise InfeasibleError(f"3^{free} completions exceed cap {scan_cap}")
+    if method == "exhaustive" and free > PROFILE_SCAN_CAP:
+        raise InfeasibleError(f"3^{free} completions exceed cap {PROFILE_SCAN_CAP}")
     subset = np.array([sorted(ms)], dtype=np.int64)
     if not _extremal_wins(evaluate_batch(rule, _extremal_profiles(n, subset)))[0]:
         return False
@@ -201,8 +198,8 @@ def min_winning_coalitions(
     lower-bound-only partial result instead of silently truncating. At most
     witness_limit witnesses are kept, in combination order.
     """
-    n = rule_degree(rule)
-    monotone = has_monotone_certificate(rule)
+    n = rule.n
+    monotone = rule.monotone
     table = outcome_table(rule) if n <= scan_cap else None
     if table is None and not monotone:
         raise InfeasibleError(
@@ -291,7 +288,7 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
     an n! scan once per process. Each depends only on the outcome table or
     on the family, so a rule key (which ignores grid and provenance) is
     sound."""
-    n = rule_degree(rule)
+    n = rule.n
     if method == "exhaustive":
         kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
     else:
@@ -311,7 +308,7 @@ def automorphism_group(
     returns the full automorphism group. "coalition_preserving" returns the
     setwise stabilizer of the coalition family, a subgroup of the former.
     """
-    n = rule_degree(rule)
+    n = rule.n
     if n > cap:
         raise InfeasibleError(f"{n}! permutations exceed cap n<={cap}")
     if method not in ("exhaustive", "coalition_preserving"):
@@ -349,7 +346,7 @@ def _validated_generators(rule: VotingRule) -> bool:
     """Check a profile rule's certificate generators against its outcome
     table, once per process: profile rules compare on every field, so the
     rule is a sound key. `verify all` validates 15 rules."""
-    n = rule_degree(rule)
+    n = rule.n
     table = outcome_table(rule)
     for g in rule.certificate().group.generators:
         if not respects_table(table, n, g):
@@ -358,7 +355,9 @@ def _validated_generators(rule: VotingRule) -> bool:
 
 
 def certified_subgroup(
-    rule: VotingRule, scan_cap: int = PROFILE_SCAN_CAP
+    rule: VotingRule,
+    scan_cap: int = PROFILE_SCAN_CAP,
+    factorial_cap: int = FACTORIAL_CAP,
 ) -> Optional[EquityCertificate]:
     """A by-construction automorphism subgroup, validated where feasible.
 
@@ -367,10 +366,10 @@ def certified_subgroup(
     scan cap; coalition families validate their groups by set preservation
     of each generator at any degree: the grid shifts of a CCC grid, else
     the group the provenance names, else the exhaustive family stabilizer
-    while n! is within its cap. A named group that breaks the family is
-    dropped.
+    while n! is within the factorial cap. A named group that breaks the
+    family is dropped.
     """
-    n = rule_degree(rule)
+    n = rule.n
     cert = rule.certificate()
     if rule.family is None:
         if cert is not None and n <= scan_cap:
@@ -384,10 +383,54 @@ def certified_subgroup(
         _preserves_family(g, family_set) for g in cert.group.generating_set()
     ):
         return replace(cert, validated=True)
-    if n > FACTORIAL_CAP:
+    if n > factorial_cap:
         return None
-    stabilizer = automorphism_group(rule, method="coalition_preserving")
+    stabilizer = automorphism_group(
+        rule, method="coalition_preserving", cap=factorial_cap
+    )
     return EquityCertificate(stabilizer, "family_stabilizer", validated=True)
+
+
+def _decide(
+    rule: VotingRule,
+    holds: Callable[[EquityCertificate], bool],
+    factorial_cap: int,
+    scan_cap: int,
+    probe: Callable[[], Optional[EquityCertificate]] = lambda: None,
+) -> tuple[Verdict, Optional[EquityCertificate]]:
+    """A symmetry verdict and the certificate that decided it.
+
+    The rule's certificate decides when the property holds on it, then the
+    caller's probe when it finds one. Otherwise the exhaustive automorphism
+    group decides, as a certificate of kind "exhaustive", when n is within
+    both caps; beyond them the verdict is None with no certificate.
+    """
+    cert = certified_subgroup(rule, scan_cap=scan_cap, factorial_cap=factorial_cap)
+    if cert is not None and holds(cert):
+        return True, cert
+    probed = probe()
+    if probed is not None:
+        return True, probed
+    n = rule.n
+    if n <= factorial_cap and n <= scan_cap:
+        full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
+        exhaustive = EquityCertificate(full, "exhaustive", validated=True)
+        return holds(exhaustive), exhaustive
+    return None, None
+
+
+def _k_equity(
+    rule: VotingRule, k: int, factorial_cap: int, scan_cap: int
+) -> tuple[Verdict, Optional[EquityCertificate]]:
+    if not 1 <= k <= rule.n:
+        raise ValueError("k out of range")
+    # under Sym(n) the tuple orbit has n!/(n-k)! members: no walk needed
+    return _decide(
+        rule,
+        lambda cert: cert.kind == "symmetric" or is_k_transitive(cert.group, k),
+        factorial_cap,
+        scan_cap,
+    )
 
 
 def is_equitable(
@@ -396,14 +439,7 @@ def is_equitable(
     scan_cap: int = PROFILE_SCAN_CAP,
 ) -> Verdict:
     """True iff some automorphism maps any voter to any other."""
-    cert = certified_subgroup(rule, scan_cap=scan_cap)
-    if cert is not None and is_transitive(cert.group):
-        return True
-    n = rule_degree(rule)
-    if n <= factorial_cap and n <= scan_cap:
-        full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
-        return is_transitive(full)
-    return None
+    return is_k_equitable(rule, 1, factorial_cap=factorial_cap, scan_cap=scan_cap)
 
 
 def is_k_equitable(
@@ -413,19 +449,7 @@ def is_k_equitable(
     scan_cap: int = PROFILE_SCAN_CAP,
 ) -> Verdict:
     """True iff the automorphisms act transitively on distinct k-tuples."""
-    n = rule_degree(rule)
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    cert = certified_subgroup(rule, scan_cap=scan_cap)
-    # under Sym(n) the tuple orbit has n!/(n-k)! members: no walk needed
-    if cert is not None and (
-        cert.kind == "symmetric" or is_k_transitive(cert.group, k)
-    ):
-        return True
-    if n <= factorial_cap and n <= scan_cap:
-        full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
-        return is_k_transitive(full, k)
-    return None
+    return _k_equity(rule, k, factorial_cap, scan_cap)[0]
 
 
 def is_cyclic_rule(
@@ -434,42 +458,41 @@ def is_cyclic_rule(
     scan_cap: int = PROFILE_SCAN_CAP,
 ) -> Verdict:
     """True iff the automorphism group contains a single n-cycle."""
-    n = rule_degree(rule)
-    cert = certified_subgroup(rule, scan_cap=scan_cap)
-    if cert is not None:
+    n = rule.n
+
+    def holds(cert: EquityCertificate) -> bool:
         if cert.cycle is not None and cycle_lengths(cert.cycle) == (n,):
             return True
-        if cert.group.elements is not None and find_n_cycle(cert.group) is not None:
-            return True
-    rot = Permutation.rotation(n)
-    if rule.family is not None and _preserves_family(rot, frozenset(rule.family)):
-        return True
-    if n <= scan_cap and respects_table(outcome_table(rule), n, rot):
-        return True
-    if n <= factorial_cap and n <= scan_cap:
-        full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
-        return find_n_cycle(full) is not None
-    return None
+        return cert.group.elements is not None and find_n_cycle(cert.group) is not None
+
+    def rotation_probe() -> Optional[EquityCertificate]:
+        rot = Permutation.rotation(n)
+        if (
+            rule.family is not None and _preserves_family(rot, frozenset(rule.family))
+        ) or (n <= scan_cap and respects_table(outcome_table(rule), n, rot)):
+            group = PermGroup(n=n, generators=(rot,))
+            return EquityCertificate(group, "rotation", validated=True, cycle=rot)
+        return None
+
+    return _decide(rule, holds, factorial_cap, scan_cap, rotation_probe)[0]
 
 
 def pivotality(
     rule: VotingRule,
     distribution: str = "binary",
-    binary_cap: int = PIVOT_BINARY_CAP,
-    ternary_cap: int = PIVOT_TERNARY_CAP,
+    scan_cap: int = PROFILE_SCAN_CAP,
 ) -> tuple[Fraction, ...]:
     """Per-voter probability that changing the vote can change the outcome.
 
     Exact rational counts under the uniform distribution over {-1,+1}^n
-    ("binary") or over {-1,0,+1}^n ("ternary").
+    ("binary", refused above PIVOT_BINARY_CAP) or over {-1,0,+1}^n
+    ("ternary", a table scan refused above scan_cap).
     """
-    n = rule_degree(rule)
+    n = rule.n
     if distribution == "ternary":
-        if n > ternary_cap:
-            raise InfeasibleError(f"3^{n} scan exceeds cap {ternary_cap}")
+        if n > scan_cap:
+            raise InfeasibleError(f"3^{n} scan exceeds cap {scan_cap}")
         table = outcome_table(rule)
-        from .tables import digits_matrix
-
         digits = digits_matrix(n)
         codes = np.arange(3**n, dtype=np.int64)
         out = []
@@ -486,8 +509,8 @@ def pivotality(
         return tuple(out)
     if distribution != "binary":
         raise ValueError(f"unknown distribution {distribution!r}")
-    if n > binary_cap:
-        raise InfeasibleError(f"2^{n} scan exceeds cap {binary_cap}")
+    if n > PIVOT_BINARY_CAP:
+        raise InfeasibleError(f"2^{n} scan exceeds cap {PIVOT_BINARY_CAP}")
     counts = np.zeros(n, dtype=np.int64)
     voters = np.arange(n, dtype=np.int64)
     for lo in range(0, 2**n, BATCH_ROWS):
@@ -512,32 +535,26 @@ def check_sqrt_lower_bound(
 
     Rejects rules not certified equitable. Returns the measured minimum, the
     squared comparison, and a translate-overlap audit of every witness
-    against the certified subgroup, or against the full automorphism group
-    when the rule has no certificate.
+    against the group that decided equity.
     """
-    n = rule_degree(rule)
-    if is_equitable(rule) is not True:
+    n = rule.n
+    verdict, cert = _k_equity(rule, 1, FACTORIAL_CAP, PROFILE_SCAN_CAP)
+    if verdict is not True:
         raise ValueError("rule is not certified equitable")
     if search is None:
         search = min_winning_coalitions(rule)
     if not search.exact or search.min_size is None:
         raise InfeasibleError("minimal coalition search did not complete")
     size = search.min_size
-    cert = certified_subgroup(rule)
-    overlap_ok = True
-    if cert is not None and cert.kind == "symmetric":
+    if cert.kind == "symmetric":
         # every relabelling of a witness is reachable, so overlap for all
         # translates needs 2*size > n
         overlap_ok = 2 * size > n
     else:
-        # with no certificate, is_equitable used (and cached) the full group
-        group = automorphism_group(rule) if cert is None else cert.group
+        group = cert.group
         if group.elements is None:
             group = generate_closure(n, group.generators)
-        for g in group.elements:
-            for w in search.witnesses:
-                if all(g.images[v] not in w for v in w):
-                    overlap_ok = False
+        overlap_ok = all(verify_intersecting_set(group, w) for w in search.witnesses)
     return {
         "n": n,
         "min_size": size,
@@ -548,7 +565,7 @@ def check_sqrt_lower_bound(
 
 def assignment_table(rule: VotingRule, assignment: Permutation) -> np.ndarray:
     """Outcome table of the rule after seating voters by the assignment."""
-    n = rule_degree(rule)
+    n = rule.n
     if assignment.n != n:
         raise ValueError("assignment degree mismatch")
     if n > PROFILE_SCAN_CAP:
@@ -564,29 +581,25 @@ def assignments_equivalent(
     return bool(np.array_equal(assignment_table(rule, a), assignment_table(rule, b)))
 
 
-def assignment_classes(
-    rule: VotingRule, cap: int = ASSIGNMENT_CAP
-) -> dict[bytes, list[Permutation]]:
+def assignment_classes(rule: VotingRule) -> dict[bytes, list[Permutation]]:
     """All n! assignments grouped by the rule they induce."""
-    n = rule_degree(rule)
-    if n > cap:
-        raise InfeasibleError(f"{n}! assignments exceed cap {cap}")
+    n = rule.n
+    if n > ASSIGNMENT_CAP:
+        raise InfeasibleError(f"{n}! assignments exceed cap {ASSIGNMENT_CAP}")
     classes: dict[bytes, list[Permutation]] = {}
     for a in iter_permutations(n):
         classes.setdefault(assignment_table(rule, a).tobytes(), []).append(a)
     return classes
 
 
-def roles_equivalent(
-    rule: VotingRule, r1: int, r2: int, cap: int = ASSIGNMENT_CAP
-) -> bool:
+def roles_equivalent(rule: VotingRule, r1: int, r2: int) -> bool:
     """Two roles are equivalent when no voter can tell them apart: any seating
     that gives the voter one role has an outcome-identical seating giving the
     other."""
-    n = rule_degree(rule)
+    n = rule.n
     if not (0 <= r1 < n and 0 <= r2 < n):
         raise ValueError("role out of range")
-    for members in assignment_classes(rule, cap=cap).values():
+    for members in assignment_classes(rule).values():
         for v in range(n):
             roles_here = {a.images[v] for a in members}
             if r1 in roles_here and r2 not in roles_here:
@@ -596,11 +609,11 @@ def roles_equivalent(
     return True
 
 
-def has_uniform_assignment_menu(rule: VotingRule, cap: int = ASSIGNMENT_CAP) -> bool:
+def has_uniform_assignment_menu(rule: VotingRule) -> bool:
     """Whether one outcome-equivalence class of seatings realizes every
     voter-role pair."""
-    n = rule_degree(rule)
-    for members in assignment_classes(rule, cap=cap).values():
+    n = rule.n
+    for members in assignment_classes(rule).values():
         if all(
             {a.images[v] for a in members} == set(range(n)) for v in range(n)
         ):
@@ -608,12 +621,12 @@ def has_uniform_assignment_menu(rule: VotingRule, cap: int = ASSIGNMENT_CAP) -> 
     return False
 
 
-def identity_class_realizes_all(rule: VotingRule, cap: int = ASSIGNMENT_CAP) -> bool:
+def identity_class_realizes_all(rule: VotingRule) -> bool:
     """Whether the seatings outcome-identical to the standard one already
     give every voter access to every role."""
-    n = rule_degree(rule)
+    n = rule.n
     key = assignment_table(rule, Permutation.identity(n)).tobytes()
-    members = assignment_classes(rule, cap=cap)[key]
+    members = assignment_classes(rule)[key]
     return all(
         {a.images[v] for a in members} == set(range(n)) for v in range(n)
     )
@@ -645,21 +658,16 @@ def analyze_rule(
     scan_cap: int = PROFILE_SCAN_CAP,
     factorial_cap: int = FACTORIAL_CAP,
 ) -> AnalysisReport:
-    n = rule_degree(rule)
+    n = rule.n
     methods: dict[str, str] = {}
     equitable = None
     if want_equity:
-        verdict = is_equitable(rule, factorial_cap=factorial_cap, scan_cap=scan_cap)
+        verdict, cert = _k_equity(rule, 1, factorial_cap, scan_cap)
         equitable = verdict_str(verdict)
-        cert = certified_subgroup(rule, scan_cap=scan_cap)
-        if verdict is True and cert is not None:
-            methods["equitable"] = cert.kind + (
-                "" if cert.validated else "+structural"
-            )
-        elif verdict is not None:
-            methods["equitable"] = "exhaustive"
-        else:
+        if cert is None:
             methods["equitable"] = "capped"
+        else:
+            methods["equitable"] = cert.kind + ("" if cert.validated else "+structural")
     k_equity = None
     if k is not None:
         k_equity = {
@@ -704,7 +712,8 @@ def analyze_rule(
         pivot = {}
         for dist in pivot_distributions:
             try:
-                pivot[dist] = [str(f) for f in pivotality(rule, distribution=dist)]
+                fractions = pivotality(rule, distribution=dist, scan_cap=scan_cap)
+                pivot[dist] = [str(f) for f in fractions]
             except InfeasibleError:
                 pivot[dist] = None
         methods["pivotality"] = "exhaustive"

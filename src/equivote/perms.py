@@ -167,10 +167,6 @@ def orbit(group: PermGroup, point: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_transitive(group: PermGroup) -> bool:
-    return group.n > 0 and len(orbit(group, 0)) == group.n
-
-
 def is_k_transitive(group: PermGroup, k: int) -> bool:
     """Whether ordered k-tuples of distinct points form a single orbit; the
     orbit under the generators is the orbit under the group."""

@@ -30,6 +30,7 @@ from .profiles import VoteProfile, votes_from_code
 GRDTree = Union[int, tuple]
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
+PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
 CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
 
 
@@ -93,6 +94,8 @@ class LongestRun:
 
     n: int
 
+    # no monotone certificate: the rule fails monotonicity for some
+    # degrees, first at n=10
     monotone: ClassVar[bool] = False
     family: ClassVar[None] = None
 
@@ -345,10 +348,6 @@ def CCC(rows: int, cols: int) -> CoalitionRule:
     return CoalitionRule(rows * cols, ccc_family(rows, cols), grid=(rows, cols))
 
 
-def rule_degree(rule: VotingRule) -> int:
-    return rule.n
-
-
 def _torus_generators(branching: tuple[int, ...]) -> tuple[Permutation, ...]:
     """One generator per level, rotating every block at that level in step."""
     n = math.prod(branching)
@@ -487,43 +486,32 @@ def outcome(rule: VotingRule, votes: tuple[int, ...]) -> int:
 
 
 def evaluate(rule: VotingRule, phi: VoteProfile) -> int:
-    if phi.n != rule_degree(rule):
+    if phi.n != rule.n:
         raise ValueError("profile degree does not match rule degree")
     return outcome(rule, phi.votes)
 
 
-def has_monotone_certificate(rule: VotingRule) -> bool:
-    """Rule families whose outcome is coordinatewise monotone by construction.
-
-    Coalition-family rules are positively responsive, majority and
-    dictatorship are monotone directly, and recursive majority preserves
-    monotonicity through composition. The longest-run rule carries no
-    certificate: it fails monotonicity for some degrees (first at n=10).
-    """
-    return rule.monotone
+def _require_scan(n: int) -> None:
+    if n > PROFILE_SCAN_CAP:
+        raise InfeasibleError(f"3^{n} profile scan exceeds cap n<={PROFILE_SCAN_CAP}")
 
 
-def _require_scan(n: int, cap: int) -> None:
-    if n > cap:
-        raise InfeasibleError(f"3^{n} profile scan exceeds cap n<={cap}")
-
-
-def is_neutral(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
+def is_neutral(rule: VotingRule) -> bool:
     """f(-phi) == -f(phi) over every profile."""
     from .tables import outcome_table
 
-    n = rule_degree(rule)
-    _require_scan(n, cap)
+    n = rule.n
+    _require_scan(n)
     table = outcome_table(rule)
     return bool(np.array_equal(table[::-1], -table))
 
 
-def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
+def is_symmetric(rule: VotingRule) -> bool:
     """The outcome depends only on the vote tally."""
     from .tables import digits_matrix, outcome_table
 
-    n = rule_degree(rule)
-    _require_scan(n, cap)
+    n = rule.n
+    _require_scan(n)
     table = outcome_table(rule)
     digits = digits_matrix(n)
     pos = (digits == 2).sum(axis=1)
@@ -534,13 +522,13 @@ def is_symmetric(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
     return bool(np.all((sk[1:] != sk[:-1]) | (st[1:] == st[:-1])))
 
 
-def is_positively_responsive(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
+def is_positively_responsive(rule: VotingRule) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
     from .tables import digits_matrix, outcome_table
 
-    n = rule_degree(rule)
-    _require_scan(n, cap)
+    n = rule.n
+    _require_scan(n)
     table = outcome_table(rule)
     digits = digits_matrix(n)
     codes = np.arange(3**n)
@@ -555,12 +543,12 @@ def is_positively_responsive(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> b
     return True
 
 
-def is_positively_responsive_by_pairs(rule: VotingRule, cap: int = 5) -> bool:
+def is_positively_responsive_by_pairs(rule: VotingRule) -> bool:
     """Oracle over all comparable profile pairs; kept separate from the
     single-step scan so the two can cross-check each other."""
-    n = rule_degree(rule)
-    if n > cap:
-        raise InfeasibleError(f"pair oracle limited to n<={cap}")
+    n = rule.n
+    if n > PAIR_ORACLE_CAP:
+        raise InfeasibleError(f"pair oracle limited to n<={PAIR_ORACLE_CAP}")
     profiles = [votes_from_code(c, n) for c in range(3**n)]
     results = [outcome(rule, p) for p in profiles]
     for i, a in enumerate(profiles):
@@ -575,12 +563,12 @@ def is_positively_responsive_by_pairs(rule: VotingRule, cap: int = 5) -> bool:
     return True
 
 
-def is_monotone(rule: VotingRule, cap: int = PROFILE_SCAN_CAP) -> bool:
+def is_monotone(rule: VotingRule) -> bool:
     """Weak coordinatewise monotonicity of the outcome, by table scan."""
     from .tables import digits_matrix, outcome_table
 
-    n = rule_degree(rule)
-    _require_scan(n, cap)
+    n = rule.n
+    _require_scan(n)
     table = outcome_table(rule)
     digits = digits_matrix(n)
     codes = np.arange(3**n)

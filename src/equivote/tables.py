@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .perms import Permutation
-from .rules import VotingRule, rule_degree
+from .rules import VotingRule
 
 BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
 
@@ -42,7 +42,7 @@ def digits_matrix(n: int) -> np.ndarray:
 def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
     """Outcome of the rule on each row of an (m, n) vote matrix, as int8[m]."""
     votes = np.asarray(votes, dtype=np.int8)
-    n = rule_degree(rule)
+    n = rule.n
     if votes.ndim != 2 or votes.shape[1] != n:
         raise ValueError(f"expected a vote matrix with {n} columns")
     out = np.empty(len(votes), dtype=np.int8)
@@ -61,7 +61,7 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     if table is not None:
         _TABLES.move_to_end(rule)
         return table
-    n = rule_degree(rule)
+    n = rule.n
     digits = digits_matrix(n)
     table = np.empty(3**n, dtype=np.int8)
     for lo in range(0, 3**n, BATCH_ROWS):

@@ -28,7 +28,7 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import Permutation, cycle_lengths, is_transitive
+from equivote.perms import Permutation, cycle_lengths, is_k_transitive
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -39,7 +39,6 @@ from equivote.rules import (
     ccc_family,
     make_coalition_rule,
     outcome,
-    rule_degree,
     uniform_grd,
 )
 from equivote.tables import respects_table
@@ -69,7 +68,7 @@ def test_winning_validation():
     with pytest.raises(ValueError):
         is_winning_coalition(Majority(3), {0}, method="sideways")
     with pytest.raises(InfeasibleError):
-        is_winning_coalition(Majority(9), {0}, scan_cap=5)
+        is_winning_coalition(Majority(14), {0})
 
 
 def test_monotone_method_needs_certificate():
@@ -83,7 +82,7 @@ def test_monotone_method_needs_certificate():
 
 
 def brute_min(rule):
-    n = rule_degree(rule)
+    n = rule.n
     for k in range(1, n + 1):
         wins = []
         for ms in itertools.combinations(range(n), k):
@@ -189,7 +188,7 @@ def test_supersets_of_winning_coalitions_win():
     for rule in [Majority(5), build_projective_rule(2)]:
         got = min_winning_coalitions(rule)
         w = set(got.witnesses[0])
-        extra = next(v for v in range(rule_degree(rule)) if v not in w)
+        extra = next(v for v in range(rule.n) if v not in w)
         assert is_winning_coalition(rule, w | {extra})
 
 
@@ -383,9 +382,34 @@ def test_oversized_plane_group_leaves_equity_capped():
     assert analyze_rule(rule).methods == {"equitable": "capped"}
 
 
+def test_equity_method_names_the_deciding_group():
+    # every 3-subset plus {0, 1, 2, 3}: the outcome table is Majority(5)'s,
+    # but the family stabilizer fixes voter 4, so the exhaustive group decides
+    family = [set(c) for c in itertools.combinations(range(5), 3)] + [{0, 1, 2, 3}]
+    rule = make_coalition_rule(5, family)
+    cert = certified_subgroup(rule)
+    assert (cert.kind, cert.group.order) == ("family_stabilizer", 24)
+    assert is_equitable(rule) is True
+    assert analyze_rule(rule).methods == {"equitable": "exhaustive"}
+
+
+def test_factorial_cap_bounds_family_stabilizer(monkeypatch):
+    lines = make_coalition_rule(7, build_projective_rule(2).family)
+    assert certified_subgroup(lines).kind == "family_stabilizer"
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the cap")
+
+    monkeypatch.setattr(analysis, "_scanned_group", no_scan)
+    assert certified_subgroup(lines, factorial_cap=4) is None
+    assert is_equitable(lines, factorial_cap=4) is None
+    report = analyze_rule(lines, factorial_cap=4)
+    assert (report.equitable, report.methods) == ("unknown", {"equitable": "capped"})
+
+
 def test_certified_subgroup_transitivity():
-    assert is_transitive(certified_subgroup(LongestRun(6)).group)
-    assert not is_transitive(certified_subgroup(chair(4)).group)
+    assert is_k_transitive(certified_subgroup(LongestRun(6)).group, 1)
+    assert not is_k_transitive(certified_subgroup(chair(4)).group, 1)
 
 
 def test_is_equitable():
@@ -444,7 +468,7 @@ def test_is_cyclic_rule():
 
 
 def brute_pivot(rule, dist):
-    n = rule_degree(rule)
+    n = rule.n
     space = (-1, 1) if dist == "binary" else (-1, 0, 1)
     counts = [0] * n
     for votes in itertools.product(space, repeat=n):
@@ -481,13 +505,25 @@ def test_pivotality_large_binary_path():
     assert pivotality(Majority(13)) == (Fraction(231, 1024),) * 13
 
 
-def test_pivotality_caps():
+def test_pivotality_caps(monkeypatch):
     with pytest.raises(InfeasibleError):
         pivotality(Majority(21))
     with pytest.raises(InfeasibleError):
         pivotality(Majority(13), distribution="ternary")
     with pytest.raises(ValueError):
         pivotality(Majority(3), distribution="gauss")
+
+    def no_table(rule):
+        raise AssertionError("built a table past the cap")
+
+    # the caller's scan cap refuses the ternary table before it is built
+    monkeypatch.setattr(analysis, "outcome_table", no_table)
+    with pytest.raises(InfeasibleError):
+        pivotality(Majority(12), distribution="ternary", scan_cap=5)
+    report = analyze_rule(
+        Majority(12), want_equity=False, pivot_distributions=("ternary",), scan_cap=5
+    )
+    assert report.pivotality == {"ternary": None}
 
 
 def test_sqrt_lower_bound():
@@ -535,7 +571,7 @@ def test_assignment_tables():
         assignment_table(Majority(13), Permutation.identity(13))
 
 
-def test_assignment_classes():
+def test_assignment_classes(monkeypatch):
     classes = assignment_classes(Majority(4))
     assert len(classes) == 1
     assert len(next(iter(classes.values()))) == 24
@@ -548,7 +584,8 @@ def test_assignment_classes():
 
     with pytest.raises(InfeasibleError):
         assignment_classes(Majority(6))
-    assert len(assignment_classes(Majority(6), cap=6)) == 1
+    monkeypatch.setattr(analysis, "ASSIGNMENT_CAP", 6)
+    assert len(assignment_classes(Majority(6))) == 1
 
 
 def test_roles_equivalent():

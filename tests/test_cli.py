@@ -12,6 +12,8 @@ from equivote.cli import main
 from equivote.serialize import load_rule_file
 from equivote.verify import CheckResult, VerificationReport
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -194,6 +196,33 @@ def test_analyze_caps(capsys, tmp_path):
     assert doc["methods"]["equitable"] == "rotation+structural"
     assert doc["methods"]["min_coalition"] == "infeasible"
     assert "min_coalition" not in doc
+
+
+def test_analyze_caps_bound_every_scan(capsys, tmp_path):
+    maj12 = make_rule(capsys, tmp_path, "maj12.rule", "--type", "majority", "--n", "12")
+    request = ["analyze", "--rule", maj12, "--equity", "--k", "2", "--min-coalition"]
+    request += ["--pivotality", "ternary", "--format", "machine"]
+    rc, out, _ = run(capsys, *request)
+    reference = REPO / "bench" / "reference" / "analyze-table" / "maj12.out"
+    assert (rc, out) == (0, reference.read_text())
+    rc, out, _ = run(capsys, *request, "--caps", "scan=5")
+    assert rc == 0
+    assert json.loads(out)["pivotality"] == {"ternary": None}
+
+    # the Fano lines without provenance: only the family stabilizer certifies
+    fano = make_rule(capsys, tmp_path, "f.rule", "--type", "fano", "--p", "2")
+    doc = json.loads(Path(fano).read_text())
+    del doc["provenance"]
+    lines = tmp_path / "lines.rule"
+    lines.write_text(json.dumps(doc))
+    request = ["analyze", "--rule", str(lines), "--equity", "--format", "machine"]
+    for caps, verdict, method in (
+        ([], "true", "family_stabilizer"),
+        (["--caps", "factorial=4"], "unknown", "capped"),
+    ):
+        rc, out, _ = run(capsys, *request, *caps)
+        got = json.loads(out)
+        assert (rc, got["equitable"], got["methods"]["equitable"]) == (0, verdict, method)
 
 
 def test_verify_human(capsys):

@@ -12,7 +12,6 @@ from equivote.perms import (
     generate_closure,
     inverse,
     is_k_transitive,
-    is_transitive,
     iter_permutations,
     orbit,
     symmetric_generators,
@@ -106,7 +105,7 @@ KLEIN = (
 def test_klein_group():
     group = PermGroup.from_elements(4, KLEIN)
     assert group.order == 4
-    assert is_transitive(group)
+    assert is_k_transitive(group, 1)
     assert not is_k_transitive(group, 2)
     assert find_n_cycle(group) is None
 
@@ -121,7 +120,7 @@ def test_orbits():
         frozenset({3}),
         frozenset({4}),
     }
-    assert not is_transitive(group)
+    assert not is_k_transitive(group, 1)
     with pytest.raises(ValueError):
         orbit(group, 5)
 

@@ -27,7 +27,6 @@ from equivote.rules import (
     eval_longest_run,
     eval_majority,
     evaluate,
-    has_monotone_certificate,
     is_monotone,
     is_neutral,
     is_positively_responsive,
@@ -35,7 +34,6 @@ from equivote.rules import (
     is_symmetric,
     make_coalition_rule,
     outcome,
-    rule_degree,
     sign,
     tree_leaves,
     uniform_branching,
@@ -247,26 +245,26 @@ def test_outcome_rejects_unknown_rule():
 
 
 def test_monotone_certificates():
-    assert has_monotone_certificate(Majority(5))
-    assert has_monotone_certificate(Dictatorship(5))
-    assert has_monotone_certificate(uniform_grd((3, 3)))
-    assert has_monotone_certificate(CCC(3, 3))
-    assert has_monotone_certificate(make_coalition_rule(4, [frozenset({0})]))
-    assert not has_monotone_certificate(LongestRun(9))
+    assert Majority(5).monotone
+    assert Dictatorship(5).monotone
+    assert uniform_grd((3, 3)).monotone
+    assert CCC(3, 3).monotone
+    assert make_coalition_rule(4, [frozenset({0})]).monotone
+    assert not LongestRun(9).monotone
 
 
 def test_scan_cap_enforced():
     with pytest.raises(InfeasibleError):
         is_neutral(LongestRun(13))
     with pytest.raises(InfeasibleError):
-        is_symmetric(Majority(6), cap=5)
+        is_symmetric(Majority(13))
     with pytest.raises(InfeasibleError):
         is_positively_responsive_by_pairs(Majority(6))
 
 
 def test_rule_degree():
-    assert rule_degree(CCC(2, 3)) == 6
-    assert rule_degree(GRD((0, 1, (2, 3, 4)))) == 5
+    assert CCC(2, 3).n == 6
+    assert GRD((0, 1, (2, 3, 4))).n == 5
 
 
 RULE_POOL = [
@@ -282,7 +280,7 @@ RULE_POOL = [
 def test_table_matches_direct_evaluation():
     for rule in RULE_POOL:
         table = outcome_table(rule)
-        n = rule_degree(rule)
+        n = rule.n
         assert len(table) == 3**n
         for code in range(3**n):
             assert table[code] == outcome(rule, votes_from_code(code, n))
