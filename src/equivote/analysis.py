@@ -39,17 +39,20 @@ from .rules import (
 from .tables import (
     BATCH_ROWS,
     automorphism_filter,
-    digits_matrix,
+    digits,
     evaluate_batch,
     outcome_table,
     permutation_code_map,
     respects_table,
     slab_unanimous_codes,
+    voter_outcomes,
 )
 
 FACTORIAL_CAP = 8
 ASSIGNMENT_CAP = 5
 PIVOT_BINARY_CAP = 20
+COALITION_BUDGET = 2_000_000  # subsets the coalition search may decide
+WITNESS_LIMIT = 20_000  # minimal winning coalitions kept per search
 
 Verdict = Optional[bool]
 
@@ -86,9 +89,8 @@ def _completions(n: int, ms: frozenset[int], x: int, lo: int, hi: int) -> np.nda
     """Profiles with the coalition voting x and the others filled with the
     base-3 digits of codes lo..hi-1."""
     others = sorted(set(range(n)) - ms)
-    codes = np.arange(lo, hi, dtype=np.int64)[:, None]
     votes = np.full((hi - lo, n), x, dtype=np.int8)
-    votes[:, others] = codes // 3 ** np.arange(len(others), dtype=np.int64) % 3 - 1
+    votes[:, others] = digits(np.arange(lo, hi, dtype=np.int64), len(others)) - 1
     return votes
 
 
@@ -142,10 +144,10 @@ class MinCoalitionSearch:
 
 
 def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
-    pos = slab_unanimous_codes(n, ms, 1)
-    if not np.all(table[pos] == 1):
-        return False
     neg = slab_unanimous_codes(n, ms, -1)
+    # the members' digits go from 0 to 2 on the +1 slab
+    if not np.all(table[neg + 2 * sum(3**v for v in ms)] == 1):
+        return False
     return bool(np.all(table[neg] == -1))
 
 
@@ -188,15 +190,14 @@ def _scan_size(
 
 def min_winning_coalitions(
     rule: VotingRule,
-    budget: int = 2_000_000,
-    witness_limit: int = 20_000,
+    budget: int = COALITION_BUDGET,
     scan_cap: int = PROFILE_SCAN_CAP,
 ) -> MinCoalitionSearch:
     """Smallest winning coalition size with all witnesses of that size.
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
     lower-bound-only partial result instead of silently truncating. At most
-    witness_limit witnesses are kept, in combination order.
+    WITNESS_LIMIT witnesses are kept, in combination order.
     """
     n = rule.n
     monotone = rule.monotone
@@ -222,13 +223,13 @@ def min_winning_coalitions(
                 witnesses_complete=False,
             )
         # one winner past the limit tells whether the witness list is complete
-        winners = _scan_size(rule, n, k, monotone, table, witness_limit + 1)
+        winners = _scan_size(rule, n, k, monotone, table, WITNESS_LIMIT + 1)
         checked += count_k
         if winners:
-            complete = len(winners) <= witness_limit
+            complete = len(winners) <= WITNESS_LIMIT
             return MinCoalitionSearch(
                 min_size=k,
-                witnesses=tuple(winners[:witness_limit]),
+                witnesses=tuple(winners[:WITNESS_LIMIT]),
                 exact=True,
                 lower_bound=k,
                 subsets_checked=checked,
@@ -493,20 +494,10 @@ def pivotality(
         if n > scan_cap:
             raise InfeasibleError(f"3^{n} scan exceeds cap {scan_cap}")
         table = outcome_table(rule)
-        digits = digits_matrix(n)
-        codes = np.arange(3**n, dtype=np.int64)
-        out = []
-        for v in range(n):
-            step = 3**v
-            base = codes - digits[:, v].astype(np.int64) * step
-            own = table[codes]
-            pivotal = (
-                (table[base] != own)
-                | (table[base + step] != own)
-                | (table[base + 2 * step] != own)
-            )
-            out.append(Fraction(int(pivotal.sum()), 3**n))
-        return tuple(out)
+        # the others' profiles where voter v's three votes do not all give
+        # one outcome; pivotality does not depend on v's own vote
+        swings = (np.ptp(voter_outcomes(table, n, v), axis=0) for v in range(n))
+        return tuple(Fraction(np.count_nonzero(s), 3 ** (n - 1)) for s in swings)
     if distribution != "binary":
         raise ValueError(f"unknown distribution {distribution!r}")
     if n > PIVOT_BINARY_CAP:
@@ -654,7 +645,7 @@ def analyze_rule(
     want_aut: bool = False,
     want_cyclic: bool = False,
     pivot_distributions: Sequence[str] = (),
-    budget: int = 2_000_000,
+    budget: int = COALITION_BUDGET,
     scan_cap: int = PROFILE_SCAN_CAP,
     factorial_cap: int = FACTORIAL_CAP,
 ) -> AnalysisReport:

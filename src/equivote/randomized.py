@@ -50,15 +50,14 @@ def verify_intersecting_set(group: PermGroup, points) -> bool:
     )
 
 
-def intersecting_set(
-    group: PermGroup, seed: int = 0, max_attempts: int = MAX_ATTEMPTS
-) -> IntersectingSet:
+def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
     """Draw a set of at most 2*ceil(sqrt(n)*ln(m)) points meeting every
     translate.
 
     The fixed block {0..ell-1} is joined with ell seeded uniform draws;
-    failed attempts redraw the random half on the same stream. Success is
-    confirmed twice, by the search predicate and by an independent pass.
+    failed attempts, up to MAX_ATTEMPTS, redraw the random half on the same
+    stream. Success is confirmed twice, by the search predicate and by an
+    independent pass.
     """
     if group.elements is None:
         raise ValueError("construction needs enumerated group elements")
@@ -69,7 +68,7 @@ def intersecting_set(
     ell = math.ceil(math.sqrt(n) * math.log(m))
     rng = random.Random(seed)
     base = tuple(range(min(ell, n)))
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         draws = [rng.randrange(n) for _ in range(ell)]
         point_set = set(base) | set(draws)
         ok = True
@@ -89,7 +88,7 @@ def intersecting_set(
                 certified=True,
             )
     raise ConstructionFailed(
-        f"no intersecting set within {max_attempts} attempts", max_attempts
+        f"no intersecting set within {MAX_ATTEMPTS} attempts", MAX_ATTEMPTS
     )
 
 
@@ -122,10 +121,7 @@ def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
 
 
 def build_rule_from_group(
-    group: PermGroup,
-    descriptor: dict,
-    seed: int = 0,
-    max_attempts: int = MAX_ATTEMPTS,
+    group: PermGroup, descriptor: dict, seed: int = 0
 ) -> CoalitionRule:
     """Coalition rule whose family is the orbit of a drawn intersecting set.
 
@@ -133,7 +129,7 @@ def build_rule_from_group(
     constructor, and every generator is checked to permute the family, so
     the whole group does and is a certified automorphism subgroup.
     """
-    found = intersecting_set(group, seed=seed, max_attempts=max_attempts)
+    found = intersecting_set(group, seed=seed)
     family = orbit_family(group, found.points)
     rule = make_coalition_rule(
         group.n,
@@ -164,11 +160,6 @@ class EquitableConstruction:
     group_order: int
     set_size_bound: float
     coalition_size_bound: float
-
-    @property
-    def size_ok(self) -> bool:
-        size = len(self.points)
-        return size <= self.set_size_bound and size <= self.coalition_size_bound
 
 
 def build_3_equitable_rule(p: int, seed: int = 0) -> EquitableConstruction:

@@ -508,37 +508,31 @@ def is_neutral(rule: VotingRule) -> bool:
 
 def is_symmetric(rule: VotingRule) -> bool:
     """The outcome depends only on the vote tally."""
-    from .tables import digits_matrix, outcome_table
+    from .tables import code_sums, outcome_table
 
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
-    digits = digits_matrix(n)
-    pos = (digits == 2).sum(axis=1)
-    neg = (digits == 0).sum(axis=1)
-    key = pos * (n + 1) + neg
-    order = np.argsort(key, kind="stable")
-    sk, st = key[order], table[order]
-    return bool(np.all((sk[1:] != sk[:-1]) | (st[1:] == st[:-1])))
+    # tally = (+1 votes) * (n + 1) + (-1 votes), one voter at a time
+    tally = code_sums([np.array([1, 0, n + 1], dtype=np.int64)] * n)
+    seen = np.zeros(((n + 1) ** 2, 3), dtype=bool)
+    seen[tally, table + 1] = True
+    # the outcome is a function of the tally iff no tally has two outcomes
+    return bool(np.all(seen.sum(axis=1) <= 1))
 
 
 def is_positively_responsive(rule: VotingRule) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
-    from .tables import digits_matrix, outcome_table
+    from .tables import outcome_table, voter_outcomes
 
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
-    digits = digits_matrix(n)
-    codes = np.arange(3**n)
     for v in range(n):
-        step = 3**v
-        up = (digits[:, v] <= 1) & (table >= 0)
-        if not np.all(table[codes[up] + step] == 1):
-            return False
-        down = (digits[:, v] >= 1) & (table <= 0)
-        if not np.all(table[codes[down] - step] == -1):
+        outcomes = voter_outcomes(table, n, v)
+        below, above = outcomes[:-1], outcomes[1:]
+        if np.any((below >= 0) & (above != 1)) or np.any((above <= 0) & (below != -1)):
             return False
     return True
 
@@ -565,16 +559,11 @@ def is_positively_responsive_by_pairs(rule: VotingRule) -> bool:
 
 def is_monotone(rule: VotingRule) -> bool:
     """Weak coordinatewise monotonicity of the outcome, by table scan."""
-    from .tables import digits_matrix, outcome_table
+    from .tables import outcome_table, voter_outcomes
 
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
-    digits = digits_matrix(n)
-    codes = np.arange(3**n)
-    for v in range(n):
-        step = 3**v
-        up = digits[:, v] <= 1
-        if not np.all(table[codes[up] + step] >= table[codes[up]]):
-            return False
-    return True
+    return all(
+        np.all(np.diff(voter_outcomes(table, n, v), axis=0) >= 0) for v in range(n)
+    )

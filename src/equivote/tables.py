@@ -4,8 +4,9 @@
 a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes
 in row blocks of at most BATCH_ROWS, handing each block, voter-major, to
 the numpy kernel the rule class carries (`rule.batch`).
-The table of a degree-n rule is its value on every base-3 profile code; the
-axiom, automorphism and winningness scans reduce to index arithmetic on it.
+The table of a degree-n rule is its value on every base-3 profile code (voter
+v's vote plus one is the digit of weight 3^v); the axiom, automorphism and
+winningness scans reduce to code arithmetic on it, with no digit matrix kept.
 The automorphism scan checks every candidate permutation at once, one block
 of codes at a time in code order, and drops a candidate at its first block
 with a mismatch.
@@ -23,20 +24,28 @@ from .rules import VotingRule
 
 BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
 
-_DIGITS: dict[int, np.ndarray] = {}
 _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
 _TABLE_CACHE_BYTES = 32 << 20
+_DIGIT_VALUES = np.arange(3, dtype=np.int64)
 
 
-def digits_matrix(n: int) -> np.ndarray:
-    """Shape (3^n, n) int8; row c holds the base-3 digits of code c."""
-    if n not in _DIGITS:
-        codes = np.arange(3**n, dtype=np.int64)
-        mat = np.empty((3**n, n), dtype=np.int8)
-        for v in range(n):
-            mat[:, v] = (codes // 3**v) % 3
-        _DIGITS[n] = mat
-    return _DIGITS[n]
+def digits(codes: np.ndarray, n: int) -> np.ndarray:
+    """Shape (len(codes), n) int8: the base-3 digits of each code, stored
+    voter-major so that `evaluate_batch` hands its kernel a contiguous block."""
+    out = np.empty((n, len(codes)), dtype=np.int8)
+    for v in range(n):
+        codes, out[v] = np.divmod(codes, 3)
+    return out.T
+
+
+def code_sums(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """For every code over len(rows) voters, in code order, the sum over
+    voters u of rows[u][d_u], where d_u is voter u's digit."""
+    acc = np.zeros(1, dtype=np.int64)
+    # voter 0 is the lowest digit, so it is added last and varies fastest
+    for row in reversed(rows):
+        acc = (acc[:, None] + row).ravel()
+    return acc
 
 
 def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
@@ -62,11 +71,10 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
         _TABLES.move_to_end(rule)
         return table
     n = rule.n
-    digits = digits_matrix(n)
     table = np.empty(3**n, dtype=np.int8)
     for lo in range(0, 3**n, BATCH_ROWS):
-        block = digits[lo : lo + BATCH_ROWS]
-        table[lo : lo + len(block)] = evaluate_batch(rule, block - 1)
+        codes = np.arange(lo, min(lo + BATCH_ROWS, 3**n), dtype=np.int64)
+        table[lo : lo + len(codes)] = evaluate_batch(rule, digits(codes, n) - 1)
     table.setflags(write=False)
     _TABLES[rule] = table
     cached = sum(t.nbytes for t in _TABLES.values())
@@ -77,11 +85,8 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
 
 def permutation_code_map(n: int, perm: Permutation) -> np.ndarray:
     """codes such that entry c is the code of the perm-relabelled profile."""
-    digits = digits_matrix(n)
-    codes = np.zeros(3**n, dtype=np.int64)
-    for u in range(n):
-        codes += digits[:, u] * np.int64(3 ** perm.images[u])
-    return codes
+    # voter u's digit lands at the place of voter perm(u)
+    return code_sums([_DIGIT_VALUES * 3 ** perm.images[u] for u in range(n)])
 
 
 def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:
@@ -103,13 +108,12 @@ def automorphism_filter(
     # weights[j, u]: the place value of voter u's digit once perm j relabels
     images = np.array([p.images for p in perms], dtype=np.int64).reshape(-1, n)
     weights = 3**images
-    digits = digits_matrix(n)
     live = np.arange(len(perms))
     lo = 0
     while lo < 3**n and len(live):
         # about BATCH_ROWS * 32 gathered codes per block
         hi = min(3**n, lo + max(1, (BATCH_ROWS << 5) // len(live)))
-        codes = digits[lo:hi] @ weights[live].T
+        codes = digits(np.arange(lo, hi, dtype=np.int64), n) @ weights[live].T
         live = live[(table[codes] == table[lo:hi, None]).all(axis=0)]
         lo = hi
     return [perms[j] for j in live]
@@ -119,8 +123,11 @@ def slab_unanimous_codes(n: int, members: Sequence[int], value: int) -> np.ndarr
     """Codes of every profile where the members all vote value."""
     others = sorted(set(range(n)) - set(members))
     base = sum((value + 1) * 3**v for v in members)
-    if not others:
-        return np.array([base], dtype=np.int64)
-    combos = digits_matrix(len(others)).astype(np.int64)
-    weights = np.array([3**v for v in others], dtype=np.int64)
-    return base + combos @ weights
+    return base + code_sums([_DIGIT_VALUES * 3**v for v in others])
+
+
+def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
+    """Shape (3, 3^(n-1)): row d holds the outcomes with voter v voting
+    d - 1, column j the j-th profile of the other voters."""
+    low = slab_unanimous_codes(n, (v,), -1)
+    return np.stack([table[low + d * 3**v] for d in range(3)])

@@ -90,7 +90,8 @@ def test_criterion_05_randomized_pipeline():
     assert report.passed
     got = build_3_equitable_rule(5)
     assert got.group_order == 120
-    assert got.size_ok
+    assert len(got.points) <= got.set_size_bound
+    assert len(got.points) <= got.coalition_size_bound
     assert len(got.points) <= 2 * got.ell
     assert time.monotonic() - t0 < 120
 

@@ -158,21 +158,24 @@ def test_min_search_budget_partial():
     assert got.witnesses == ()
 
 
-def test_min_search_witness_limit():
-    got = min_winning_coalitions(Majority(5), witness_limit=3)
+def test_min_search_witness_limit(monkeypatch):
+    monkeypatch.setattr(analysis, "WITNESS_LIMIT", 3)
+    got = min_winning_coalitions(Majority(5))
     assert got.min_size == 3
     assert got.exact
     assert len(got.witnesses) == 3
     assert not got.witnesses_complete
 
 
-def test_min_search_witness_limit_keeps_combination_order():
+def test_min_search_witness_limit_keeps_combination_order(monkeypatch):
     # 35 winners of size 4
     rule = Majority(7)
-    got = min_winning_coalitions(rule, witness_limit=3)
+    monkeypatch.setattr(analysis, "WITNESS_LIMIT", 3)
+    got = min_winning_coalitions(rule)
     assert got.witnesses == tuple(itertools.combinations(range(7), 4))[:3]
     assert not got.witnesses_complete
-    exact = min_winning_coalitions(rule, witness_limit=35)
+    monkeypatch.setattr(analysis, "WITNESS_LIMIT", 35)
+    exact = min_winning_coalitions(rule)
     assert len(exact.witnesses) == 35 and exact.witnesses_complete
 
 

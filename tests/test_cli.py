@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivote.cli import main
+from equivote.analysis import COALITION_BUDGET
+from equivote.cli import SCAN_CAP_LIMIT, main
 from equivote.serialize import load_rule_file
 from equivote.verify import CheckResult, VerificationReport
 
@@ -196,6 +197,27 @@ def test_analyze_caps(capsys, tmp_path):
     assert doc["methods"]["equitable"] == "rotation+structural"
     assert doc["methods"]["min_coalition"] == "infeasible"
     assert "min_coalition" not in doc
+
+
+def test_analyze_refuses_scan_cap_above_limit(capsys, tmp_path):
+    maj30 = make_rule(capsys, tmp_path, "maj30.rule", "--type", "majority", "--n", "30")
+    request = ["analyze", "--rule", maj30, "--min-coalition", "--equity"]
+    for value in (SCAN_CAP_LIMIT + 1, 30):
+        rc, out, err = run(capsys, *request, "--caps", f"scan={value}")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and "exceeds the limit" in err
+    rc, out, _ = run(capsys, *request, "--caps", f"scan={SCAN_CAP_LIMIT}")
+    assert rc == 0
+    assert json.loads(out)["caps"]["scan"] == SCAN_CAP_LIMIT
+
+
+def test_analyze_has_no_budget_option(capsys, tmp_path):
+    rule = make_rule(capsys, tmp_path, "m5.rule", "--type", "majority", "--n", "5")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "analyze", "--rule", rule, "--min-coalition", "--budget", "10")
+    assert exc.value.code == 2
+    rc, out, _ = run(capsys, "analyze", "--rule", rule, "--min-coalition")
+    assert json.loads(out)["caps"]["budget"] == COALITION_BUDGET
 
 
 def test_analyze_caps_bound_every_scan(capsys, tmp_path):

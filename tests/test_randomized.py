@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from equivote import randomized
 from equivote.analysis import certified_subgroup, is_equitable, is_k_equitable
 from equivote.perms import ClosureOverflow, PermGroup, Permutation
 from equivote.randomized import (
@@ -77,9 +78,10 @@ def test_intersecting_set_needs_enumerated_group():
         verify_intersecting_set(lazy, (0, 1))
 
 
-def test_construction_failure_carries_attempts():
+def test_construction_failure_carries_attempts(monkeypatch):
+    monkeypatch.setattr(randomized, "MAX_ATTEMPTS", 0)
     with pytest.raises(ConstructionFailed) as exc:
-        intersecting_set(cyclic(16), max_attempts=0)
+        intersecting_set(cyclic(16))
     assert exc.value.attempts == 0
 
 
@@ -137,7 +139,8 @@ def test_build_3_equitable_rule():
     got = build_3_equitable_rule(3)
     assert got.rule.n == 4
     assert got.group_order == 24
-    assert got.size_ok
+    assert len(got.points) <= got.set_size_bound
+    assert len(got.points) <= got.coalition_size_bound
     assert got.points == tuple(sorted(got.points))
     assert is_k_equitable(got.rule, 3) is True
     again = build_3_equitable_rule(3)

@@ -277,6 +277,45 @@ RULE_POOL = [
 ]
 
 
+def _axioms_by_brute_force(rule):
+    """(symmetric, monotone, positively responsive) over every profile and
+    every comparable pair of profiles, from the scalar outcome alone."""
+    results = [(phi.votes, outcome(rule, phi.votes)) for phi in all_profiles(rule.n)]
+    tallies = {}
+    for votes, result in results:
+        tallies.setdefault((votes.count(1), votes.count(-1)), set()).add(result)
+    symmetric = all(len(seen) == 1 for seen in tallies.values())
+    monotone = responsive = True
+    for high, f_high in results:
+        for low, f_low in results:
+            if high == low or not all(a >= b for a, b in zip(high, low)):
+                continue
+            monotone &= f_high >= f_low
+            responsive &= f_low < 0 or f_high == 1
+            responsive &= f_high > 0 or f_low == -1
+    return symmetric, monotone, responsive
+
+
+def test_axiom_scans_match_brute_force():
+    rules = RULE_POOL + [
+        Majority(5),
+        LongestRun(4),
+        Dictatorship(3),
+        GRD(((0, 1, 2), 3, 4)),
+        CCC(2, 3),
+        make_coalition_rule(3, [frozenset({0})]),
+        make_coalition_rule(5, [frozenset({0, 1}), frozenset({1, 2, 3})]),
+    ]
+    seen = set()
+    for rule in rules:
+        got = (is_symmetric(rule), is_monotone(rule), is_positively_responsive(rule))
+        assert got == _axioms_by_brute_force(rule), rule
+        seen.add(got)
+    # both verdicts of the symmetry and responsiveness scans; every family is
+    # monotone at these degrees (LongestRun first fails at n = 10, above)
+    assert {s[0] for s in seen} == {s[2] for s in seen} == {True, False}
+
+
 def test_table_matches_direct_evaluation():
     for rule in RULE_POOL:
         table = outcome_table(rule)

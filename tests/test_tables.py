@@ -12,7 +12,13 @@ from equivote import analysis, tables
 from equivote.analysis import is_winning_coalition, min_winning_coalitions, pivotality
 from equivote.geometry import build_projective_rule
 from equivote.perms import Permutation, iter_permutations
-from equivote.profiles import votes_from_code
+from equivote.profiles import (
+    VoteProfile,
+    all_profiles,
+    apply_to_profile,
+    profile_code,
+    votes_from_code,
+)
 from equivote.rules import (
     CCC,
     GRD,
@@ -26,7 +32,10 @@ from equivote.tables import (
     automorphism_filter,
     evaluate_batch,
     outcome_table,
+    permutation_code_map,
     respects_table,
+    slab_unanimous_codes,
+    voter_outcomes,
 )
 from equivote.verify import equitable_catalog, proof_coalition
 
@@ -34,9 +43,9 @@ VOTE = st.sampled_from((-1, 0, 1))
 
 
 @st.composite
-def grd_rules(draw):
+def grd_rules(draw, max_n=12):
     """Recursive majority over a random, generally non-uniform, tree."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     order = draw(st.permutations(range(n)))
 
     def split(leaves):
@@ -52,10 +61,10 @@ def grd_rules(draw):
 
 
 @st.composite
-def coalition_rules(draw):
+def coalition_rules(draw, max_n=12):
     """A random pairwise-intersecting family: each drawn member is kept only
     if it meets every member kept before it."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     member = st.frozensets(st.integers(0, n - 1), min_size=1)
     kept = [draw(member)]
     for candidate in draw(st.lists(member, max_size=8)):
@@ -65,8 +74,8 @@ def coalition_rules(draw):
 
 
 @st.composite
-def dictatorships(draw):
-    n = draw(st.integers(1, 12))
+def dictatorships(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     return Dictatorship(n, draw(st.integers(0, n - 1)))
 
 
@@ -77,6 +86,16 @@ RULES = st.one_of(
     grd_rules(),
     st.builds(CCC, st.integers(1, 4), st.integers(1, 4)),
     coalition_rules(),
+)
+
+# degrees small enough for brute force over every profile
+SMALL_RULES = st.one_of(
+    st.integers(1, 5).map(Majority),
+    st.integers(1, 5).map(LongestRun),
+    dictatorships(max_n=5),
+    grd_rules(max_n=5),
+    st.builds(CCC, st.integers(1, 2), st.integers(1, 2)),
+    coalition_rules(max_n=5),
 )
 
 
@@ -284,3 +303,71 @@ def test_automorphism_filter_orders_unchanged():
         kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
         assert len(kept) == order
         assert kept[0] == Permutation.identity(n)
+
+
+# Brute-force oracles over `profiles.all_profiles` and the scalar `outcome`
+# for the code arithmetic in `tables`.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(n))))
+def test_permutation_code_map_matches_profile_action(images):
+    perm = Permutation(tuple(images))
+    n = perm.n
+    expected = [profile_code(apply_to_profile(perm, phi)) for phi in all_profiles(n)]
+    assert permutation_code_map(n, perm).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slab_unanimous_codes_match_profiles(data):
+    n = data.draw(st.integers(1, 5))
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    value = data.draw(VOTE)
+    expected = [
+        profile_code(phi)
+        for phi in all_profiles(n)
+        if all(phi.votes[v] == value for v in members)
+    ]
+    assert slab_unanimous_codes(n, sorted(members), value).tolist() == expected
+
+
+def test_slab_unanimous_codes_with_no_free_voter():
+    for value in (-1, 0, 1):
+        phi = VoteProfile((value,) * 4)
+        assert slab_unanimous_codes(4, range(4), value).tolist() == [profile_code(phi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_voter_outcomes_match_outcome(data):
+    rule = data.draw(SMALL_RULES)
+    n = rule.n
+    v = data.draw(st.integers(0, n - 1))
+    columns = [
+        [outcome(rule, phi.votes[:v] + (x,) + phi.votes[v + 1 :]) for x in (-1, 0, 1)]
+        for phi in all_profiles(n)
+        if phi.votes[v] == -1
+    ]
+    got = voter_outcomes(outcome_table(rule), n, v)
+    assert got.shape == (3, 3 ** (n - 1))
+    assert got.T.tolist() == columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_RULES)
+def test_ternary_pivotality_matches_outcome(rule):
+    n = rule.n
+    profiles = [phi.votes for phi in all_profiles(n)]
+    counts = [
+        sum(
+            any(
+                outcome(rule, votes[:v] + (x,) + votes[v + 1 :]) != outcome(rule, votes)
+                for x in (-1, 0, 1)
+            )
+            for votes in profiles
+        )
+        for v in range(n)
+    ]
+    expected = tuple(Fraction(c, 3**n) for c in counts)
+    assert pivotality(rule, distribution="ternary") == expected
