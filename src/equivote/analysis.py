@@ -90,7 +90,7 @@ def _completions(n: int, ms: frozenset[int], x: int, lo: int, hi: int) -> np.nda
     base-3 digits of codes lo..hi-1."""
     others = sorted(set(range(n)) - ms)
     votes = np.full((hi - lo, n), x, dtype=np.int8)
-    votes[:, others] = digits(np.arange(lo, hi, dtype=np.int64), len(others)) - 1
+    votes[:, others] = digits(np.arange(lo, hi, dtype=np.int32), len(others)) - 1
     return votes
 
 

@@ -436,25 +436,34 @@ def _majority(ballots: np.ndarray) -> np.ndarray:
 
 
 def _longest_run(ballots: np.ndarray) -> np.ndarray:
-    """Cyclic run-length scan: a block ends at voter v when the next voter
-    round the ring votes differently; its length is the distance back to
-    the previous block end, wrapping round for the first one."""
-    n = len(ballots)
+    """Two laps round the ring. A block ends at voter v when the next voter
+    round the ring votes differently. The first lap only carries the length
+    of the block still open at voter n-1 round to voter 0; the second meets
+    each block end once, with the block's full length, and keeps the longest
+    nonzero length so far and the sign of its block (0 on a tie)."""
+    n, m = ballots.shape
+    # a row with no block end counts up to 2n over the two laps
+    small = np.int8 if 2 * n <= np.iinfo(np.int8).max else np.int32
     ends = ballots != np.roll(ballots, -1, axis=0)
-    voters = np.arange(n, dtype=np.int32)[:, None]
-    marks = np.where(ends, voters, -1)
-    before = np.empty_like(marks)
-    before[0] = -1
-    np.maximum.accumulate(marks[:-1], axis=0, out=before[1:])
-    before = np.where(before < 0, marks.max(axis=0) - n, before)
-    lengths = np.where(ends & (ballots != 0), voters - before, 0)
-    best = lengths.max(axis=0)
-    top = lengths == best
-    unique = (best > 0) & (top.sum(axis=0) == 1)
-    winner = np.where(top, ballots, 0).sum(axis=0, dtype=np.int32)
-    out = np.where(unique, winner, _majority(ballots))
-    # no block end: one block round the whole ring, or everyone abstains
-    return np.where(ends.any(axis=0), out, ballots[0]).astype(np.int8)
+    # masks as 0/1 int8, so that multiplying by them needs no cast
+    closes = (ends & (ballots != 0)).view(np.int8)
+    keeps = (~ends).view(np.int8)
+    run = np.zeros(m, dtype=small)
+    for v in range(n):
+        run += 1
+        run *= keeps[v]
+    best = np.zeros(m, dtype=small)
+    winner = np.zeros(m, dtype=np.int8)
+    for v in range(n):
+        run += 1
+        length = run * closes[v]
+        # a block as long as the best makes a tie, a longer one the winner
+        winner *= (length < best).view(np.int8)
+        winner += (length > best).view(np.int8) * ballots[v]
+        np.maximum(best, length, out=best)
+        run *= keeps[v]
+    # majority also decides a row with no block end: everyone votes ballots[0]
+    return np.where(winner != 0, winner, _majority(ballots))
 
 
 def _grd_sum(tree: GRDTree, ballots: np.ndarray) -> np.ndarray:

@@ -31,10 +31,16 @@ _DIGIT_VALUES = np.arange(3, dtype=np.int64)
 
 def digits(codes: np.ndarray, n: int) -> np.ndarray:
     """Shape (len(codes), n) int8: the base-3 digits of each code, stored
-    voter-major so that `evaluate_batch` hands its kernel a contiguous block."""
+    voter-major so that `evaluate_batch` hands its kernel a contiguous block.
+    The codes are decoded in int32, which holds every code while 3^n <= 2^31."""
+    if 3**n > 1 << 31:
+        raise ValueError(f"codes of {n} voters do not fit in int32")
+    codes = np.asarray(codes, dtype=np.int32)
     out = np.empty((n, len(codes)), dtype=np.int8)
     for v in range(n):
-        codes, out[v] = np.divmod(codes, 3)
+        quotient = codes // 3
+        out[v] = codes - 3 * quotient
+        codes = quotient
     return out.T
 
 
@@ -73,7 +79,7 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     n = rule.n
     table = np.empty(3**n, dtype=np.int8)
     for lo in range(0, 3**n, BATCH_ROWS):
-        codes = np.arange(lo, min(lo + BATCH_ROWS, 3**n), dtype=np.int64)
+        codes = np.arange(lo, min(lo + BATCH_ROWS, 3**n), dtype=np.int32)
         table[lo : lo + len(codes)] = evaluate_batch(rule, digits(codes, n) - 1)
     table.setflags(write=False)
     _TABLES[rule] = table
@@ -106,14 +112,14 @@ def automorphism_filter(
     """
     perms = list(perms)
     # weights[j, u]: the place value of voter u's digit once perm j relabels
-    images = np.array([p.images for p in perms], dtype=np.int64).reshape(-1, n)
+    images = np.array([p.images for p in perms], dtype=np.int32).reshape(-1, n)
     weights = 3**images
     live = np.arange(len(perms))
     lo = 0
     while lo < 3**n and len(live):
         # about BATCH_ROWS * 32 gathered codes per block
         hi = min(3**n, lo + max(1, (BATCH_ROWS << 5) // len(live)))
-        codes = digits(np.arange(lo, hi, dtype=np.int64), n) @ weights[live].T
+        codes = digits(np.arange(lo, hi, dtype=np.int32), n) @ weights[live].T
         live = live[(table[codes] == table[lo:hi, None]).all(axis=0)]
         lo = hi
     return [perms[j] for j in live]

@@ -122,6 +122,43 @@ def test_evaluate_batch_matches_outcome(data):
     assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_longest_run_kernel_across_its_run_length_dtypes(data):
+    # run lengths reach n, and 2n on a row with no block end: the kernel
+    # counts in int8 while 2n <= 127 and in int32 above
+    rule = LongestRun(data.draw(st.sampled_from((1, 2, 3, 63, 64, 65, 130))))
+    # one voter against a block of n - 1 that wraps round the ring
+    x = data.draw(st.sampled_from((-1, 1)))
+    against = [x] * rule.n
+    against[rule.n // 2] = -x
+    rows = [against, *data.draw(st.lists(profile_rows(rule.n), max_size=8))]
+    got = evaluate_batch(rule, np.array(rows, dtype=np.int8))
+    assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
+
+
+def test_digits_match_votes_from_code():
+    for n in range(1, 7):
+        got = tables.digits(np.arange(3**n), n) - 1
+        assert got.tolist() == [list(votes_from_code(c, n)) for c in range(3**n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_digits_match_votes_from_code_up_to_the_scan_cap(data):
+    n = data.draw(st.integers(1, 15))
+    codes = data.draw(st.lists(st.integers(0, 3**n - 1), min_size=1, max_size=8))
+    got = tables.digits(np.array(codes), n) - 1
+    assert got.tolist() == [list(votes_from_code(c, n)) for c in codes]
+
+
+def test_digits_refuse_degrees_whose_codes_overflow_int32():
+    # 19 voters is the largest degree whose codes all fit in int32
+    assert tables.digits(np.array([3**19 - 1]), 19).tolist() == [[2] * 19]
+    with pytest.raises(ValueError, match="int32"):
+        tables.digits(np.arange(3), 20)
+
+
 def test_evaluate_batch_tied_and_uniform_rows():
     rows = [
         (1, 1, -1, -1, 0, 0),  # two longest nonzero blocks tie: majority, 0
