@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,19 +283,109 @@ def _preserves_family(
     )
 
 
+Prefix = tuple[int, ...]
+
+
+def _chain_search(
+    n: int,
+    invariants: Sequence[object],
+    admits: Callable[[list[Prefix]], list[Prefix]],
+) -> PermGroup:
+    """The permutations that keep every voter's invariant and whose
+    prefixes (the images of voters 0..j-1) are all admitted, found by a
+    stabilizer chain with backtrack search.
+
+    Level i holds the elements that fix voters 0..i-1. Going down from
+    i = n-1, a depth-first search looks for one element mapping i to each
+    point with i's invariant that the generators found so far do not
+    reach; the orbit of i and one element per image (the transversal) come
+    from those generators. The elements of level i are the transversal's
+    products with those of level i+1, so at most one element per coset is
+    checked.
+    """
+    identity = np.arange(n)
+    generators: list[np.ndarray] = []
+
+    def children(prefix: Prefix, images: Iterable[int]) -> Iterator[Prefix]:
+        j = len(prefix)
+        fits = [y for y in images if y not in prefix and invariants[y] == invariants[j]]
+        return iter(admits([prefix + (y,) for y in fits]))
+
+    def extend(prefix: Prefix, images: Iterable[int]) -> Optional[Prefix]:
+        """The first admitted permutation, depth first, that extends the
+        admitted prefix with the next voter's image taken from images."""
+        stack = [children(prefix, images)]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif len(child) == n:
+                return child
+            else:
+                stack.append(children(child, range(n)))
+        return None
+
+    def transversal(point: int) -> dict[int, np.ndarray]:
+        reps = {point: identity}
+        frontier = [point]
+        while frontier:
+            x = frontier.pop()
+            for g in generators:
+                y = int(g[x])
+                if y not in reps:
+                    reps[y] = g[reps[x]]  # g after the element reaching x
+                    frontier.append(y)
+        return reps
+
+    elements = identity[None, :]
+    for i in range(n - 1, -1, -1):
+        reps = transversal(i)
+        for b in range(i + 1, n):
+            if b not in reps and invariants[b] == invariants[i]:
+                found = extend(tuple(range(i)), (b,))
+                if found is not None:
+                    generators.append(np.array(found))
+                    reps = transversal(i)
+        # u after h maps voter t to u[h[t]]
+        elements = np.concatenate([u[elements] for u in reps.values()])
+    return PermGroup.from_elements(n, map(Permutation, map(tuple, elements.tolist())))
+
+
 @functools.lru_cache(maxsize=8)
 def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
     """The exhaustive automorphism group or the family stabilizer, found by
-    an n! scan once per process. Each depends only on the outcome table or
-    on the family, so a rule key (which ignores grid and provenance) is
-    sound."""
+    one chain search once per process. Each depends only on the outcome
+    table or on the family, so a rule key (which ignores grid and
+    provenance) is sound."""
     n = rule.n
     if method == "exhaustive":
-        kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
-    else:
-        family_set = frozenset(rule.family)
-        kept = (p for p in iter_permutations(n) if _preserves_family(p, family_set))
-    return PermGroup.from_elements(n, kept)
+        table = outcome_table(rule)
+        # how often each outcome comes with each of the voter's three votes
+        invariants = [
+            [np.bincount(row + 1, minlength=3).tolist() for row in rows]
+            for rows in (voter_outcomes(table, n, v) for v in range(n))
+        ]
+        admits = functools.partial(automorphism_filter, table, n)
+        return _chain_search(n, invariants, admits)
+    family = frozenset(rule.family)
+    by_last: dict[int, list[frozenset[int]]] = {}
+    for member in family:
+        by_last.setdefault(max(member), []).append(member)
+
+    def admits(prefixes: list[Prefix]) -> list[Prefix]:
+        # a prefix of length j is the first to decide the image of each
+        # member whose largest voter is j-1
+        return [
+            p
+            for p in prefixes
+            if all(
+                frozenset(p[v] for v in member) in family
+                for member in by_last.get(len(p) - 1, ())
+            )
+        ]
+
+    invariants = [sorted(len(m) for m in family if v in m) for v in range(n)]
+    return _chain_search(n, invariants, admits)
 
 
 def automorphism_group(
@@ -305,13 +395,14 @@ def automorphism_group(
 ) -> PermGroup:
     """Relabelling symmetries of the rule.
 
-    "exhaustive" filters all n! permutations against the outcome table and
-    returns the full automorphism group. "coalition_preserving" returns the
-    setwise stabilizer of the coalition family, a subgroup of the former.
+    "exhaustive" returns the full automorphism group of the outcome table.
+    "coalition_preserving" returns the setwise stabilizer of the coalition
+    family, a subgroup of the former. Both come from one chain search,
+    refused above the cap before any table is built.
     """
     n = rule.n
     if n > cap:
-        raise InfeasibleError(f"{n}! permutations exceed cap n<={cap}")
+        raise InfeasibleError(f"degree {n} exceeds the automorphism search cap {cap}")
     if method not in ("exhaustive", "coalition_preserving"):
         raise ValueError(f"unknown method {method!r}")
     if method == "coalition_preserving" and rule.family is None:
@@ -366,8 +457,8 @@ def certified_subgroup(
     are validated by a full outcome-table scan when the degree is within the
     scan cap; coalition families validate their groups by set preservation
     of each generator at any degree: the grid shifts of a CCC grid, else
-    the group the provenance names, else the exhaustive family stabilizer
-    while n! is within the factorial cap. A named group that breaks the
+    the group the provenance names, else the family stabilizer while n is
+    within the factorial cap. A named group that breaks the
     family is dropped.
     """
     n = rule.n

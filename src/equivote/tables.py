@@ -7,9 +7,11 @@ the numpy kernel the rule class carries (`rule.batch`).
 The table of a degree-n rule is its value on every base-3 profile code (voter
 v's vote plus one is the digit of weight 3^v); the axiom, automorphism and
 winningness scans reduce to code arithmetic on it, with no digit matrix kept.
-The automorphism scan checks every candidate permutation at once, one block
-of codes at a time in code order, and drops a candidate at its first block
-with a mismatch.
+The automorphism search extends permutations one voter at a time:
+`automorphism_filter` checks each prefix of images on the profiles it is
+the first to decide, those where every voter it leaves free votes alike,
+so a permutation has been compared on every profile once its prefixes
+have all been kept.
 """
 
 from __future__ import annotations
@@ -102,27 +104,50 @@ def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:
 
 
 def automorphism_filter(
-    table: np.ndarray, n: int, perms: Iterable[Permutation]
-) -> list[Permutation]:
-    """All perms in the iterable that preserve the outcome table, in order.
+    table: np.ndarray, n: int, perms: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The prefixes, in order, under which the table agrees on every
+    profile they newly decide.
 
-    The candidates are checked together, one block of codes at a time in
-    code order, and each is dropped at its first block with a mismatch; a
-    survivor has been compared on every code.
+    Each prefix lists the images of voters 0..j-1, with one j for all.
+    It decides the image of every profile where voters j..n-1 vote alike:
+    voter u's vote moves to voter prefix[u], and every other voter takes
+    the common vote. A prefix is checked on the decided profiles where
+    voter j-1 votes otherwise, which its parent prefix did not decide; at
+    j = n, on every profile. So along a chain of kept prefixes each
+    profile is compared once by length n - 1, and a permutation is an
+    automorphism iff it is kept. The codes go in blocks of BATCH_ROWS.
     """
-    perms = list(perms)
-    # weights[j, u]: the place value of voter u's digit once perm j relabels
-    images = np.array([p.images for p in perms], dtype=np.int32).reshape(-1, n)
-    weights = 3**images
-    live = np.arange(len(perms))
-    lo = 0
-    while lo < 3**n and len(live):
-        # about BATCH_ROWS * 32 gathered codes per block
-        hi = min(3**n, lo + max(1, (BATCH_ROWS << 5) // len(live)))
-        codes = digits(np.arange(lo, hi, dtype=np.int32), n) @ weights[live].T
-        live = live[(table[codes] == table[lo:hi, None]).all(axis=0)]
-        lo = hi
-    return [perms[j] for j in live]
+    prefixes = [tuple(p) for p in perms]
+    j = len(prefixes[0]) if prefixes else 0
+    if any(len(p) != j for p in prefixes):
+        raise ValueError("prefixes must share one length")
+    if j == 0:
+        return prefixes  # the constant profiles, which no relabelling moves
+    # place[k, u]: the place value of voter u's digit once prefix k relabels
+    place = 3 ** np.array(prefixes, dtype=np.int64)
+    lead = 3 ** (j - 1)  # voter j-1's place value
+    # the place values of the free voters j..n-1, before and after relabelling
+    free = (3**n - 1) // 2 - (3**j - 1) // 2
+    free_image = (3**n - 1) // 2 - place.sum(axis=1)
+    # (c, d): the free voters all have digit c, voter j-1 digit d
+    if j < n:
+        pairs = [(c, d) for c in range(3) for d in range(3) if c != d]
+    else:
+        pairs = [(0, d) for d in range(3)]  # no free voter
+    live = np.arange(len(prefixes))
+    # the voters below j-1 run over every digit string, a block at a time
+    for lo in range(0, lead, BATCH_ROWS):
+        low = np.arange(lo, min(lo + BATCH_ROWS, lead), dtype=np.int64)
+        low_image = digits(low, j - 1) @ place[live, : j - 1].T
+        for c, d in pairs:
+            codes = low + d * lead + c * free
+            image = low_image + (d * place[live, j - 1] + c * free_image[live])
+            agree = (table[image] == table[codes][:, None]).all(axis=0)
+            live, low_image = live[agree], low_image[:, agree]
+        if not len(live):
+            break
+    return [prefixes[k] for k in live]
 
 
 def slab_unanimous_codes(n: int, members: Sequence[int], value: int) -> np.ndarray:

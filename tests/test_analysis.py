@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivote import analysis
 from equivote.analysis import (
@@ -28,7 +30,12 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import Permutation, cycle_lengths, is_k_transitive
+from equivote.perms import (
+    Permutation,
+    cycle_lengths,
+    is_k_transitive,
+    iter_permutations,
+)
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -226,6 +233,46 @@ def test_automorphism_group_orders():
     lr5 = automorphism_group(LongestRun(5))
     assert lr5.order == 10
     assert Permutation.rotation(5) in lr5.elements
+
+
+def test_automorphism_group_orders_unchanged():
+    cases = [
+        (Dictatorship(8), "exhaustive", 5040),
+        (LongestRun(8), "exhaustive", 16),
+        (build_projective_rule(2), "exhaustive", 168),
+        (CCC(2, 4), "exhaustive", 40320),
+        (CCC(2, 4), "coalition_preserving", 1152),
+    ]
+    for rule, method, order in cases:
+        group = automorphism_group(rule, method=method)
+        assert group.order == order
+        assert group.elements[0] == Permutation.identity(rule.n)
+
+
+@st.composite
+def intersecting_families(draw):
+    """A coalition rule over random pairwise intersecting members, or over
+    the members of a small CCC grid."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 6)]))
+        return make_coalition_rule(rows * cols, ccc_family(rows, cols))
+    n = draw(st.integers(1, 6))
+    family: list[set[int]] = []
+    voter = st.integers(0, n - 1)
+    for member in draw(st.lists(st.sets(voter, min_size=1), min_size=1, max_size=8)):
+        if all(member & other for other in family):
+            family.append(member)
+    return make_coalition_rule(n, family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intersecting_families())
+def test_family_stabilizer_matches_permutation_scan(rule):
+    family = frozenset(rule.family)
+    perms = iter_permutations(rule.n)
+    want = [p for p in perms if analysis._preserves_family(p, family)]
+    stabilizer = automorphism_group(rule, method="coalition_preserving")
+    assert list(stabilizer.elements) == want
 
 
 def test_automorphism_group_fano():

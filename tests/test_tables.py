@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from equivote import analysis, tables
 from equivote.analysis import is_winning_coalition, min_winning_coalitions, pivotality
-from equivote.geometry import build_projective_rule
 from equivote.perms import Permutation, iter_permutations
 from equivote.profiles import (
     VoteProfile,
@@ -278,9 +277,9 @@ def test_table_cache_evicts_least_recently_used(monkeypatch):
 
 
 @st.composite
-def filter_tables(draw):
+def filter_tables(draw, max_n=5):
     """A random, constant or majority table, with a few entries overwritten."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(("random", "constant", "majority")))
     if kind == "random":
         values = draw(st.lists(VOTE, min_size=3**n, max_size=3**n))
@@ -297,49 +296,110 @@ def filter_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_automorphism_filter_matches_respects_table(data):
+    # a whole permutation is a prefix of length n, checked on every profile
     n, table = data.draw(filter_tables())
     perm = st.permutations(range(n)).map(lambda images: Permutation(tuple(images)))
     perms = data.draw(st.lists(perm, max_size=30))
     batch_rows = data.draw(st.sampled_from((1, 4, tables.BATCH_ROWS)))
     with mock.patch.object(tables, "BATCH_ROWS", batch_rows):
-        got = automorphism_filter(table, n, iter(perms))
-    assert got == [p for p in perms if respects_table(table, n, p)]
+        got = automorphism_filter(table, n, iter([p.images for p in perms]))
+    assert got == [p.images for p in perms if respects_table(table, n, p)]
+
+
+def _prefix_agrees(table, n, prefix):
+    """Brute force: whether the table agrees on each profile where voters
+    j..n-1 vote alike and voter j-1 votes otherwise, relabelled by the
+    prefix with the voters outside its images taking that common vote."""
+    j = len(prefix)
+    for phi in all_profiles(n):
+        rest = set(phi.votes[j:])
+        if j == 0 or len(rest) > 1 or phi.votes[j - 1] in rest:
+            continue
+        image = [next(iter(rest), None)] * n
+        for u, y in enumerate(prefix):
+            image[y] = phi.votes[u]
+        if table[profile_code(VoteProfile(tuple(image)))] != table[profile_code(phi)]:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_automorphism_filter_prefix_contract(data):
+    n, table = data.draw(filter_tables())
+    j = data.draw(st.integers(0, n))
+    perm = st.permutations(range(n)).map(lambda images: tuple(images[:j]))
+    prefixes = data.draw(st.lists(perm, max_size=6))
+    batch_rows = data.draw(st.sampled_from((1, 2, tables.BATCH_ROWS)))
+    with mock.patch.object(tables, "BATCH_ROWS", batch_rows):
+        got = automorphism_filter(table, n, prefixes)
+    assert got == [p for p in prefixes if _prefix_agrees(table, n, p)]
+    # down one permutation's prefixes, every profile is compared by n - 1
+    images = data.draw(st.permutations(range(n)))
+    chain = all(automorphism_filter(table, n, [images[:i]]) for i in range(1, n))
+    assert chain == respects_table(table, n, Permutation(tuple(images)))
+
+
+@pytest.mark.parametrize(
+    "free, lead", [(c, d) for c in (-1, 0, 1) for d in (-1, 0, 1) if c != d]
+)
+def test_automorphism_filter_checks_every_pair_of_votes(free, lead):
+    # Majority(4) with one change where voters 2, 3 vote alike and voter 1
+    # otherwise: the prefix (0, 2) moves that profile, (0, 1) does not
+    table = outcome_table(Majority(4)).copy()
+    code = profile_code(VoteProfile((1, lead, free, free)))
+    table[code] = -table[code] if table[code] else 1
+    assert automorphism_filter(table, 4, [(0, 1), (0, 2)]) == [(0, 1)]
+    assert _prefix_agrees(table, 4, (0, 1)) and not _prefix_agrees(table, 4, (0, 2))
 
 
 def test_automorphism_filter_rejects_in_a_late_block(monkeypatch):
-    # Majority(5) with one change at the profile (0, +1, +1, +1, +1). A
-    # permutation that moves voter 0 first disagrees at a code where one
-    # voter abstains and the rest vote +1, all of them 161 or later; with
-    # 120 candidates live, each block is a single code
+    # Majority(5) with one change at the profile (+1, +1, +1, 0, -1). The
+    # prefix (0, 1, 2, 4) first decides its image at length 4, where the
+    # votes of voters 0..2 run over 27 digit strings; that profile has the
+    # last of them, and with 4 strings a block it lies in the last block
     table = outcome_table(Majority(5)).copy()
-    late = 3**5 - 2
-    assert votes_from_code(late, 5) == (0, 1, 1, 1, 1)
+    late = profile_code(VoteProfile((1, 1, 1, 0, -1)))
     table[late] = -1
-    monkeypatch.setattr(tables, "BATCH_ROWS", 4)  # 128 codes per block
-    perms = list(iter_permutations(5))
-    got = automorphism_filter(table, 5, perms)
-    assert got == [p for p in perms if p.images[0] == 0]
-    assert got == [p for p in perms if respects_table(table, 5, p)]
+    monkeypatch.setattr(tables, "BATCH_ROWS", 4)
+    children = [(0, 1, 2, 3), (0, 1, 2, 4)]
+    assert automorphism_filter(table, 5, children) == [(0, 1, 2, 3)]
+    assert [p for p in children if _prefix_agrees(table, 5, p)] == [(0, 1, 2, 3)]
+    assert automorphism_filter(outcome_table(Majority(5)), 5, children) == children
 
 
 def test_automorphism_filter_empty_perms():
     table = outcome_table(Majority(3))
     assert automorphism_filter(table, 3, []) == []
     assert automorphism_filter(table, 3, iter(())) == []
+    with pytest.raises(ValueError):
+        automorphism_filter(table, 3, [(0,), (0, 1)])
 
 
-def test_automorphism_filter_orders_unchanged():
-    cases = [
-        (Dictatorship(8), 5040),
-        (LongestRun(8), 16),
-        (build_projective_rule(2), 168),
-        (CCC(2, 4), 40320),
-    ]
-    for rule, order in cases:
-        n = rule.n
-        kept = automorphism_filter(outcome_table(rule), n, iter_permutations(n))
-        assert len(kept) == order
-        assert kept[0] == Permutation.identity(n)
+def _table_group(table, n):
+    """The chain search of `analysis`, run on an arbitrary table."""
+    with mock.patch.object(analysis, "outcome_table", lambda rule: table):
+        return analysis._scanned_group.__wrapped__(Majority(n), "exhaustive")
+
+
+@settings(max_examples=100, deadline=None)
+@given(filter_tables(max_n=6))
+def test_chain_search_matches_permutation_scan(case):
+    n, table = case
+    want = [p for p in iter_permutations(n) if respects_table(table, n, p)]
+    assert list(_table_group(table, n).elements) == want
+
+
+def test_chain_search_finds_the_stabilizer_of_one_profile():
+    # Majority(8) with the 3/3/2 profile flipped: an automorphism must fix
+    # that profile, so it permutes each block of equal votes within itself
+    table = outcome_table(Majority(8)).copy()
+    code = profile_code(VoteProfile((-1, -1, -1, 0, 0, 0, 1, 1)))
+    table[code] = -table[code]
+    group = _table_group(table, 8)
+    assert group.order == 72  # 3! 3! 2!
+    assert all(respects_table(table, 8, p) for p in group.elements)
+    assert all(set(p.images[:3]) == {0, 1, 2} for p in group.elements)
 
 
 # Brute-force oracles over `profiles.all_profiles` and the scalar `outcome`

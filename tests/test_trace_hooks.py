@@ -32,3 +32,6 @@ def test_trace_labels_read_parameters_that_exist():
     # span labels are built from these arguments
     assert "distribution" in inspect.signature(_hooked("analysis", "pivotality")).parameters
     assert "claim" in inspect.signature(_hooked("verify", "verify_claim")).parameters
+    # perms_checked counts the prefixes passed to the filter as `perms`
+    perms_filter = _hooked("tables", "automorphism_filter")
+    assert "perms" in inspect.signature(perms_filter).parameters
