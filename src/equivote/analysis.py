@@ -24,9 +24,9 @@ from .perms import (
     Permutation,
     cycle_lengths,
     find_n_cycle,
-    generate_closure,
     is_k_transitive,
     iter_permutations,
+    orbit,
 )
 from .randomized import verify_intersecting_set
 from .rules import (
@@ -298,13 +298,11 @@ def _chain_search(
     Level i holds the elements that fix voters 0..i-1. Going down from
     i = n-1, a depth-first search looks for one element mapping i to each
     point with i's invariant that the generators found so far do not
-    reach; the orbit of i and one element per image (the transversal) come
-    from those generators. The elements of level i are the transversal's
-    products with those of level i+1, so at most one element per coset is
-    checked.
+    reach, so at most one element per coset is checked. The generators
+    found are a strong generating set on the base 0..n-1, whose chain
+    gives the group's order and elements.
     """
-    identity = np.arange(n)
-    generators: list[np.ndarray] = []
+    generators: list[Permutation] = []
 
     def children(prefix: Prefix, images: Iterable[int]) -> Iterator[Prefix]:
         j = len(prefix)
@@ -325,30 +323,14 @@ def _chain_search(
                 stack.append(children(child, range(n)))
         return None
 
-    def transversal(point: int) -> dict[int, np.ndarray]:
-        reps = {point: identity}
-        frontier = [point]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = int(g[x])
-                if y not in reps:
-                    reps[y] = g[reps[x]]  # g after the element reaching x
-                    frontier.append(y)
-        return reps
-
-    elements = identity[None, :]
     for i in range(n - 1, -1, -1):
-        reps = transversal(i)
         for b in range(i + 1, n):
-            if b not in reps and invariants[b] == invariants[i]:
+            reached = orbit(PermGroup(n, tuple(generators)), i)
+            if b not in reached and invariants[b] == invariants[i]:
                 found = extend(tuple(range(i)), (b,))
                 if found is not None:
-                    generators.append(np.array(found))
-                    reps = transversal(i)
-        # u after h maps voter t to u[h[t]]
-        elements = np.concatenate([u[elements] for u in reps.values()])
-    return PermGroup.from_elements(n, map(Permutation, map(tuple, elements.tolist())))
+                    generators.append(Permutation(found))
+    return PermGroup(n, tuple(generators))
 
 
 @functools.lru_cache(maxsize=8)
@@ -472,7 +454,7 @@ def certified_subgroup(
         cert = None if group is None else EquityCertificate(group, "family_group")
     family_set = frozenset(rule.family)
     if cert is not None and all(
-        _preserves_family(g, family_set) for g in cert.group.generating_set()
+        _preserves_family(g, family_set) for g in cert.group.generators
     ):
         return replace(cert, validated=True)
     if n > factorial_cap:
@@ -553,9 +535,13 @@ def is_cyclic_rule(
     n = rule.n
 
     def holds(cert: EquityCertificate) -> bool:
-        if cert.cycle is not None and cycle_lengths(cert.cycle) == (n,):
+        named = (cert.cycle, *cert.group.generators)
+        if any(g is not None and cycle_lengths(g) == (n,) for g in named):
             return True
-        return cert.group.elements is not None and find_n_cycle(cert.group) is not None
+        try:
+            return find_n_cycle(cert.group) is not None
+        except ClosureOverflow:
+            return False  # too large for a chain: this certificate does not decide
 
     def rotation_probe() -> Optional[EquityCertificate]:
         rot = Permutation.rotation(n)
@@ -633,10 +619,9 @@ def check_sqrt_lower_bound(
         # translates needs 2*size > n
         overlap_ok = 2 * size > n
     else:
-        group = cert.group
-        if group.elements is None:
-            group = generate_closure(n, group.generators)
-        overlap_ok = all(verify_intersecting_set(group, w) for w in search.witnesses)
+        overlap_ok = all(
+            verify_intersecting_set(cert.group, w) for w in search.witnesses
+        )
     return {
         "n": n,
         "min_size": size,

@@ -114,7 +114,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 _CAP_KEYS = ("scan", "factorial", "budget")
 # At scan=15, --equity --k 2 --cyclic --min-coalition --pivotality ternary
 # took 12 s on LongestRun(15) and 208 MiB peak RSS on Majority(15), on
-# 2 cores; each degree above triples both.
+# 2 cores; each degree above triples both. The automorphism search builds
+# the 3^n table too, so factorial has the same limit.
 SCAN_CAP_LIMIT = 15
 
 
@@ -131,8 +132,9 @@ def _parse_caps(raw: Optional[str]) -> dict[str, int]:
         if key not in _CAP_KEYS:
             raise ValueError(f"unknown cap {key!r}, known: {', '.join(_CAP_KEYS)}")
         caps[key] = int(value)
-    if caps.get("scan", 0) > SCAN_CAP_LIMIT:
-        raise ValueError(f"cap scan={caps['scan']} exceeds the limit {SCAN_CAP_LIMIT}")
+    for key in ("scan", "factorial"):
+        if caps.get(key, 0) > SCAN_CAP_LIMIT:
+            raise ValueError(f"cap {key}={caps[key]} exceeds the limit {SCAN_CAP_LIMIT}")
     return caps
 
 

@@ -8,12 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import ClosureOverflow, PermGroup, Permutation
+from .perms import PermGroup, Permutation, check_group_entries
 from .rules import CoalitionRule, make_coalition_rule
-
-# order x degree of the largest induced group built: admits PGL(2,p) up to
-# p = 31 (952,320 entries) and PGL(3,3) (73,008), refuses PGL(3,5)
-MAX_GROUP_ENTRIES = 1 << 20
 
 
 def is_prime(p: int) -> bool:
@@ -90,34 +86,6 @@ def build_projective_rule(p: int) -> CoalitionRule:
     )
 
 
-def _matrix_classes(p: int, dim: int) -> np.ndarray:
-    """One invertible matrix per scalar class, int64 of shape (m, dim, dim).
-
-    Each candidate is built directly with its first nonzero entry 1: zeros
-    before that entry, every base-p tail after it, (p^k - 1)/(p - 1)
-    candidates for k = dim^2 entries. The determinant mod p is exact
-    integer arithmetic.
-    """
-    k = dim * dim
-    blocks = []
-    for lead in range(k):
-        tail = k - 1 - lead
-        codes = np.arange(p**tail, dtype=np.int64)
-        block = np.zeros((codes.size, k), dtype=np.int64)
-        block[:, lead] = 1
-        for j in range(tail):
-            block[:, k - 1 - j] = (codes // p**j) % p
-        blocks.append(block)
-    m = np.concatenate(blocks)
-    if dim == 2:
-        a, b, c, d = m.T
-        det = a * d - b * c
-    else:
-        a, b, c, d, e, f, g, h, i = m.T
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return m[det % p != 0].reshape(-1, dim, dim)
-
-
 def _primitive_root(p: int) -> int:
     """The smallest generator of the multiplicative group mod p."""
     return next(
@@ -138,37 +106,30 @@ def _generator_matrices(p: int, dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _induced_group(p: int, dim: int) -> PermGroup:
-    """The matrix group's action on the points, built once per process:
-    every element, sorted by images, and a generating set of 1 + dim(dim-1)
-    elements.
+    """The matrix group's action on the points, built once per process
+    from the action of 1 + dim(dim-1) generating matrices; its chain must
+    give the group's known order, so the action is faithful.
 
     A group whose order times degree exceeds MAX_GROUP_ENTRIES is refused
     before the primality test and before any allocation.
     """
     order = pgl2_order(p) if dim == 2 else pgl3_order(p)
     degree = sum(p**i for i in range(dim))
-    if order * degree > MAX_GROUP_ENTRIES:
-        raise ClosureOverflow(
-            f"PGL({dim},{p}) has {order} elements of degree {degree}; "
-            f"order x degree is limited to {MAX_GROUP_ENTRIES}"
-        )
+    what = f"PGL({dim},{p}) of order {order} on {degree} points"
+    check_group_entries(order * degree, what)
     pts = np.array(projective_points(p, dim=dim), dtype=np.int64)
     weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     # every nonzero multiple s*pt of a point, by its base-p code, names pt
     lookup = np.empty(p**dim, dtype=np.int64)
     scalars = np.arange(1, p, dtype=np.int64)[:, None, None]
     lookup[(scalars * pts % p) @ weights] = np.arange(len(pts))
-
-    def action(mats: np.ndarray) -> list[Permutation]:
-        images = lookup[(np.einsum("mrc,qc->mqr", mats, pts) % p) @ weights]
-        return [Permutation(tuple(row)) for row in images.tolist()]
-
-    perms = action(_matrix_classes(p, dim))
-    if len(set(perms)) != order:
-        raise AssertionError(f"PGL({dim},{p}) induced {len(set(perms))} elements")
-    elements = tuple(sorted(perms, key=lambda g: g.images))
-    gens = tuple(action(_generator_matrices(p, dim)))
-    return PermGroup(n=len(pts), generators=gens, elements=elements)
+    vectors = np.einsum("mrc,qc->mqr", _generator_matrices(p, dim), pts)
+    images = lookup[(vectors % p) @ weights]
+    gens = tuple(Permutation(tuple(row)) for row in images.tolist())
+    group = PermGroup(len(pts), gens)
+    if group.order != order:
+        raise AssertionError(f"PGL({dim},{p}) induced {group.order} elements")
+    return group
 
 
 def pgl2_order(p: int) -> int:

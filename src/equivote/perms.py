@@ -1,15 +1,24 @@
-"""Finite permutations and permutation groups via breadth-first closure."""
+"""Finite permutations, and permutation groups given by their generators,
+whose order, elements and n-cycles come from one stabilizer chain (Sims
+1970; Holt, Eick and O'Brien, Handbook of CGT, 2005, section 4.4)."""
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-DEFAULT_MAX_ORDER = 10080  # 2 * 7!
+import numpy as np
+
+# entries in the largest element list (order x degree) or chain: admits
+# PGL(2,31) (952,320 entries) and a cyclic group on up to 1,024 points
+MAX_GROUP_ENTRIES = 1 << 20
 
 
 class ClosureOverflow(ValueError):
-    """Closure enumeration exceeded the allowed group order."""
+    """A group's chain or element list would exceed MAX_GROUP_ENTRIES."""
 
 
 @dataclass(frozen=True)
@@ -77,68 +86,119 @@ def cycle_lengths(p: Permutation) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
+def check_group_entries(entries: int, what: str) -> None:
+    """Refuse a chain or element list before it is built."""
+    if entries > MAX_GROUP_ENTRIES:
+        raise ClosureOverflow(f"{what} needs over {MAX_GROUP_ENTRIES} entries")
+
+
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group given by generators, optionally fully enumerated."""
+    """The permutation group of degree n that the generators generate.
+    Its order, elements and n-cycles come from one stabilizer chain, built
+    on first use."""
 
     n: int
     generators: tuple[Permutation, ...]
-    elements: Optional[tuple[Permutation, ...]] = None
 
     def __post_init__(self) -> None:
         for g in self.generators:
             if g.n != self.n:
                 raise ValueError("generator degree mismatch")
-        if self.elements is not None:
-            for g in self.elements:
-                if g.n != self.n:
-                    raise ValueError("element degree mismatch")
+
+    @functools.cached_property
+    def _chain(self) -> tuple[np.ndarray, ...]:
+        return _stabilizer_chain(self.n, self.generators)
 
     @property
-    def order(self) -> Optional[int]:
-        return None if self.elements is None else len(self.elements)
+    def order(self) -> int:
+        return math.prod(map(len, self._chain))
 
-    @classmethod
-    def from_elements(cls, n: int, elements: Iterable[Permutation]) -> "PermGroup":
-        els = tuple(sorted(set(elements), key=lambda p: p.images))
-        return cls(n=n, generators=els, elements=els)
+    @functools.cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted by images."""
+        order = self.order
+        check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
+        (rows,) = _element_blocks(self.n, self._chain, order)
+        points = list(range(self.n))  # every element shares these int objects
+        return tuple(
+            Permutation(tuple(map(points.__getitem__, row.tolist())))
+            for row in rows[np.lexsort(rows.T[::-1])]
+        )
 
-    def generating_set(self) -> tuple[Permutation, ...]:
-        if self.generators:
-            return self.generators
-        if self.elements:
-            return self.elements
-        return (Permutation.identity(self.n),)
+
+def _stabilizer_chain(
+    n: int, generators: Iterable[Permutation]
+) -> tuple[np.ndarray, ...]:
+    """The transversals of a stabilizer chain on the base 0..n-1, by
+    deterministic Schreier-Sims. Level i, kept when its orbit has more
+    than one point, has one row per orbit point b: an element that fixes
+    0..i-1 and maps i to b, the identity first.
+
+    The chain is built again, with one more strong generator, until every
+    Schreier generator of every level sifts through the levels below.
+    """
+    identity = np.arange(n)
+
+    def level(g: np.ndarray) -> int:
+        moved = np.flatnonzero(g != identity)
+        return int(moved[0]) if moved.size else n
+
+    def sift(h: np.ndarray) -> Optional[np.ndarray]:
+        while (i := level(h)) < n:
+            u = reps.get(i, {}).get(int(h[i]))
+            if u is None:
+                return h
+            h = np.argsort(u)[h]  # u^-1 after h fixes 0..i
+        return None
+
+    strong = [(level(g), g) for g in (np.array(p.images) for p in generators)]
+    while True:
+        reps: dict[int, dict[int, np.ndarray]] = {}
+        for i in sorted({lv for lv, _ in strong if lv < n}):
+            level_reps = reps[i] = {i: identity}
+            frontier = [i]
+            for x in frontier:  # breadth first: the list grows while it is read
+                for lv, g in strong:
+                    y = int(g[x])
+                    if lv >= i and y not in level_reps:
+                        entries = n * (1 + sum(map(len, reps.values())))
+                        check_group_entries(entries, f"a chain of degree {n}")
+                        level_reps[y] = g[level_reps[x]]
+                        frontier.append(y)
+        # u_{s(b)}^-1 s u_b fixes 0..i
+        schreier = (
+            np.argsort(level_reps[int(s[b])])[s[u]]
+            for i, level_reps in reversed(reps.items())
+            for b, u in level_reps.items()
+            for lv, s in strong
+            if lv >= i
+        )
+        residue = next((r for r in map(sift, schreier) if r is not None), None)
+        if residue is None:
+            return tuple(np.array(list(r.values())) for r in reps.values())
+        strong.append((level(residue), residue))
 
 
-def generate_closure(
-    n: int,
-    generators: Iterable[Permutation],
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> PermGroup:
-    """BFS product closure of the generators, identity always included."""
-    gens = tuple(generators)
-    for g in gens:
-        if g.n != n:
-            raise ValueError("generator degree mismatch")
-    seen: set[Permutation] = {Permutation.identity(n)}
-    seen.update(gens)
-    if len(seen) > max_order:
-        raise ClosureOverflow(f"order exceeds {max_order}")
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                c = compose(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-                    if len(seen) > max_order:
-                        raise ClosureOverflow(f"order exceeds {max_order}")
-        frontier = fresh
-    elements = tuple(sorted(seen, key=lambda p: p.images))
-    return PermGroup(n=n, generators=gens or elements, elements=elements)
+def _element_blocks(
+    n: int, chain: Sequence[np.ndarray], rows: int
+) -> Iterator[np.ndarray]:
+    """Every element once, as the products u_0 u_1 ... of one row per
+    level, in blocks of at most `rows` rows (the deepest levels multiplied
+    out, the others walked one product at a time)."""
+    levels = list(chain)
+    tail = np.arange(n)[None, :]
+    while levels and len(tail) * len(levels[-1]) <= rows:
+        tail = levels.pop()[:, tail].reshape(-1, n)  # u after each tail row
+    for picks in itertools.product(*levels):
+        yield functools.reduce(lambda g, h: g[h], picks, np.arange(n))[tail]
+
+
+def generate_closure(n: int, generators: Iterable[Permutation]) -> PermGroup:
+    """The group the generators generate, its chain built (or refused) now."""
+    group = PermGroup(n=n, generators=tuple(generators))
+    group.order  # builds the chain
+    return group
 
 
 def symmetric_generators(n: int) -> tuple[Permutation, ...]:
@@ -152,13 +212,12 @@ def orbit(group: PermGroup, point: int) -> frozenset[int]:
     """Points reachable from point under the group's generators."""
     if not 0 <= point < group.n:
         raise ValueError("point out of range")
-    gens = group.generating_set()
     seen = {point}
     frontier = [point]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
+            for g in group.generators:
                 y = g.images[x]
                 if y not in seen:
                     seen.add(y)
@@ -175,14 +234,13 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
     target = 1
     for i in range(k):
         target *= group.n - i
-    gens = group.generating_set()
     start = tuple(range(k))
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for tup in frontier:
-            for g in gens:
+            for g in group.generators:
                 img = tuple(g.images[x] for x in tup)
                 if img not in seen:
                     seen.add(img)
@@ -194,18 +252,26 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
 
 
 def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
-    """An element that is a single n-cycle, if the enumerated group has one."""
-    if group.elements is None:
-        raise ValueError("n-cycle search requires an enumerated group")
-    for g in group.elements:
-        if cycle_lengths(g) == (group.n,):
-            return g
+    """An element that is a single n-cycle, if the group has one. The
+    chain's elements are walked block by block, whatever the order, unless
+    the group is not transitive."""
+    n = group.n
+    if len(orbit(group, 0)) < n:
+        return None
+    for block in _element_blocks(n, group._chain, MAX_GROUP_ENTRIES // n):
+        # a row is an n-cycle iff its path from 0 first returns after n steps
+        rows = np.arange(len(block))
+        point = np.zeros(len(block), dtype=np.intp)
+        cyclic = np.ones(len(block), dtype=bool)
+        for _ in range(n - 1):
+            point = block[rows, point]
+            cyclic &= point != 0
+        if cyclic.any():
+            return Permutation(tuple(block[np.argmax(cyclic)].tolist()))
     return None
 
 
 def iter_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of degree n in lexicographic order."""
-    import itertools
-
     for images in itertools.permutations(range(n)):
         yield Permutation(images)

@@ -15,8 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .geometry import MAX_GROUP_ENTRIES, pgl2_elements
-from .perms import ClosureOverflow, PermGroup, Permutation, generate_closure
+from .geometry import pgl2_elements
+from .perms import PermGroup, Permutation, generate_closure
 from .rules import CoalitionRule, make_coalition_rule
 
 MAX_ATTEMPTS = 64
@@ -41,8 +41,6 @@ class IntersectingSet:
 
 def verify_intersecting_set(group: PermGroup, points) -> bool:
     """Re-check translate overlap, written independently of the search loop."""
-    if group.elements is None:
-        raise ValueError("verification needs enumerated group elements")
     pts = frozenset(points)
     return all(
         not pts.isdisjoint(frozenset(g.images[v] for v in pts))
@@ -59,8 +57,6 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
     stream. Success is confirmed twice, by the search predicate and by an
     independent pass.
     """
-    if group.elements is None:
-        raise ValueError("construction needs enumerated group elements")
     n = group.n
     m = group.order
     if m <= 2:
@@ -93,20 +89,11 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
 
 
 def group_from_descriptor(desc: dict) -> PermGroup:
-    """Rebuild an enumerated group from its serializable description.
-
-    A group whose order times degree exceeds MAX_GROUP_ENTRIES raises
-    ClosureOverflow before it is built.
-    """
+    """Rebuild a group from its serializable description; one too large
+    for its stabilizer chain raises ClosureOverflow."""
     kind = desc.get("kind")
     if kind == "cyclic":
-        n = desc["n"]
-        if n * n > MAX_GROUP_ENTRIES:
-            raise ClosureOverflow(
-                f"cyclic group of order {n} on {n} points: order x degree "
-                f"is limited to {MAX_GROUP_ENTRIES}"
-            )
-        return generate_closure(n, [Permutation.rotation(n)])
+        return generate_closure(desc["n"], [Permutation.rotation(desc["n"])])
     if kind == "pgl2":
         return pgl2_elements(desc["p"])
     raise ValueError(f"unknown group descriptor {kind!r}")
@@ -114,8 +101,6 @@ def group_from_descriptor(desc: dict) -> PermGroup:
 
 def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
     """All translates of the member set, deduplicated."""
-    if group.elements is None:
-        raise ValueError("orbit needs enumerated group elements")
     seen = {frozenset(g.images[v] for v in members) for g in group.elements}
     return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 
@@ -144,7 +129,7 @@ def build_rule_from_group(
         },
     )
     family_set = frozenset(rule.family)
-    for g in group.generating_set():
+    for g in group.generators:
         mapped = {frozenset(g.images[v] for v in member) for member in family_set}
         if mapped != family_set:
             raise AssertionError("group generator does not permute the family")

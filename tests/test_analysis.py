@@ -375,12 +375,19 @@ def test_oversized_provenance_group_gives_none(provenance, n):
     assert analysis._group_from_provenance(provenance, n) is None
 
 
-def test_cyclic_provenance_is_its_rotation():
+def _no_chain(monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("built a stabilizer chain")
+
+    monkeypatch.setattr("equivote.perms._stabilizer_chain", no_chain)
+
+
+def test_cyclic_provenance_is_its_rotation(monkeypatch):
     # a cyclic group of any degree is named by its rotation, never enumerated
+    _no_chain(monkeypatch)
     prov = {"kind": "group_orbit", "group": {"kind": "cyclic", "n": 20_000}}
     group = analysis._group_from_provenance(prov, 20_000)
     assert group.generators == (Permutation.rotation(20_000),)
-    assert group.elements is None
 
 
 @pytest.mark.parametrize(
@@ -491,11 +498,8 @@ def test_is_k_equitable():
 
 
 def test_is_k_equitable_closure_errors(monkeypatch):
-    # k-equity walks tuples under the certificate's generators: no closure
-    def no_closure(*args, **kwargs):
-        raise AssertionError("closed a group")
-
-    monkeypatch.setattr(analysis, "generate_closure", no_closure)
+    # k-equity walks tuples under the certificate's generators: no chain
+    _no_chain(monkeypatch)
     assert is_k_equitable(LongestRun(5), 1) is True
     assert is_k_equitable(LongestRun(5), 2) is False  # exhaustive fallback
     assert is_k_equitable(CCC(2, 3), 1) is True
@@ -515,6 +519,23 @@ def test_is_cyclic_rule():
     assert is_cyclic_rule(Dictatorship(5)) is False
     assert is_cyclic_rule(chair(4)) is False
     assert is_cyclic_rule(Dictatorship(13)) is None
+
+
+def test_cyclic_verdict_when_a_certificate_is_too_large_for_a_chain():
+    # each certificate's chain would need n*n > 2^20 transversal entries;
+    # a refused chain leaves the verdict to the later steps
+    n, k = 1030, 33
+    base = set(range(k)) | set(range(0, n, k))  # meets each of its rotations
+    family = {frozenset((v + s) % n for v in base) for s in range(n)}
+    prov = {"kind": "group_orbit", "group": {"kind": "cyclic", "n": n}}
+    assert is_cyclic_rule(make_coalition_rule(n, family, provenance=prov)) is True
+    assert is_cyclic_rule(CCC(34, 32)) is None  # grid shifts, gcd 2: no n-cycle
+
+
+def test_large_groups_are_never_listed():
+    assert automorphism_group(Majority(10), cap=10).order == 3628800
+    # Dictatorship(10) has 9! automorphisms, none of them a 10-cycle
+    assert is_cyclic_rule(Dictatorship(10), factorial_cap=10) is False
 
 
 def brute_pivot(rule, dist):

@@ -211,6 +211,18 @@ def test_analyze_refuses_scan_cap_above_limit(capsys, tmp_path):
     assert json.loads(out)["caps"]["scan"] == SCAN_CAP_LIMIT
 
 
+def test_analyze_refuses_factorial_cap_above_limit(capsys, tmp_path):
+    maj5 = make_rule(capsys, tmp_path, "maj5.rule", "--type", "majority", "--n", "5")
+    request = ["analyze", "--rule", maj5, "--aut-order", "--format", "machine"]
+    for value in (SCAN_CAP_LIMIT + 1, 30):
+        rc, out, err = run(capsys, *request, "--caps", f"factorial={value}")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and f"factorial={value} exceeds the limit" in err
+    rc, out, _ = run(capsys, *request, "--caps", f"factorial={SCAN_CAP_LIMIT}")
+    assert rc == 0
+    assert json.loads(out)["aut_order"] == 120
+
+
 def test_analyze_has_no_budget_option(capsys, tmp_path):
     rule = make_rule(capsys, tmp_path, "m5.rule", "--type", "majority", "--n", "5")
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,13 @@
+import math
+
 import pytest
-from hypothesis import given
+from closure_oracle import bfs_closure
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equivote import perms as perms_module
+from equivote.analysis import automorphism_group
+from equivote.geometry import build_projective_rule, pgl2_elements, pgl3_elements
 from equivote.perms import (
     ClosureOverflow,
     PermGroup,
@@ -16,9 +22,17 @@ from equivote.perms import (
     orbit,
     symmetric_generators,
 )
+from equivote.rules import CCC, LongestRun, uniform_grd
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im)))
+)
+
+generator_sets = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im))),
+        max_size=3,
+    ).map(lambda gens: (n, tuple(gens)))
 )
 
 
@@ -83,9 +97,19 @@ def test_closure_cyclic():
     }
 
 
-def test_closure_overflow():
-    with pytest.raises(ClosureOverflow):
-        generate_closure(5, symmetric_generators(5), max_order=10)
+def test_closure_overflow(monkeypatch):
+    # Sym(5) has a chain of 5+4+3+2 transversal rows of degree 5, and
+    # 120 elements of degree 5
+    monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", 14 * 5 - 1)
+    with pytest.raises(ClosureOverflow, match="degree 5"):
+        generate_closure(5, symmetric_generators(5))
+    monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", 14 * 5)
+    group = generate_closure(5, symmetric_generators(5))
+    assert group.order == 120
+    with pytest.raises(ClosureOverflow, match="120 elements of degree 5"):
+        group.elements
+    monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", 120 * 5)
+    assert len(group.elements) == 120
 
 
 def test_closure_identity_only():
@@ -103,7 +127,7 @@ KLEIN = (
 
 
 def test_klein_group():
-    group = PermGroup.from_elements(4, KLEIN)
+    group = PermGroup(4, KLEIN)
     assert group.order == 4
     assert is_k_transitive(group, 1)
     assert not is_k_transitive(group, 2)
@@ -128,7 +152,7 @@ def test_orbits():
 def test_orbit_stabilizer_sizes():
     for group in (
         generate_closure(4, symmetric_generators(4)),
-        PermGroup.from_elements(4, KLEIN),
+        PermGroup(4, KLEIN),
         generate_closure(6, [Permutation.rotation(6)]),
     ):
         for point in range(group.n):
@@ -136,29 +160,24 @@ def test_orbit_stabilizer_sizes():
             assert len(orbit(group, point)) * fixing == group.order
 
 
-def test_stabilizer_requires_elements():
+def test_generator_only_group_finds_its_n_cycle():
     lazy = PermGroup(n=4, generators=(Permutation.rotation(4),))
     # k-transitivity walks tuples under the generators alone
     assert is_k_transitive(lazy, 1)
     assert not is_k_transitive(lazy, 2)
-    with pytest.raises(ValueError):
-        find_n_cycle(lazy)
+    # the n-cycle search walks the elements of the group's chain
+    assert cycle_lengths(find_n_cycle(lazy)) == (4,)
 
 
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im))),
-            max_size=3,
-        ).map(lambda gens: (n, tuple(gens)))
-    )
-)
+@given(generator_sets)
 def test_k_transitivity_needs_only_generators(case):
     n, gens = case
     lazy = PermGroup(n=n, generators=gens)
-    closed = generate_closure(n, gens)
+    elements = bfs_closure(n, gens)
     for k in range(1, n + 1):
-        assert is_k_transitive(lazy, k) == is_k_transitive(closed, k)
+        # the orbit of (0..k-1) under every element of the group
+        tuples = {g[:k] for g in elements}
+        assert is_k_transitive(lazy, k) == (len(tuples) == math.perm(n, k))
 
 
 def test_k_transitivity_symmetric():
@@ -183,6 +202,39 @@ def test_find_n_cycle_rotation():
     assert cycle_lengths(got) == (6,)
 
 
-def test_from_elements_dedupes():
-    group = PermGroup.from_elements(3, [Permutation.identity(3)] * 4)
+def test_repeated_generators_dedupe():
+    group = PermGroup(3, (Permutation.identity(3),) * 4)
     assert group.order == 1
+    assert group.elements == (Permutation.identity(3),)
+
+
+def _matches_closure(group):
+    want = bfs_closure(group.n, group.generators)
+    assert group.order == len(want)
+    assert [g.images for g in group.elements] == want
+    has_cycle = any(cycle_lengths(Permutation(g)) == (group.n,) for g in want)
+    assert (find_n_cycle(group) is not None) == has_cycle
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets)
+def test_chain_matches_closure(case):
+    n, gens = case
+    _matches_closure(PermGroup(n, gens))
+
+
+def _catalog_groups():
+    fano = build_projective_rule(2)
+    yield from (LongestRun(n).certificate().group for n in (4, 5, 6, 7))
+    yield uniform_grd((2, 2)).certificate().group
+    yield uniform_grd((3, 3)).certificate().group
+    yield from (CCC(r, c).certificate().group for r, c in ((2, 2), (2, 3), (3, 3)))
+    yield from (pgl2_elements(p) for p in (2, 3, 5, 7))
+    yield pgl3_elements(2)
+    yield automorphism_group(fano)
+    yield automorphism_group(fano, method="coalition_preserving")
+
+
+def test_catalog_chains_match_closure():
+    for group in _catalog_groups():
+        _matches_closure(group)

@@ -5,7 +5,7 @@ import pytest
 
 from equivote import randomized
 from equivote.analysis import certified_subgroup, is_equitable, is_k_equitable
-from equivote.perms import ClosureOverflow, PermGroup, Permutation
+from equivote.perms import ClosureOverflow, PermGroup, Permutation, symmetric_generators
 from equivote.randomized import (
     ConstructionFailed,
     IntersectingSet,
@@ -71,11 +71,15 @@ def test_intersecting_set_rejects_tiny_group():
 
 
 def test_intersecting_set_needs_enumerated_group():
+    # a group given by generators alone is listed from its chain
     lazy = PermGroup(n=5, generators=(Permutation.rotation(5),))
-    with pytest.raises(ValueError):
-        intersecting_set(lazy)
-    with pytest.raises(ValueError):
-        verify_intersecting_set(lazy, (0, 1))
+    assert intersecting_set(lazy) == intersecting_set(cyclic(5))
+    # one too large to list is refused
+    sym12 = PermGroup(n=12, generators=symmetric_generators(12))
+    with pytest.raises(ClosureOverflow, match="479001600 elements of degree 12"):
+        intersecting_set(sym12)
+    with pytest.raises(ClosureOverflow):
+        verify_intersecting_set(sym12, (0, 1))
 
 
 def test_construction_failure_carries_attempts(monkeypatch):
@@ -124,14 +128,18 @@ def test_build_rule_from_group():
             assert frozenset(g.images[v] for v in member) in family
 
 
-def test_built_rule_is_certified_equitable():
+def test_built_rule_is_certified_equitable(monkeypatch):
     rule = build_rule_from_group(cyclic(16), {"kind": "cyclic", "n": 16}, seed=0)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("built a stabilizer chain")
+
+    monkeypatch.setattr("equivote.perms._stabilizer_chain", no_chain)
     cert = certified_subgroup(rule)
     assert cert.kind == "family_group"
     assert cert.validated
     # the provenance names the group by its rotation, with no element list
     assert cert.group.generators == (Permutation.rotation(16),)
-    assert cert.group.elements is None
     assert is_equitable(rule) is True
 
 
