@@ -35,6 +35,7 @@ from .rules import (
     InfeasibleError,
     PROFILE_SCAN_CAP,
     VotingRule,
+    preserves_family,
 )
 from .tables import (
     BATCH_ROWS,
@@ -274,15 +275,6 @@ def grd_recursion_bound(n: int) -> int:
     )
 
 
-def _preserves_family(
-    perm: Permutation, family_set: frozenset[frozenset[int]]
-) -> bool:
-    return all(
-        frozenset(perm.images[v] for v in member) in family_set
-        for member in family_set
-    )
-
-
 Prefix = tuple[int, ...]
 
 
@@ -454,7 +446,7 @@ def certified_subgroup(
         cert = None if group is None else EquityCertificate(group, "family_group")
     family_set = frozenset(rule.family)
     if cert is not None and all(
-        _preserves_family(g, family_set) for g in cert.group.generators
+        preserves_family(g, family_set) for g in cert.group.generators
     ):
         return replace(cert, validated=True)
     if n > factorial_cap:
@@ -477,10 +469,18 @@ def _decide(
     The rule's certificate decides when the property holds on it, then the
     caller's probe when it finds one. Otherwise the exhaustive automorphism
     group decides, as a certificate of kind "exhaustive", when n is within
-    both caps; beyond them the verdict is None with no certificate.
+    both caps; beyond them the verdict is None with no certificate. A
+    certificate whose stabilizer chain is refused for size decides nothing.
     """
+
+    def decides(cert: EquityCertificate) -> Verdict:
+        try:
+            return holds(cert)
+        except ClosureOverflow:
+            return None
+
     cert = certified_subgroup(rule, scan_cap=scan_cap, factorial_cap=factorial_cap)
-    if cert is not None and holds(cert):
+    if cert is not None and decides(cert):
         return True, cert
     probed = probe()
     if probed is not None:
@@ -489,7 +489,7 @@ def _decide(
     if n <= factorial_cap and n <= scan_cap:
         full = automorphism_group(rule, method="exhaustive", cap=factorial_cap)
         exhaustive = EquityCertificate(full, "exhaustive", validated=True)
-        return holds(exhaustive), exhaustive
+        return decides(exhaustive), exhaustive
     return None, None
 
 
@@ -498,7 +498,7 @@ def _k_equity(
 ) -> tuple[Verdict, Optional[EquityCertificate]]:
     if not 1 <= k <= rule.n:
         raise ValueError("k out of range")
-    # under Sym(n) the tuple orbit has n!/(n-k)! members: no walk needed
+    # Sym(n) is n-transitive, and its chain would hold about n^3/2 entries
     return _decide(
         rule,
         lambda cert: cert.kind == "symmetric" or is_k_transitive(cert.group, k),
@@ -538,15 +538,12 @@ def is_cyclic_rule(
         named = (cert.cycle, *cert.group.generators)
         if any(g is not None and cycle_lengths(g) == (n,) for g in named):
             return True
-        try:
-            return find_n_cycle(cert.group) is not None
-        except ClosureOverflow:
-            return False  # too large for a chain: this certificate does not decide
+        return find_n_cycle(cert.group) is not None
 
     def rotation_probe() -> Optional[EquityCertificate]:
         rot = Permutation.rotation(n)
         if (
-            rule.family is not None and _preserves_family(rot, frozenset(rule.family))
+            rule.family is not None and preserves_family(rot, frozenset(rule.family))
         ) or (n <= scan_cap and respects_table(outcome_table(rule), n, rot)):
             group = PermGroup(n=n, generators=(rot,))
             return EquityCertificate(group, "rotation", validated=True, cycle=rot)

@@ -58,8 +58,12 @@ def _parse_int_list(raw: str) -> list[int]:
     raw = raw.strip()
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in raw.split(",") if tok != ""]
+        grid = list(range(int(lo), int(hi) + 1))
+    else:
+        grid = [int(tok) for tok in raw.split(",") if tok != ""]
+    if not grid:
+        raise ValueError(f"empty grid {raw!r}")
+    return grid
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

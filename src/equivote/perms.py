@@ -1,6 +1,8 @@
 """Finite permutations, and permutation groups given by their generators,
-whose order, elements and n-cycles come from one stabilizer chain (Sims
-1970; Holt, Eick and O'Brien, Handbook of CGT, 2005, section 4.4)."""
+whose order, elements, n-cycles and k-transitivity come from one
+stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of CGT,
+2005, section 4.4). Orbits, and so transitivity, come from the generators
+alone."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -95,8 +97,8 @@ def check_group_entries(entries: int, what: str) -> None:
 @dataclass(frozen=True)
 class PermGroup:
     """The permutation group of degree n that the generators generate.
-    Its order, elements and n-cycles come from one stabilizer chain, built
-    on first use."""
+    Its order, elements, n-cycles and k-transitivity for k >= 2 come from
+    one stabilizer chain, built on first use."""
 
     n: int
     generators: tuple[Permutation, ...]
@@ -107,19 +109,19 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
 
     @functools.cached_property
-    def _chain(self) -> tuple[np.ndarray, ...]:
+    def _chain(self) -> dict[int, np.ndarray]:
         return _stabilizer_chain(self.n, self.generators)
 
     @property
     def order(self) -> int:
-        return math.prod(map(len, self._chain))
+        return math.prod(map(len, self._chain.values()))
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
         """Every element, sorted by images."""
         order = self.order
         check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
-        (rows,) = _element_blocks(self.n, self._chain, order)
+        (rows,) = _element_blocks(self.n, self._chain.values(), order)
         points = list(range(self.n))  # every element shares these int objects
         return tuple(
             Permutation(tuple(map(points.__getitem__, row.tolist())))
@@ -129,11 +131,12 @@ class PermGroup:
 
 def _stabilizer_chain(
     n: int, generators: Iterable[Permutation]
-) -> tuple[np.ndarray, ...]:
+) -> dict[int, np.ndarray]:
     """The transversals of a stabilizer chain on the base 0..n-1, by
-    deterministic Schreier-Sims. Level i, kept when its orbit has more
-    than one point, has one row per orbit point b: an element that fixes
-    0..i-1 and maps i to b, the identity first.
+    deterministic Schreier-Sims, keyed by level in increasing order.
+    Level i, kept when its orbit has more than one point, has one row per
+    orbit point b: an element that fixes 0..i-1 and maps i to b, the
+    identity first.
 
     The chain is built again, with one more strong generator, until every
     Schreier generator of every level sifts through the levels below.
@@ -176,12 +179,12 @@ def _stabilizer_chain(
         )
         residue = next((r for r in map(sift, schreier) if r is not None), None)
         if residue is None:
-            return tuple(np.array(list(r.values())) for r in reps.values())
+            return {i: np.array(list(r.values())) for i, r in reps.items()}
         strong.append((level(residue), residue))
 
 
 def _element_blocks(
-    n: int, chain: Sequence[np.ndarray], rows: int
+    n: int, chain: Iterable[np.ndarray], rows: int
 ) -> Iterator[np.ndarray]:
     """Every element once, as the products u_0 u_1 ... of one row per
     level, in blocks of at most `rows` rows (the deepest levels multiplied
@@ -227,28 +230,18 @@ def orbit(group: PermGroup, point: int) -> frozenset[int]:
 
 
 def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Whether ordered k-tuples of distinct points form a single orbit; the
-    orbit under the generators is the orbit under the group."""
-    if not 1 <= k <= group.n:
+    """Whether ordered k-tuples of distinct points form a single orbit: the
+    group is transitive and, for i = 1..k-1, the stabilizer of 0..i-1 maps
+    i to all n-i other points, so its chain level has n-i points (a level
+    the chain omits has one). k = 1 reads the generators alone."""
+    n = group.n
+    if not 1 <= k <= n:
         raise ValueError("k out of range")
-    target = 1
-    for i in range(k):
-        target *= group.n - i
-    start = tuple(range(k))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for tup in frontier:
-            for g in group.generators:
-                img = tuple(g.images[x] for x in tup)
-                if img not in seen:
-                    seen.add(img)
-                    fresh.append(img)
-        frontier = fresh
-        if len(seen) == target:
-            return True
-    return len(seen) == target
+    transitive = len(orbit(group, 0)) == n
+    if k == 1 or not transitive:
+        return transitive
+    sizes = {i: len(level) for i, level in group._chain.items()}
+    return all(sizes.get(i, 1) == n - i for i in range(1, k))
 
 
 def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
@@ -258,7 +251,7 @@ def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
     n = group.n
     if len(orbit(group, 0)) < n:
         return None
-    for block in _element_blocks(n, group._chain, MAX_GROUP_ENTRIES // n):
+    for block in _element_blocks(n, group._chain.values(), MAX_GROUP_ENTRIES // n):
         # a row is an n-cycle iff its path from 0 first returns after n steps
         rows = np.arange(len(block))
         point = np.zeros(len(block), dtype=np.intp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .geometry import pgl2_elements
 from .perms import PermGroup, Permutation, generate_closure
-from .rules import CoalitionRule, make_coalition_rule
+from .rules import CoalitionRule, make_coalition_rule, preserves_family
 
 MAX_ATTEMPTS = 64
 
@@ -129,10 +129,8 @@ def build_rule_from_group(
         },
     )
     family_set = frozenset(rule.family)
-    for g in group.generators:
-        mapped = {frozenset(g.images[v] for v in member) for member in family_set}
-        if mapped != family_set:
-            raise AssertionError("group generator does not permute the family")
+    if not all(preserves_family(g, family_set) for g in group.generators):
+        raise AssertionError("group generator does not permute the family")
     return rule
 
 

@@ -275,6 +275,16 @@ def make_coalition_rule(
     return CoalitionRule(n=n, family=tuple(fam), provenance=provenance)
 
 
+def preserves_family(
+    perm: Permutation, family_set: frozenset[frozenset[int]]
+) -> bool:
+    """Whether perm maps every member of the family onto a member."""
+    return all(
+        frozenset(perm.images[v] for v in member) in family_set
+        for member in family_set
+    )
+
+
 def tree_leaves(tree: GRDTree) -> list[int]:
     if isinstance(tree, int):
         return [tree]

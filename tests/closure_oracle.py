@@ -1,6 +1,9 @@
-"""The breadth-first product closure of a generator set: the reference
-that the stabilizer chain's order, elements and n-cycles are checked
-against."""
+"""Breadth-first walks under a generator set: the product closure, the
+reference for the stabilizer chain's order, elements and n-cycles, and the
+orbit of an ordered k-tuple, the reference for its k-transitivity."""
+
+import math
+
 
 def bfs_closure(n, generators):
     """Every element the generators generate, identity included, as image
@@ -19,3 +22,20 @@ def bfs_closure(n, generators):
         frontier = fresh
     return sorted(seen)
 
+
+def tuple_orbit_is_full(n, generators, k):
+    """Whether the orbit of (0..k-1) under the generators holds every
+    ordered k-tuple of distinct points."""
+    start = tuple(range(k))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for tup in frontier:
+            for g in generators:
+                img = tuple(g.images[x] for x in tup)
+                if img not in seen:
+                    seen.add(img)
+                    fresh.append(img)
+        frontier = fresh
+    return len(seen) == math.perm(n, k)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from equivote.rules import (
     ccc_family,
     make_coalition_rule,
     outcome,
+    preserves_family,
     uniform_grd,
 )
 from equivote.tables import respects_table
@@ -270,7 +272,7 @@ def intersecting_families(draw):
 def test_family_stabilizer_matches_permutation_scan(rule):
     family = frozenset(rule.family)
     perms = iter_permutations(rule.n)
-    want = [p for p in perms if analysis._preserves_family(p, family)]
+    want = [p for p in perms if preserves_family(p, family)]
     stabilizer = automorphism_group(rule, method="coalition_preserving")
     assert list(stabilizer.elements) == want
 
@@ -498,14 +500,20 @@ def test_is_k_equitable():
 
 
 def test_is_k_equitable_closure_errors(monkeypatch):
-    # k-equity walks tuples under the certificate's generators: no chain
-    _no_chain(monkeypatch)
-    assert is_k_equitable(LongestRun(5), 1) is True
+    with monkeypatch.context() as patched:
+        # 1-equity reads the certificate's generators alone: no chain
+        _no_chain(patched)
+        assert is_k_equitable(LongestRun(5), 1) is True
+        assert is_k_equitable(CCC(2, 3), 1) is True
+        # the rotation certifies 1-equity at any degree
+        assert is_k_equitable(LongestRun(12_000), 1) is True
     assert is_k_equitable(LongestRun(5), 2) is False  # exhaustive fallback
-    assert is_k_equitable(CCC(2, 3), 1) is True
-    assert is_k_equitable(LongestRun(4000), 2) is None
-    # the rotation certifies 1-equity at any degree
-    assert is_k_equitable(LongestRun(12_000), 1) is True
+    # the rotation's chain would need n*n > 2^20 entries: it is refused
+    # before it is built, and the certificate does not decide
+    for n in (4000, 12_000):
+        start = time.perf_counter()
+        assert is_k_equitable(LongestRun(n), 2) is None
+        assert time.perf_counter() - start < 2.0
 
 
 def test_is_cyclic_rule():

@@ -311,6 +311,15 @@ def test_verify_bad_grid(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "claim, flag, grid", [("thm1", "--n", "5..4"), ("thm8", "--p", ",")]
+)
+def test_verify_empty_grid_exits_two(capsys, claim, flag, grid):
+    rc, out, err = run(capsys, "verify", claim, flag, grid)
+    assert (rc, out) == (2, "")
+    assert err == f"error: empty grid {grid!r}\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import equivote.cli as cli
 

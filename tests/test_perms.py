@@ -1,7 +1,5 @@
-import math
-
 import pytest
-from closure_oracle import bfs_closure
+from closure_oracle import bfs_closure, tuple_orbit_is_full
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +20,7 @@ from equivote.perms import (
     orbit,
     symmetric_generators,
 )
-from equivote.rules import CCC, LongestRun, uniform_grd
+from equivote.rules import CCC, LongestRun, Majority, uniform_grd
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda im: Permutation(tuple(im)))
@@ -162,10 +160,11 @@ def test_orbit_stabilizer_sizes():
 
 def test_generator_only_group_finds_its_n_cycle():
     lazy = PermGroup(n=4, generators=(Permutation.rotation(4),))
-    # k-transitivity walks tuples under the generators alone
+    # transitivity reads the generators alone
     assert is_k_transitive(lazy, 1)
+    assert "_chain" not in vars(lazy)
+    # 2-transitivity and the n-cycle search read the group's chain
     assert not is_k_transitive(lazy, 2)
-    # the n-cycle search walks the elements of the group's chain
     assert cycle_lengths(find_n_cycle(lazy)) == (4,)
 
 
@@ -173,11 +172,10 @@ def test_generator_only_group_finds_its_n_cycle():
 def test_k_transitivity_needs_only_generators(case):
     n, gens = case
     lazy = PermGroup(n=n, generators=gens)
-    elements = bfs_closure(n, gens)
-    for k in range(1, n + 1):
-        # the orbit of (0..k-1) under every element of the group
-        tuples = {g[:k] for g in elements}
-        assert is_k_transitive(lazy, k) == (len(tuples) == math.perm(n, k))
+    assert is_k_transitive(lazy, 1) == tuple_orbit_is_full(n, gens, 1)
+    assert "_chain" not in vars(lazy)
+    for k in range(2, n + 1):
+        assert is_k_transitive(lazy, k) == tuple_orbit_is_full(n, gens, k)
 
 
 def test_k_transitivity_symmetric():
@@ -229,12 +227,21 @@ def _catalog_groups():
     yield uniform_grd((2, 2)).certificate().group
     yield uniform_grd((3, 3)).certificate().group
     yield from (CCC(r, c).certificate().group for r, c in ((2, 2), (2, 3), (3, 3)))
-    yield from (pgl2_elements(p) for p in (2, 3, 5, 7))
-    yield pgl3_elements(2)
+    yield from (pgl2_elements(p) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+    yield from (pgl3_elements(p) for p in (2, 3))
+    yield from (PermGroup(n, symmetric_generators(n)) for n in (3, 5, 7))
     yield automorphism_group(fano)
     yield automorphism_group(fano, method="coalition_preserving")
+    yield automorphism_group(Majority(6))
 
 
 def test_catalog_chains_match_closure():
     for group in _catalog_groups():
         _matches_closure(group)
+
+
+def test_catalog_k_transitivity_matches_tuple_walk():
+    for group in _catalog_groups():
+        for k in range(1, min(group.n, 4) + 1):
+            want = tuple_orbit_is_full(group.n, group.generators, k)
+            assert is_k_transitive(group, k) == want, (group.n, k)

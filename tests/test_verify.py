@@ -50,3 +50,17 @@ def test_proof_coalition_shape():
         assert got == tuple(sorted(got))
         assert set(range(r)) <= set(got)
         assert len(got) <= 2 * r - 1
+
+
+def test_thm3_one_voter_tree():
+    # the one-voter tree has one minimal coalition, {0}
+    report = verify_claim("thm3", depths=[0])
+    assert report.passed
+    counts = {c.name: c.detail for c in report.checks}
+    assert counts["witness_count_d0"] == "found=1 formula=1"
+
+
+def test_report_with_no_checks_fails():
+    report = verify_claim("thm1", ns=[])
+    assert report.checks == ()
+    assert not report.passed
