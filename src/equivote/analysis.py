@@ -27,6 +27,7 @@ from .perms import (
     is_k_transitive,
     iter_permutations,
     orbit,
+    transitivity,
 )
 from .randomized import verify_intersecting_set
 from .rules import (
@@ -159,20 +160,26 @@ def _scan_size(
     monotone: bool,
     table: Optional[np.ndarray],
     keep: int,
+    prefix: int,
 ) -> list[tuple[int, ...]]:
     """The first `keep` winning size-k subsets, in combination order.
 
-    Subsets are checked block by block. Without a table the rule must be
-    monotone; the caller refuses the rest.
+    Subsets are checked block by block, the first `prefix` of them on their
+    own: the caller vouches that every size-k subset has a translate among
+    them, so when none of them wins, none wins. Without a table the rule
+    must be monotone; the caller refuses the rest.
     """
     combos = itertools.combinations(range(n), k)
-    count = math.comb(n, k)
     weights = 3 ** np.arange(n, dtype=np.int64)
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
     step = BATCH_ROWS // 2
-    for start in range(0, count, step):
-        size = min(step, count - start)
+    start, count = 0, math.comb(n, k)
+    while start < count:
+        if start == prefix and not winners:
+            break
+        size = min(step, (prefix if start < prefix else count) - start)
+        start += size
         block = itertools.chain.from_iterable(itertools.islice(combos, size))
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
         extremal = _extremal_profiles(n, subsets)
@@ -181,11 +188,11 @@ def _scan_size(
         else:
             outcomes = evaluate_batch(rule, extremal)
         for row in subsets[_extremal_wins(outcomes)]:
-            if len(winners) == keep:
-                break
             ms = tuple(row.tolist())
             if monotone or _slab_wins(table, n, ms):
                 winners.append(ms)
+                if len(winners) == keep:
+                    return winners
     return winners
 
 
@@ -198,7 +205,11 @@ def min_winning_coalitions(
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
     lower-bound-only partial result instead of silently truncating. At most
-    WITNESS_LIMIT witnesses are kept, in combination order.
+    WITNESS_LIMIT witnesses are kept, in combination order. An automorphism
+    maps winning coalitions to winning ones, so with a certified group that
+    is t-transitive and s = min(k, t), the size-k subsets that contain
+    0..s-1 decide whether any size-k subset wins. The budget and
+    `subsets_checked` count every subset so decided.
     """
     n = rule.n
     monotone = rule.monotone
@@ -210,6 +221,7 @@ def min_winning_coalitions(
     method = ("direct" if table is None else "table") + (
         "+monotone" if monotone else "+slab"
     )
+    t, _ = _symmetry(rule)
     checked = 0
     for k in range(1, n + 1):
         count_k = math.comb(n, k)
@@ -223,8 +235,11 @@ def min_winning_coalitions(
                 method=method,
                 witnesses_complete=False,
             )
+        s = min(k, t)
         # one winner past the limit tells whether the witness list is complete
-        winners = _scan_size(rule, n, k, monotone, table, WITNESS_LIMIT + 1)
+        winners = _scan_size(
+            rule, n, k, monotone, table, WITNESS_LIMIT + 1, math.comb(n - s, k - s)
+        )
         checked += count_k
         if winners:
             complete = len(winners) <= WITNESS_LIMIT
@@ -457,6 +472,34 @@ def certified_subgroup(
     return EquityCertificate(stabilizer, "family_stabilizer", validated=True)
 
 
+def _symmetry(rule: VotingRule) -> tuple[int, tuple[int, ...]]:
+    """The transitivity level t of the rule's certified group, and each
+    voter's orbit representative: the smallest voter of its orbit.
+
+    A profile rule's own certificate is exact by construction and is not
+    checked against the outcome table here; a coalition rule's comes from
+    `certified_subgroup`, which checks that it preserves the family. With
+    no certificate t = 0 and each voter is its own orbit. Sym(n) gives
+    t = n with no chain built, and a transitive group whose chain is
+    refused for size gives t = 1.
+    """
+    n = rule.n
+    cert = rule.certificate() if rule.family is None else certified_subgroup(rule)
+    if cert is None:
+        return 0, tuple(range(n))
+    if cert.kind == "symmetric":
+        return n, (0,) * n
+    reps = list(range(n))
+    for v in range(n):
+        if reps[v] == v:  # no smaller voter's orbit holds v
+            for w in orbit(cert.group, v):
+                reps[w] = v
+    try:
+        return transitivity(cert.group), tuple(reps)
+    except ClosureOverflow:  # only a transitive group builds its chain
+        return 1, tuple(reps)
+
+
 def _decide(
     rule: VotingRule,
     holds: Callable[[EquityCertificate], bool],
@@ -561,28 +604,35 @@ def pivotality(
 
     Exact rational counts under the uniform distribution over {-1,+1}^n
     ("binary", refused above PIVOT_BINARY_CAP) or over {-1,0,+1}^n
-    ("ternary", a table scan refused above scan_cap).
+    ("ternary", a table scan refused above scan_cap). An automorphism maps
+    the distribution to itself, so one voter per orbit of the certified
+    group is counted and its value copied to the rest of its orbit.
     """
     n = rule.n
     if distribution == "ternary":
         if n > scan_cap:
             raise InfeasibleError(f"3^{n} scan exceeds cap {scan_cap}")
         table = outcome_table(rule)
+        _, reps = _symmetry(rule)
         # the others' profiles where voter v's three votes do not all give
         # one outcome; pivotality does not depend on v's own vote
-        swings = (np.ptp(voter_outcomes(table, n, v), axis=0) for v in range(n))
-        return tuple(Fraction(np.count_nonzero(s), 3 ** (n - 1)) for s in swings)
+        swings = {
+            v: np.count_nonzero(np.ptp(voter_outcomes(table, n, v), axis=0))
+            for v in set(reps)
+        }
+        return tuple(Fraction(swings[r], 3 ** (n - 1)) for r in reps)
     if distribution != "binary":
         raise ValueError(f"unknown distribution {distribution!r}")
     if n > PIVOT_BINARY_CAP:
         raise InfeasibleError(f"2^{n} scan exceeds cap {PIVOT_BINARY_CAP}")
+    _, reps = _symmetry(rule)
     counts = np.zeros(n, dtype=np.int64)
     voters = np.arange(n, dtype=np.int64)
     for lo in range(0, 2**n, BATCH_ROWS):
         codes = np.arange(lo, min(lo + BATCH_ROWS, 2**n), dtype=np.int64)
         votes = ((codes[:, None] >> voters & 1) * 2 - 1).astype(np.int8)
         own = evaluate_batch(rule, votes)
-        for v in range(n):
+        for v in set(reps):
             vote = votes[:, v].copy()
             votes[:, v] = 0
             pivotal = evaluate_batch(rule, votes) != own
@@ -590,7 +640,7 @@ def pivotality(
             pivotal |= evaluate_batch(rule, votes) != own
             votes[:, v] = vote
             counts[v] += np.count_nonzero(pivotal)
-    return tuple(Fraction(int(c), 2**n) for c in counts)
+    return tuple(Fraction(int(counts[r]), 2**n) for r in reps)
 
 
 def check_sqrt_lower_bound(

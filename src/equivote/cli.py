@@ -135,7 +135,11 @@ def _parse_caps(raw: Optional[str]) -> dict[str, int]:
         key = key.strip()
         if key not in _CAP_KEYS:
             raise ValueError(f"unknown cap {key!r}, known: {', '.join(_CAP_KEYS)}")
+        if key in caps:
+            raise ValueError(f"cap {key!r} given twice")
         caps[key] = int(value)
+        if caps[key] < 0:
+            raise ValueError(f"cap {key}={caps[key]} is negative")
     for key in ("scan", "factorial"):
         if caps.get(key, 0) > SCAN_CAP_LIMIT:
             raise ValueError(f"cap {key}={caps[key]} exceeds the limit {SCAN_CAP_LIMIT}")

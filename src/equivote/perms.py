@@ -229,19 +229,30 @@ def orbit(group: PermGroup, point: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def is_k_transitive(group: PermGroup, k: int) -> bool:
-    """Whether ordered k-tuples of distinct points form a single orbit: the
-    group is transitive and, for i = 1..k-1, the stabilizer of 0..i-1 maps
-    i to all n-i other points, so its chain level has n-i points (a level
-    the chain omits has one). k = 1 reads the generators alone."""
+def transitivity(group: PermGroup) -> int:
+    """The largest k for which ordered k-tuples of distinct points form a
+    single orbit, 0 when the group is not transitive: 1 plus the number of
+    leading chain levels i = 1, 2, ... whose orbit has n-i points, since
+    level i holds the stabilizer of 0..i-1 acting on i (a level the chain
+    omits has one point)."""
     n = group.n
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    transitive = len(orbit(group, 0)) == n
-    if k == 1 or not transitive:
-        return transitive
+    if len(orbit(group, 0)) < n:
+        return 0
     sizes = {i: len(level) for i, level in group._chain.items()}
-    return all(sizes.get(i, 1) == n - i for i in range(1, k))
+    t = 1
+    while t < n and sizes.get(t, 1) == n - t:
+        t += 1
+    return t
+
+
+def is_k_transitive(group: PermGroup, k: int) -> bool:
+    """Whether ordered k-tuples of distinct points form a single orbit.
+    k = 1 reads the generators alone; k >= 2 reads the chain."""
+    if not 1 <= k <= group.n:
+        raise ValueError("k out of range")
+    if k == 1:
+        return len(orbit(group, 0)) == group.n
+    return transitivity(group) >= k
 
 
 def find_n_cycle(group: PermGroup) -> Optional[Permutation]:

@@ -40,9 +40,10 @@ class IntersectingSet:
 
 
 def verify_intersecting_set(group: PermGroup, points) -> bool:
-    """Re-check translate overlap, written independently of the search loop."""
+    """Re-check translate overlap, written independently of the search loop.
+    A set of every voter is its only translate, and needs no element."""
     pts = frozenset(points)
-    return all(
+    return pts == set(range(group.n)) or all(
         not pts.isdisjoint(frozenset(g.images[v] for v in pts))
         for g in group.elements
     )
@@ -62,8 +63,13 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
     if m <= 2:
         raise ValueError("group order must exceed 2")
     ell = math.ceil(math.sqrt(n) * math.log(m))
+    if ell >= n:
+        # the fixed block alone is every voter, whatever the draws
+        return IntersectingSet(
+            points=tuple(range(n)), ell=ell, attempts=1, group_order=m, certified=True
+        )
     rng = random.Random(seed)
-    base = tuple(range(min(ell, n)))
+    base = tuple(range(ell))
     for attempt in range(1, MAX_ATTEMPTS + 1):
         draws = [rng.randrange(n) for _ in range(ell)]
         point_set = set(base) | set(draws)
@@ -101,6 +107,9 @@ def group_from_descriptor(desc: dict) -> PermGroup:
 
 def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
     """All translates of the member set, deduplicated."""
+    whole = frozenset(range(group.n))
+    if whole == frozenset(members):
+        return (whole,)
     seen = {frozenset(g.images[v] for v in members) for g in group.elements}
     return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 

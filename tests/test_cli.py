@@ -223,6 +223,26 @@ def test_analyze_refuses_factorial_cap_above_limit(capsys, tmp_path):
     assert json.loads(out)["aut_order"] == 120
 
 
+def test_analyze_refuses_negative_and_repeated_caps(capsys, tmp_path):
+    maj5 = make_rule(capsys, tmp_path, "maj5.rule", "--type", "majority", "--n", "5")
+    request = ["analyze", "--rule", maj5, "--min-coalition", "--format", "machine"]
+    for caps, message in (
+        ("budget=-1", "cap budget=-1 is negative"),
+        ("scan=-3", "cap scan=-3 is negative"),
+        ("factorial=-1", "cap factorial=-1 is negative"),
+        ("scan=12,scan=13", "cap 'scan' given twice"),
+        ("budget=5, budget=5", "cap 'budget' given twice"),
+    ):
+        rc, out, err = run(capsys, *request, "--caps", caps)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
+    rc, out, _ = run(capsys, *request, "--caps", "scan=0,budget=0")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["caps"]["scan"], doc["caps"]["budget"]) == (0, 0)
+    assert doc["min_coalition"]["lower_bound"] == 1
+
+
 def test_analyze_has_no_budget_option(capsys, tmp_path):
     rule = make_rule(capsys, tmp_path, "m5.rule", "--type", "majority", "--n", "5")
     with pytest.raises(SystemExit) as exc:

@@ -74,12 +74,31 @@ def test_intersecting_set_needs_enumerated_group():
     # a group given by generators alone is listed from its chain
     lazy = PermGroup(n=5, generators=(Permutation.rotation(5),))
     assert intersecting_set(lazy) == intersecting_set(cyclic(5))
-    # one too large to list is refused
+    # one too large to list is refused: two 100-cycles on 200 points give
+    # 10,000 elements of degree 200, and ell = 131 < 200
+    halves = PermGroup(
+        n=200,
+        generators=(
+            Permutation(tuple([*range(1, 100), 0, *range(100, 200)])),
+            Permutation(tuple([*range(100), *range(101, 200), 100])),
+        ),
+    )
+    with pytest.raises(ClosureOverflow, match="10000 elements of degree 200"):
+        intersecting_set(halves)
     sym12 = PermGroup(n=12, generators=symmetric_generators(12))
     with pytest.raises(ClosureOverflow, match="479001600 elements of degree 12"):
-        intersecting_set(sym12)
-    with pytest.raises(ClosureOverflow):
         verify_intersecting_set(sym12, (0, 1))
+
+
+def test_every_voter_needs_no_element_list():
+    # ell = 70 >= 12 for Sym(12): the fixed block is every voter, which
+    # meets each of its translates, so none of the 12! elements is listed
+    sym12 = PermGroup(n=12, generators=symmetric_generators(12))
+    got = intersecting_set(sym12, seed=3)
+    assert (got.points, got.ell, got.attempts) == (tuple(range(12)), 70, 1)
+    assert verify_intersecting_set(sym12, range(12))
+    assert orbit_family(sym12, range(12)) == (frozenset(range(12)),)
+    assert "elements" not in vars(sym12)
 
 
 def test_construction_failure_carries_attempts(monkeypatch):

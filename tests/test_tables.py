@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import OrderedDict
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivote import analysis, tables
-from equivote.analysis import is_winning_coalition, min_winning_coalitions, pivotality
+from equivote.analysis import (
+    COALITION_BUDGET,
+    is_winning_coalition,
+    min_winning_coalitions,
+    pivotality,
+)
+from equivote.geometry import build_projective_rule
 from equivote.perms import Permutation, iter_permutations
 from equivote.profiles import (
     VoteProfile,
@@ -26,7 +33,9 @@ from equivote.rules import (
     Majority,
     make_coalition_rule,
     outcome,
+    uniform_grd,
 )
+from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.tables import (
     automorphism_filter,
     evaluate_batch,
@@ -468,3 +477,111 @@ def test_ternary_pivotality_matches_outcome(rule):
     ]
     expected = tuple(Fraction(c, 3**n) for c in counts)
     assert pivotality(rule, distribution="ternary") == expected
+
+
+def _orbit_rule(kind, size, seed):
+    desc = {"kind": "cyclic", "n": size} if kind == "cyclic" else {"kind": "pgl2", "p": size}
+    return build_rule_from_group(group_from_descriptor(desc), desc, seed=seed)
+
+
+# every family at degrees where the full scan is quick, with and without a
+# certified group, transitive or not
+SEARCH_RULES = st.one_of(
+    st.integers(1, 9).map(Majority),
+    st.integers(1, 8).map(LongestRun),
+    dictatorships(max_n=7),
+    grd_rules(max_n=8),
+    st.sampled_from([uniform_grd((3, 3)), uniform_grd((2, 2, 2)), uniform_grd((2, 3))]),
+    st.builds(CCC, st.integers(1, 3), st.integers(1, 3)),
+    coalition_rules(max_n=7),
+    st.builds(_orbit_rule, st.just("cyclic"), st.integers(3, 9), st.integers(0, 3)),
+    st.builds(_orbit_rule, st.just("pgl2"), st.sampled_from([2, 3, 5, 7]), st.just(0)),
+    st.just(build_projective_rule(2)),
+)
+
+
+def _every_voter(rule):
+    """No group: each voter is its own orbit, so every subset is scanned."""
+    return 0, tuple(range(rule.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEARCH_RULES, st.data())
+def test_reduced_search_matches_full_scan(rule, data):
+    n = rule.n
+    # a scan cap below n sends a monotone rule down the direct path
+    scan_cap = data.draw(st.sampled_from([12, n - 1] if rule.monotone else [12]))
+    budget = data.draw(st.one_of(st.just(COALITION_BUDGET), st.integers(0, 2**n)))
+    limit = data.draw(st.sampled_from([3, analysis.WITNESS_LIMIT]))
+    rows = data.draw(st.sampled_from([4, 7, analysis.BATCH_ROWS]))
+    with mock.patch.object(analysis, "WITNESS_LIMIT", limit), mock.patch.object(
+        analysis, "BATCH_ROWS", rows
+    ):
+        got = min_winning_coalitions(rule, budget=budget, scan_cap=scan_cap)
+        with mock.patch.object(analysis, "_symmetry", _every_voter):
+            assert got == min_winning_coalitions(rule, budget=budget, scan_cap=scan_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEARCH_RULES)
+def test_pivotality_per_orbit_matches_every_voter(rule):
+    got = [pivotality(rule, distribution=d) for d in ("binary", "ternary")]
+    with mock.patch.object(analysis, "_symmetry", _every_voter):
+        assert got == [pivotality(rule, distribution=d) for d in ("binary", "ternary")]
+
+
+@pytest.mark.parametrize(
+    "rule, reps",
+    [
+        (Dictatorship(5, 2), (0, 1, 2, 3, 4)),
+        (make_coalition_rule(5, [{0}]), (0, 1, 1, 1, 1)),  # a chair
+        (GRD((0, 1, (2, 3, 4))), (0, 1, 2, 3, 4)),
+    ],
+)
+def test_pivotality_of_rules_without_a_transitive_group(rule, reps):
+    assert analysis._symmetry(rule) == (0, reps)
+    for dist in ("binary", "ternary"):
+        got = pivotality(rule, distribution=dist)
+        with mock.patch.object(analysis, "_symmetry", _every_voter):
+            assert got == pivotality(rule, distribution=dist)
+
+
+def test_symmetry_reads_the_transitivity_of_the_certified_group():
+    assert analysis._symmetry(Majority(7)) == (7, (0,) * 7)
+    assert analysis._symmetry(LongestRun(7)) == (1, (0,) * 7)
+    assert analysis._symmetry(LongestRun(2))[0] == 2  # Sym(2)
+    assert analysis._symmetry(CCC(2, 3))[0] == 1
+    assert analysis._symmetry(build_projective_rule(2))[0] == 2  # PGL(3,2)
+    assert analysis._symmetry(_orbit_rule("pgl2", 5, 0))[0] == 3
+    # a rotation too large for its chain is still transitive
+    assert analysis._symmetry(LongestRun(1100))[0] == 1
+
+
+def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypatch):
+    evaluated = []
+    extremal = analysis._extremal_profiles
+
+    def counting(n, subsets):
+        evaluated.append(len(subsets))
+        return extremal(n, subsets)
+
+    monkeypatch.setattr(analysis, "_extremal_profiles", counting)
+    got = min_winning_coalitions(Majority(13))
+    assert got.subsets_checked == sum(math.comb(13, k) for k in range(1, 8))
+    # Sym(13) decides sizes 1..6 with one subset each; all 1,716 of size 7 win
+    assert sum(evaluated) == 6 + math.comb(13, 7)
+    evaluated.clear()
+    min_winning_coalitions(LongestRun(9))
+    # the rotation is transitive: the subsets that hold voter 0, then size 5
+    assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(1, 5)) + 126
+
+
+def test_coalition_search_never_validates_generators(monkeypatch):
+    # validation scans the whole outcome table once more per generator
+    def refuse(rule):
+        raise AssertionError("validated the certificate's generators")
+
+    monkeypatch.setattr(analysis, "_validated_generators", refuse)
+    assert min_winning_coalitions(LongestRun(12)).min_size == 6
+    for dist in ("binary", "ternary"):
+        assert len(set(pivotality(LongestRun(10), distribution=dist))) == 1
