@@ -41,6 +41,7 @@ from .rules import (
 from .tables import (
     BATCH_ROWS,
     automorphism_filter,
+    binary_voter_outcomes,
     digits,
     evaluate_batch,
     outcome_table,
@@ -476,15 +477,16 @@ def _symmetry(rule: VotingRule) -> tuple[int, tuple[int, ...]]:
     """The transitivity level t of the rule's certified group, and each
     voter's orbit representative: the smallest voter of its orbit.
 
-    A profile rule's own certificate is exact by construction and is not
-    checked against the outcome table here; a coalition rule's comes from
-    `certified_subgroup`, which checks that it preserves the family. With
-    no certificate t = 0 and each voter is its own orbit. Sym(n) gives
-    t = n with no chain built, and a transitive group whose chain is
-    refused for size gives t = 1.
+    The certificate is `certified_subgroup`'s with both caps at 0, so no
+    automorphism search runs: a profile rule's own, exact by construction
+    and not checked against the outcome table here, or the group a
+    coalition rule names, checked to preserve the family. With no
+    certificate t = 0 and each voter is its own orbit. Sym(n) gives t = n
+    with no chain built, and a transitive group whose chain is refused for
+    size gives t = 1.
     """
     n = rule.n
-    cert = rule.certificate() if rule.family is None else certified_subgroup(rule)
+    cert = certified_subgroup(rule, scan_cap=0, factorial_cap=0)
     if cert is None:
         return 0, tuple(range(n))
     if cert.kind == "symmetric":
@@ -604,43 +606,30 @@ def pivotality(
 
     Exact rational counts under the uniform distribution over {-1,+1}^n
     ("binary", refused above PIVOT_BINARY_CAP) or over {-1,0,+1}^n
-    ("ternary", a table scan refused above scan_cap). An automorphism maps
-    the distribution to itself, so one voter per orbit of the certified
-    group is counted and its value copied to the rest of its orbit.
+    ("ternary", a table scan refused above scan_cap). Whatever its own vote,
+    v is pivotal exactly where its three votes do not all give one outcome
+    (a swing), so this is the share of the others' profiles that swing.
+    An automorphism maps the distribution to itself, so one voter per orbit
+    of the certified group is counted and its value copied to the rest.
     """
     n = rule.n
     if distribution == "ternary":
         if n > scan_cap:
             raise InfeasibleError(f"3^{n} scan exceeds cap {scan_cap}")
         table = outcome_table(rule)
-        _, reps = _symmetry(rule)
-        # the others' profiles where voter v's three votes do not all give
-        # one outcome; pivotality does not depend on v's own vote
-        swings = {
-            v: np.count_nonzero(np.ptp(voter_outcomes(table, n, v), axis=0))
-            for v in set(reps)
-        }
-        return tuple(Fraction(swings[r], 3 ** (n - 1)) for r in reps)
-    if distribution != "binary":
+        space, blocks = 3, lambda v: [voter_outcomes(table, n, v)]
+    elif distribution == "binary":
+        if n > PIVOT_BINARY_CAP:
+            raise InfeasibleError(f"2^{n} scan exceeds cap {PIVOT_BINARY_CAP}")
+        space, blocks = 2, functools.partial(binary_voter_outcomes, rule)
+    else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    if n > PIVOT_BINARY_CAP:
-        raise InfeasibleError(f"2^{n} scan exceeds cap {PIVOT_BINARY_CAP}")
     _, reps = _symmetry(rule)
-    counts = np.zeros(n, dtype=np.int64)
-    voters = np.arange(n, dtype=np.int64)
-    for lo in range(0, 2**n, BATCH_ROWS):
-        codes = np.arange(lo, min(lo + BATCH_ROWS, 2**n), dtype=np.int64)
-        votes = ((codes[:, None] >> voters & 1) * 2 - 1).astype(np.int8)
-        own = evaluate_batch(rule, votes)
-        for v in set(reps):
-            vote = votes[:, v].copy()
-            votes[:, v] = 0
-            pivotal = evaluate_batch(rule, votes) != own
-            votes[:, v] = -vote
-            pivotal |= evaluate_batch(rule, votes) != own
-            votes[:, v] = vote
-            counts[v] += np.count_nonzero(pivotal)
-    return tuple(Fraction(int(counts[r]), 2**n) for r in reps)
+    swings = {
+        v: sum(np.count_nonzero(np.ptp(block, axis=0)) for block in blocks(v))
+        for v in set(reps)
+    }
+    return tuple(Fraction(swings[r], space ** (n - 1)) for r in reps)
 
 
 def check_sqrt_lower_bound(
@@ -686,13 +675,6 @@ def assignment_table(rule: VotingRule, assignment: Permutation) -> np.ndarray:
         raise InfeasibleError("assignment comparison exceeds scan cap")
     table = outcome_table(rule)
     return table[permutation_code_map(n, assignment)]
-
-
-def assignments_equivalent(
-    rule: VotingRule, a: Permutation, b: Permutation
-) -> bool:
-    """Whether two voter-to-role assignments induce the same rule on voters."""
-    return bool(np.array_equal(assignment_table(rule, a), assignment_table(rule, b)))
 
 
 def assignment_classes(rule: VotingRule) -> dict[bytes, list[Permutation]]:

@@ -7,8 +7,6 @@ from typing import Iterable, Iterator
 
 from .perms import Permutation, inverse
 
-VOTES = (-1, 0, 1)
-
 
 @dataclass(frozen=True)
 class VoteProfile:

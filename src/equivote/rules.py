@@ -32,6 +32,9 @@ GRDTree = Union[int, tuple]
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
 PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
 CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
+# voters a rule document or a uniform tree may have; above CCC(100, 100)'s
+# 10,000, and low enough that n-sized permutations and orbits stay small
+MAX_DEGREE = 1 << 14
 
 
 class InfeasibleError(ValueError):
@@ -313,7 +316,11 @@ def uniform_branching(tree: GRDTree) -> Optional[tuple[int, ...]]:
 
 
 def uniform_tree(branching: tuple[int, ...]) -> GRDTree:
-    """Build the tree with the given arity at each level, leaves in order."""
+    """Build the tree with the given arity at each level, leaves in order;
+    refused before it is built unless it has 1 to MAX_DEGREE leaves."""
+    leaves = math.prod(branching)
+    if not 1 <= leaves <= MAX_DEGREE:
+        raise ValueError(f"branching gives {leaves} voters, outside 1..{MAX_DEGREE}")
 
     def build(level: int, start: int) -> tuple[GRDTree, int]:
         if level == len(branching):

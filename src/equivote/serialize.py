@@ -18,6 +18,7 @@ from .rules import (
     Dictatorship,
     GRDTree,
     LongestRun,
+    MAX_DEGREE,
     Majority,
     VotingRule,
     make_coalition_rule,
@@ -25,9 +26,6 @@ from .rules import (
 )
 
 FORMAT_VERSION = 1
-# voters a rule document may declare; above CCC(100, 100)'s 10,000, and low
-# enough that n-sized permutations and orbits stay small
-MAX_DEGREE = 1 << 14
 
 
 def canonical_json(obj: Any, indent: int | None = None) -> str:

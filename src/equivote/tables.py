@@ -17,7 +17,7 @@ have all been kept.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,3 +162,23 @@ def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
     d - 1, column j the j-th profile of the other voters."""
     low = slab_unanimous_codes(n, (v,), -1)
     return np.stack([table[low + d * 3**v] for d in range(3)])
+
+
+def binary_voter_outcomes(rule: VotingRule, v: int) -> Iterator[np.ndarray]:
+    """The binary counterpart of `voter_outcomes`, evaluated in blocks of
+    at most BATCH_ROWS columns: row d holds the outcomes with voter v voting
+    d - 1, column j the profile of the other voters whose votes, in voter
+    order, are the bits of j (1 for +1)."""
+    n = rule.n
+    others = [u for u in range(n) if u != v]
+    for lo in range(0, 2 ** (n - 1), BATCH_ROWS):
+        codes = np.arange(lo, min(lo + BATCH_ROWS, 2 ** (n - 1)), dtype=np.int32)
+        # voter-major, so that evaluate_batch hands it to the kernel uncopied
+        ballots = np.empty((n, len(codes)), dtype=np.int8)
+        for bit, u in enumerate(others):
+            ballots[u] = 2 * (codes >> bit & 1) - 1
+        block = np.empty((3, len(codes)), dtype=np.int8)
+        for d in range(3):
+            ballots[v] = d - 1
+            block[d] = evaluate_batch(rule, ballots.T)
+        yield block

@@ -685,7 +685,3 @@ def verify_claim(claim: str, **params) -> VerificationReport:
             f"claim {claim!r} does not accept parameters {sorted(unknown)}"
         )
     return verifier(**params)
-
-
-def verify_all() -> dict[str, VerificationReport]:
-    return {claim: verify_claim(claim) for claim in CLAIM_IDS}

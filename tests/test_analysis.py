@@ -2,6 +2,7 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from equivote.analysis import (
     analyze_rule,
     assignment_classes,
     assignment_table,
-    assignments_equivalent,
     automorphism_group,
     certified_subgroup,
     check_sqrt_lower_bound,
@@ -37,6 +37,7 @@ from equivote.perms import (
     is_k_transitive,
     iter_permutations,
 )
+from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,
     Dictatorship,
@@ -51,6 +52,7 @@ from equivote.rules import (
     uniform_grd,
 )
 from equivote.tables import respects_table
+from rule_strategies import coalition_rules, dictatorships, grd_rules
 
 
 def chair(n=4):
@@ -563,10 +565,34 @@ def brute_pivot(rule, dist):
     return tuple(Fraction(c, len(space) ** n) for c in counts)
 
 
-def test_pivotality_matches_brute_force():
-    for rule in [Majority(3), Dictatorship(3), LongestRun(4)]:
-        for dist in ("binary", "ternary"):
-            assert pivotality(rule, distribution=dist) == brute_pivot(rule, dist)
+def _orbit_rule(desc, seed):
+    return build_rule_from_group(group_from_descriptor(desc), desc, seed=seed)
+
+
+# every family at n <= 6, with and without a transitive certified group
+PIVOT_RULES = st.one_of(
+    st.integers(1, 6).map(Majority),
+    st.integers(1, 6).map(LongestRun),
+    dictatorships(max_n=6),
+    grd_rules(max_n=6),
+    st.builds(CCC, st.integers(1, 2), st.integers(1, 3)),
+    coalition_rules(max_n=6),
+    st.builds(
+        _orbit_rule,
+        st.sampled_from(
+            [{"kind": "cyclic", "n": n} for n in range(3, 7)]
+            + [{"kind": "pgl2", "p": p} for p in (2, 3, 5)]
+        ),
+        st.integers(0, 3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PIVOT_RULES)
+def test_pivotality_matches_brute_force(rule):
+    for dist in ("binary", "ternary"):
+        assert pivotality(rule, distribution=dist) == brute_pivot(rule, dist)
 
 
 def test_pivotality_frozen():
@@ -638,11 +664,12 @@ def test_sqrt_lower_bound_rejects_inequitable():
 
 def test_assignment_tables():
     rule = Dictatorship(4)
-    assert assignments_equivalent(
-        rule, Permutation.identity(4), Permutation.transposition(4, 1, 2)
+    seated = assignment_table(rule, Permutation.identity(4))
+    assert np.array_equal(
+        seated, assignment_table(rule, Permutation.transposition(4, 1, 2))
     )
-    assert not assignments_equivalent(
-        rule, Permutation.identity(4), Permutation.transposition(4, 0, 1)
+    assert not np.array_equal(
+        seated, assignment_table(rule, Permutation.transposition(4, 0, 1))
     )
     with pytest.raises(ValueError):
         assignment_table(rule, Permutation.identity(3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from equivote.analysis import COALITION_BUDGET
 from equivote.cli import SCAN_CAP_LIMIT, main
-from equivote.serialize import load_rule_file
+from equivote.serialize import load_rule_file, loads_rule
 from equivote.verify import CheckResult, VerificationReport
 
 REPO = Path(__file__).resolve().parent.parent
@@ -422,6 +422,31 @@ def test_oversized_groups_exit_two(capsys):
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "argv, voters",
+    [
+        (("construct", "--type", "grd", "--branching", ",".join(["3"] * 14)), 3**14),
+        (("construct", "--type", "grd", "--branching", ",".join(["3"] * 10)), 3**10),
+        (("verify", "thm3", "--depth", "14"), 3**14),
+        # a zero arity below 14 levels of 3s would make 3^14 empty nodes
+        (("construct", "--type", "grd", "--branching", "3," * 14 + "0"), 0),
+    ],
+)
+def test_oversized_trees_exit_two_before_they_are_built(capsys, argv, voters):
+    # a tree of 3^14 leaves takes over 20 s to build
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: branching gives {voters} voters, outside 1..16384\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_largest_uniform_tree_within_the_limit_is_built(capsys):
+    rc, out, _ = run(capsys, "construct", "--type", "grd", "--branching", "2," * 13 + "2")
+    assert rc == 0
+    assert loads_rule(out).n == 2**14  # MAX_DEGREE itself
 
 
 def test_oversized_plane_group_is_capped(capsys, tmp_path):

@@ -11,13 +11,13 @@ from equivote.rules import (
     Dictatorship,
     GRD,
     LongestRun,
+    MAX_DEGREE,
     Majority,
     ccc_family,
     make_coalition_rule,
 )
 from equivote.serialize import (
     FORMAT_VERSION,
-    MAX_DEGREE,
     canonical_json,
     dumps_profile,
     dumps_rule,

@@ -46,45 +46,9 @@ from equivote.tables import (
     voter_outcomes,
 )
 from equivote.verify import equitable_catalog, proof_coalition
+from rule_strategies import coalition_rules, dictatorships, grd_rules
 
 VOTE = st.sampled_from((-1, 0, 1))
-
-
-@st.composite
-def grd_rules(draw, max_n=12):
-    """Recursive majority over a random, generally non-uniform, tree."""
-    n = draw(st.integers(1, max_n))
-    order = draw(st.permutations(range(n)))
-
-    def split(leaves):
-        if len(leaves) == 1:
-            return leaves[0]
-        cuts = sorted(draw(st.sets(st.integers(1, len(leaves) - 1), max_size=3)))
-        if not cuts:
-            return tuple(leaves)
-        bounds = [0, *cuts, len(leaves)]
-        return tuple(split(leaves[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-    return GRD(split(list(order)))
-
-
-@st.composite
-def coalition_rules(draw, max_n=12):
-    """A random pairwise-intersecting family: each drawn member is kept only
-    if it meets every member kept before it."""
-    n = draw(st.integers(1, max_n))
-    member = st.frozensets(st.integers(0, n - 1), min_size=1)
-    kept = [draw(member)]
-    for candidate in draw(st.lists(member, max_size=8)):
-        if all(candidate & m for m in kept):
-            kept.append(candidate)
-    return make_coalition_rule(n, kept)
-
-
-@st.composite
-def dictatorships(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
-    return Dictatorship(n, draw(st.integers(0, n - 1)))
 
 
 RULES = st.one_of(
@@ -534,7 +498,8 @@ def test_pivotality_per_orbit_matches_every_voter(rule):
     "rule, reps",
     [
         (Dictatorship(5, 2), (0, 1, 2, 3, 4)),
-        (make_coalition_rule(5, [{0}]), (0, 1, 1, 1, 1)),  # a chair
+        # a chair: no grid and no provenance, so no group and no search
+        (make_coalition_rule(5, [{0}]), (0, 1, 2, 3, 4)),
         (GRD((0, 1, (2, 3, 4))), (0, 1, 2, 3, 4)),
     ],
 )
@@ -544,6 +509,38 @@ def test_pivotality_of_rules_without_a_transitive_group(rule, reps):
         got = pivotality(rule, distribution=dist)
         with mock.patch.object(analysis, "_symmetry", _every_voter):
             assert got == pivotality(rule, distribution=dist)
+
+
+def test_search_and_pivotality_run_no_automorphism_search(monkeypatch):
+    # the family stabilizer search is governed by the factorial cap alone
+    def refuse(rule, method):
+        raise AssertionError(f"ran the {method} search")
+
+    monkeypatch.setattr(analysis, "_scanned_group", refuse)
+    report = analysis.analyze_rule(
+        make_coalition_rule(5, [{0}]),
+        want_min_coalition=True,
+        pivot_distributions=("binary",),
+        factorial_cap=0,
+    )
+    assert report.equitable == "unknown"
+    assert report.min_coalition["size"] == 1
+    assert report.pivotality == {"binary": ["1", "0", "0", "0", "0"]}
+
+
+def test_binary_pivotality_evaluates_three_votes_per_profile_of_the_others(monkeypatch):
+    evaluated = []
+    batch = LongestRun.batch
+
+    def counting(rule, ballots):
+        evaluated.append(ballots.shape[1])
+        return batch(rule, ballots)
+
+    monkeypatch.setattr(LongestRun, "batch", counting)
+    pivotality(LongestRun(10))
+    # one voter for the transitive rotation: its three votes against each of
+    # the others' 2^9 profiles
+    assert sum(evaluated) == 1536
 
 
 def test_symmetry_reads_the_transitivity_of_the_certified_group():
