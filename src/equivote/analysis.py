@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .geometry import is_prime, pgl2_elements, pgl3_elements
 from .perms import (
     ClosureOverflow,

@@ -6,8 +6,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .perms import PermGroup, Permutation, check_group_entries
 from .rules import CoalitionRule, make_coalition_rule
 

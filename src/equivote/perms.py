@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
+from ._numpy import np
 
 # entries in the largest element list (order x degree) or chain: admits
 # PGL(2,31) (952,320 entries) and a cyclic group on up to 1,024 points

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
+from ._numpy import np
 from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile, votes_from_code
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .perms import Permutation
 from .rules import VotingRule
 
@@ -28,7 +27,6 @@ BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
 
 _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
 _TABLE_CACHE_BYTES = 32 << 20
-_DIGIT_VALUES = np.arange(3, dtype=np.int64)
 
 
 def digits(codes: np.ndarray, n: int) -> np.ndarray:
@@ -94,7 +92,9 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
 def permutation_code_map(n: int, perm: Permutation) -> np.ndarray:
     """codes such that entry c is the code of the perm-relabelled profile."""
     # voter u's digit lands at the place of voter perm(u)
-    return code_sums([_DIGIT_VALUES * 3 ** perm.images[u] for u in range(n)])
+    return code_sums(
+        [np.arange(3, dtype=np.int64) * 3 ** perm.images[u] for u in range(n)]
+    )
 
 
 def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:
@@ -154,7 +154,7 @@ def slab_unanimous_codes(n: int, members: Sequence[int], value: int) -> np.ndarr
     """Codes of every profile where the members all vote value."""
     others = sorted(set(range(n)) - set(members))
     base = sum((value + 1) * 3**v for v in members)
-    return base + code_sums([_DIGIT_VALUES * 3**v for v in others])
+    return base + code_sums([np.arange(3, dtype=np.int64) * 3**v for v in others])
 
 
 def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:

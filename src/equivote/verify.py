@@ -226,10 +226,11 @@ def verify_thm3(depths: Sequence[int] = (1, 2, 3)) -> VerificationReport:
     """Uniform ternary trees: minimal coalitions double with each level."""
     start = time.monotonic()
     checks: list[CheckResult] = []
-    for depth in depths:
+    # every tree is built, or refused as too large, before any depth is checked
+    rules = [uniform_grd((3,) * depth) for depth in depths]
+    for depth, rule in zip(depths, rules):
         n = 3**depth
         expected = 2**depth
-        rule = uniform_grd((3,) * depth)
         structural = grd_min_coalition_structural(rule.tree)
         checks.append(
             _check(

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -443,6 +446,21 @@ def test_oversized_trees_exit_two_before_they_are_built(capsys, argv, voters):
     assert time.perf_counter() - start < 1.0
 
 
+def test_oversized_depth_refused_before_any_depth_is_checked(capsys, monkeypatch):
+    import equivote.verify as verify
+
+    calls = []
+    real = verify.grd_min_coalition_structural
+    monkeypatch.setattr(
+        verify,
+        "grd_min_coalition_structural",
+        lambda tree: calls.append(tree) or real(tree),
+    )
+    rc, out, err = run(capsys, "verify", "thm3", "--depth", "8,14")
+    assert (rc, out, len(calls)) == (2, "", 0)
+    assert err == f"error: branching gives {3**14} voters, outside 1..16384\n"
+
+
 def test_largest_uniform_tree_within_the_limit_is_built(capsys):
     rc, out, _ = run(capsys, "construct", "--type", "grd", "--branching", "2," * 13 + "2")
     assert rc == 0
@@ -536,3 +554,57 @@ def test_eval_rule_documents_fuzzed(tmp_path_factory, doc, votes):
     else:
         assert rc == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Runs the CLI's main in a fresh interpreter (this one has numpy loaded) and
+# prints its exit code and the numpy submodules it imported, as JSON.
+CLI_IMPORTS = """
+import json, sys
+from equivote.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def cli_numpy_modules(cwd, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_IMPORTS, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("eval", "--rule", "maj5.rule", "--profile", "1,1,-1,0,0"),
+        ("construct", "--type", "majority", "--n", "5", "--out", "out.rule"),
+        ("construct", "--type", "longest_run", "--n", "5", "--out", "out.rule"),
+        ("construct", "--type", "dictatorship", "--n", "5", "--out", "out.rule"),
+        ("construct", "--type", "grd", "--branching", "3,3", "--out", "out.rule"),
+        ("construct", "--type", "ccc", "--rows", "3", "--cols", "4", "--out", "out.rule"),
+        ("construct", "--type", "fano", "--p", "2", "--out", "out.rule"),
+    ],
+)
+def test_commands_without_arrays_do_not_load_numpy(tmp_path, argv):
+    (tmp_path / "maj5.rule").write_text('{"format":1,"type":"majority","n":5}')
+    assert cli_numpy_modules(tmp_path, *argv) == [0, []]
+
+
+def test_analysis_loads_numpy(tmp_path):
+    (tmp_path / "maj5.rule").write_text('{"format":1,"type":"majority","n":5}')
+    rc, modules = cli_numpy_modules(tmp_path, "analyze", "--rule", "maj5.rule", "--min-coalition")
+    assert rc == 0
+    assert modules
