@@ -24,7 +24,6 @@ from .perms import (
     cycle_lengths,
     find_n_cycle,
     is_k_transitive,
-    iter_permutations,
     orbit,
     transitivity,
 )
@@ -178,7 +177,11 @@ def _scan_size(
     while start < count:
         if start == prefix and not winners:
             break
-        size = min(step, (prefix if start < prefix else count) - start)
+        end = prefix if start < prefix else count
+        # no more subsets than the winners still needed take at the rate
+        # seen so far: exactly that many where every subset wins
+        per_winner = start // len(winners) if winners else step
+        size = min(step, (keep - len(winners)) * per_winner, end - start)
         start += size
         block = itertools.chain.from_iterable(itertools.islice(combos, size))
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
@@ -682,7 +685,7 @@ def assignment_classes(rule: VotingRule) -> dict[bytes, list[Permutation]]:
     if n > ASSIGNMENT_CAP:
         raise InfeasibleError(f"{n}! assignments exceed cap {ASSIGNMENT_CAP}")
     classes: dict[bytes, list[Permutation]] = {}
-    for a in iter_permutations(n):
+    for a in map(Permutation, itertools.permutations(range(n))):
         classes.setdefault(assignment_table(rule, a).tobytes(), []).append(a)
     return classes
 

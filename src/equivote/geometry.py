@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
-from ._numpy import np
 from .perms import PermGroup, Permutation, check_group_entries
 from .rules import CoalitionRule, make_coalition_rule
 
@@ -92,14 +92,16 @@ def _primitive_root(p: int) -> int:
     )
 
 
-def _generator_matrices(p: int, dim: int) -> np.ndarray:
+def _generator_matrices(p: int, dim: int) -> list[list[list[int]]]:
     """diag(r, 1, ...) for a primitive root r, and every elementary
     transvection I + E_ij: the transvections generate SL(dim, p) and the
     dilation adds every determinant, so together they generate GL(dim, p)."""
-    mats = np.tile(np.eye(dim, dtype=np.int64), (1 + dim * (dim - 1), 1, 1))
-    mats[0, 0, 0] = _primitive_root(p)
-    for m, (i, j) in enumerate(itertools.permutations(range(dim), 2), start=1):
-        mats[m, i, j] = 1
+    root = _primitive_root(p)
+    mats = []
+    for i, j in [(0, 0), *itertools.permutations(range(dim), 2)]:
+        mat = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        mat[i][j] = root if i == j else 1
+        mats.append(mat)
     return mats
 
 
@@ -116,16 +118,14 @@ def _induced_group(p: int, dim: int) -> PermGroup:
     degree = sum(p**i for i in range(dim))
     what = f"PGL({dim},{p}) of order {order} on {degree} points"
     check_group_entries(order * degree, what)
-    pts = np.array(projective_points(p, dim=dim), dtype=np.int64)
-    weights = p ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    # every nonzero multiple s*pt of a point, by its base-p code, names pt
-    lookup = np.empty(p**dim, dtype=np.int64)
-    scalars = np.arange(1, p, dtype=np.int64)[:, None, None]
-    lookup[(scalars * pts % p) @ weights] = np.arange(len(pts))
-    vectors = np.einsum("mrc,qc->mqr", _generator_matrices(p, dim), pts)
-    images = lookup[(vectors % p) @ weights]
-    gens = tuple(Permutation(tuple(row)) for row in images.tolist())
-    group = PermGroup(len(pts), gens)
+    pts = projective_points(p, dim=dim)
+    index = {pt: i for i, pt in enumerate(pts)}
+    gens = []
+    for mat in _generator_matrices(p, dim):
+        # mat sends each point to the class of its matrix-vector product
+        vectors = (tuple(sum(map(operator.mul, row, pt)) for row in mat) for pt in pts)
+        gens.append(Permutation(tuple(index[_canonical(v, p)] for v in vectors)))
+    group = PermGroup(len(pts), tuple(gens))
     if group.order != order:
         raise AssertionError(f"PGL({dim},{p}) induced {group.order} elements")
     return group

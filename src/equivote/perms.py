@@ -2,17 +2,24 @@
 whose order, elements, n-cycles and k-transitivity come from one
 stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of CGT,
 2005, section 4.4). Orbits, and so transitivity, come from the generators
-alone."""
+alone.
+
+The chain and the element listing are tuples of images, composed with
+`operator.itemgetter`, so building and listing a group loads no numpy.
+Only the n-cycle search walks the chain's products as numpy blocks."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ._numpy import np
+
+Images = tuple[int, ...]
 
 # entries in the largest element list (order x degree) or chain: admits
 # PGL(2,31) (952,320 entries) and a cyclic group on up to 1,024 points
@@ -61,7 +68,7 @@ def compose(g: Permutation, h: Permutation) -> Permutation:
     """g after h: the result maps i to g(h(i))."""
     if g.n != h.n:
         raise ValueError("degree mismatch")
-    return Permutation(tuple(g.images[h.images[i]] for i in range(h.n)))
+    return Permutation(_after(g.images, h.images))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -109,7 +116,7 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
 
     @functools.cached_property
-    def _chain(self) -> dict[int, np.ndarray]:
+    def _chain(self) -> dict[int, tuple[Images, ...]]:
         return _stabilizer_chain(self.n, self.generators)
 
     @property
@@ -118,20 +125,25 @@ class PermGroup:
 
     @functools.cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted by images."""
+        """Every element, sorted by images: the products u_0 u_1 ... of one
+        transversal row per level, the deepest level multiplied in first."""
         order = self.order
         check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
-        (rows,) = _element_blocks(self.n, self._chain.values(), order)
-        points = list(range(self.n))  # every element shares these int objects
-        return tuple(
-            Permutation(tuple(map(points.__getitem__, row.tolist())))
-            for row in rows[np.lexsort(rows.T[::-1])]
-        )
+        rows = [tuple(range(self.n))]
+        for level in reversed(self._chain.values()):
+            rows = [_after(u, row) for u in level for row in rows]
+        return tuple(map(Permutation, sorted(rows)))
+
+
+def _after(g: Images, h: Images) -> Images:
+    """g after h: the images g[h[0]], g[h[1]], ...; itemgetter returns a
+    bare item, not a tuple, for a single index."""
+    return operator.itemgetter(*h)(g) if len(h) > 1 else tuple(g[x] for x in h)
 
 
 def _stabilizer_chain(
     n: int, generators: Iterable[Permutation]
-) -> dict[int, np.ndarray]:
+) -> dict[int, tuple[Images, ...]]:
     """The transversals of a stabilizer chain on the base 0..n-1, by
     deterministic Schreier-Sims, keyed by level in increasing order.
     Level i, kept when its orbit has more than one point, has one row per
@@ -140,47 +152,65 @@ def _stabilizer_chain(
 
     The chain is built again, with one more strong generator, until every
     Schreier generator of every level sifts through the levels below.
+    Each row is built beside its inverse, so sifting inverts nothing. Every
+    image tuple holds the int objects of `identity`, so comparing one with
+    it compares pointers.
     """
-    identity = np.arange(n)
+    identity = tuple(range(n))
 
-    def level(g: np.ndarray) -> int:
-        moved = np.flatnonzero(g != identity)
-        return int(moved[0]) if moved.size else n
+    def level(g: Images) -> int:
+        if g == identity:
+            return n
+        moved = itertools.compress(itertools.count(), map(operator.ne, g, identity))
+        return next(moved)
 
-    def sift(h: np.ndarray) -> Optional[np.ndarray]:
+    def invert(g: Images) -> Images:
+        return tuple(sorted(identity, key=g.__getitem__))
+
+    def sift(h: Images) -> Optional[Images]:
         while (i := level(h)) < n:
-            u = reps.get(i, {}).get(int(h[i]))
+            u = reps.get(i, {}).get(h[i])
             if u is None:
                 return h
-            h = np.argsort(u)[h]  # u^-1 after h fixes 0..i
+            h = _after(u[1], h)  # u^-1 after h fixes 0..i
         return None
 
-    strong = [(level(g), g) for g in (np.array(p.images) for p in generators)]
+    def schreier() -> Iterator[Images]:
+        """u_{s(b)}^-1 s u_b, which fixes 0..i, for each level i, orbit point
+        b and strong generator s that fixes 0..i-1, deepest level first. One
+        that is the identity, because s u_b is u_{s(b)}, sifts through and
+        is skipped."""
+        for i, level_reps in reversed(reps.items()):
+            for b, (u, _) in level_reps.items():
+                for lv, s, _ in strong:
+                    if lv >= i:
+                        w, w_inv = level_reps[s[b]]
+                        if (su := _after(s, u)) != w:
+                            yield _after(w_inv, su)
+
+    images = (_after(identity, p.images) for p in generators)
+    strong = [(level(g), g, invert(g)) for g in images]
     while True:
-        reps: dict[int, dict[int, np.ndarray]] = {}
-        for i in sorted({lv for lv, _ in strong if lv < n}):
-            level_reps = reps[i] = {i: identity}
+        # level -> orbit point b -> (u_b, u_b^-1)
+        reps: dict[int, dict[int, tuple[Images, Images]]] = {}
+        rows = 0
+        for i in sorted({lv for lv, _, _ in strong if lv < n}):
+            level_reps = reps[i] = {i: (identity, identity)}
+            rows += 1
             frontier = [i]
             for x in frontier:  # breadth first: the list grows while it is read
-                for lv, g in strong:
-                    y = int(g[x])
+                u, u_inv = level_reps[x]
+                for lv, g, g_inv in strong:
+                    y = g[x]
                     if lv >= i and y not in level_reps:
-                        entries = n * (1 + sum(map(len, reps.values())))
-                        check_group_entries(entries, f"a chain of degree {n}")
-                        level_reps[y] = g[level_reps[x]]
+                        check_group_entries(n * (rows + 1), f"a chain of degree {n}")
+                        rows += 1
+                        level_reps[y] = (_after(g, u), _after(u_inv, g_inv))
                         frontier.append(y)
-        # u_{s(b)}^-1 s u_b fixes 0..i
-        schreier = (
-            np.argsort(level_reps[int(s[b])])[s[u]]
-            for i, level_reps in reversed(reps.items())
-            for b, u in level_reps.items()
-            for lv, s in strong
-            if lv >= i
-        )
-        residue = next((r for r in map(sift, schreier) if r is not None), None)
+        residue = next((r for r in map(sift, schreier()) if r is not None), None)
         if residue is None:
-            return {i: np.array(list(r.values())) for i, r in reps.items()}
-        strong.append((level(residue), residue))
+            return {i: tuple(u for u, _ in r.values()) for i, r in reps.items()}
+        strong.append((level(residue), residue, invert(residue)))
 
 
 def _element_blocks(
@@ -262,7 +292,8 @@ def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
     n = group.n
     if len(orbit(group, 0)) < n:
         return None
-    for block in _element_blocks(n, group._chain.values(), MAX_GROUP_ENTRIES // n):
+    levels = (np.asarray(level) for level in group._chain.values())
+    for block in _element_blocks(n, levels, MAX_GROUP_ENTRIES // n):
         # a row is an n-cycle iff its path from 0 first returns after n steps
         rows = np.arange(len(block))
         point = np.zeros(len(block), dtype=np.intp)
@@ -273,9 +304,3 @@ def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
         if cyclic.any():
             return Permutation(tuple(block[np.argmax(cyclic)].tolist()))
     return None
-
-
-def iter_permutations(n: int) -> Iterator[Permutation]:
-    """All n! permutations of degree n in lexicographic order."""
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)

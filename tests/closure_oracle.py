@@ -1,8 +1,18 @@
 """Breadth-first walks under a generator set: the product closure, the
 reference for the stabilizer chain's order, elements and n-cycles, and the
-orbit of an ordered k-tuple, the reference for its k-transitivity."""
+orbit of an ordered k-tuple, the reference for its k-transitivity. Also
+every permutation of a degree, the reference for a full symmetric group."""
 
+import itertools
 import math
+
+from equivote.perms import Permutation
+
+
+def iter_permutations(n):
+    """All n! permutations of degree n in lexicographic order."""
+    for images in itertools.permutations(range(n)):
+        yield Permutation(images)
 
 
 def bfs_closure(n, generators):

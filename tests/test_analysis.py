@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from closure_oracle import iter_permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +32,7 @@ from equivote.analysis import (
     verdict_str,
 )
 from equivote.geometry import build_projective_rule, projective_plane
-from equivote.perms import (
-    Permutation,
-    cycle_lengths,
-    is_k_transitive,
-    iter_permutations,
-)
+from equivote.perms import Permutation, cycle_lengths, is_k_transitive
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,

@@ -596,6 +596,9 @@ def cli_numpy_modules(cwd, *argv):
         ("construct", "--type", "grd", "--branching", "3,3", "--out", "out.rule"),
         ("construct", "--type", "ccc", "--rows", "3", "--cols", "4", "--out", "out.rule"),
         ("construct", "--type", "fano", "--p", "2", "--out", "out.rule"),
+        ("construct", "--type", "group_orbit", "--group", "cyclic", "--n", "12", "--seed", "0",
+         "--out", "out.rule"),
+        ("construct", "--type", "group_orbit", "--group", "pgl2", "--p", "13", "--out", "out.rule"),
     ],
 )
 def test_commands_without_arrays_do_not_load_numpy(tmp_path, argv):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from closure_oracle import bfs_closure, tuple_orbit_is_full
+from closure_oracle import bfs_closure, iter_permutations, tuple_orbit_is_full
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +21,6 @@ from equivote.perms import (
     generate_closure,
     inverse,
     is_k_transitive,
-    iter_permutations,
     orbit,
     symmetric_generators,
 )
@@ -245,3 +249,35 @@ def test_catalog_k_transitivity_matches_tuple_walk():
         for k in range(1, min(group.n, 4) + 1):
             want = tuple_orbit_is_full(group.n, group.generators, k)
             assert is_k_transitive(group, k) == want, (group.n, k)
+
+
+# Builds groups in a fresh interpreter (this one has numpy loaded) and prints
+# the numpy submodules that were imported.
+GROUP_IMPORTS = """
+import sys
+from equivote.geometry import pgl2_elements
+from equivote.perms import Permutation, generate_closure, transitivity
+cyclic = generate_closure(1000, [Permutation.rotation(1000)])
+print(len(cyclic.elements), transitivity(cyclic), pgl2_elements(31).order)
+print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+"""
+
+
+def test_group_construction_does_not_load_numpy():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", GROUP_IMPORTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines() == ["1000 1 29760", "[]"]
+
+
+def test_pgl2_31_has_an_n_cycle():
+    # a Singer cycle, from a generator of GF(p^2)*, is one cycle on the p + 1 points
+    assert cycle_lengths(find_n_cycle(pgl2_elements(31))) == (32,)

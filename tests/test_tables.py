@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from closure_oracle import iter_permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from equivote.analysis import (
     pivotality,
 )
 from equivote.geometry import build_projective_rule
-from equivote.perms import Permutation, iter_permutations
+from equivote.perms import Permutation
 from equivote.profiles import (
     VoteProfile,
     all_profiles,
@@ -571,6 +572,35 @@ def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypa
     min_winning_coalitions(LongestRun(9))
     # the rotation is transitive: the subsets that hold voter 0, then size 5
     assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(1, 5)) + 126
+    evaluated.clear()
+    got = min_winning_coalitions(Majority(19))
+    # every size-10 subset wins; blocks stop at the WITNESS_LIMIT + 1 winners kept
+    assert sum(evaluated) == 9 + analysis.WITNESS_LIMIT + 1
+    combos = itertools.combinations(range(19), 10)
+    assert got.witnesses == tuple(itertools.islice(combos, analysis.WITNESS_LIMIT))
+
+
+def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
+    # 171 of the 1,140 size-3 subsets hold voter 19, spread through the
+    # order; a block sized to the winners still needed alone would shrink
+    # to one subset at the end
+    sizes = []
+    extremal = analysis._extremal_profiles
+
+    def counting(n, subsets):
+        sizes.append(subsets.shape)
+        return extremal(n, subsets)
+
+    monkeypatch.setattr(analysis, "_extremal_profiles", counting)
+    monkeypatch.setattr(analysis, "WITNESS_LIMIT", 19)
+    monkeypatch.setattr(analysis, "BATCH_ROWS", 64)  # blocks of 32 subsets
+    pairs = itertools.combinations(range(19), 2)
+    rule = make_coalition_rule(20, ({a, b, 19} for a, b in pairs))
+    got = min_winning_coalitions(rule)
+    assert got.witnesses == tuple((0, a, 19) for a in range(1, 19)) + ((1, 2, 19),)
+    assert not got.witnesses_complete
+    # 19 of the first 192 subsets win, so the 20th is looked for at that rate
+    assert [rows for rows, k in sizes if k == 3] == [32] * 6 + [192 // 19] * 2
 
 
 def test_coalition_search_never_validates_generators(monkeypatch):
