@@ -43,9 +43,9 @@ from .tables import (
     digits,
     evaluate_batch,
     outcome_table,
-    permutation_code_map,
+    relabel_table,
     respects_table,
-    slab_unanimous_codes,
+    slab,
     voter_outcomes,
 )
 
@@ -145,11 +145,9 @@ class MinCoalitionSearch:
 
 
 def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
-    neg = slab_unanimous_codes(n, ms, -1)
-    # the members' digits go from 0 to 2 on the +1 slab
-    if not np.all(table[neg + 2 * sum(3**v for v in ms)] == 1):
+    if not np.all(slab(table, n, ms, 1) == 1):
         return False
-    return bool(np.all(table[neg] == -1))
+    return bool(np.all(slab(table, n, ms, -1) == -1))
 
 
 def _scan_size(
@@ -354,7 +352,7 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
         table = outcome_table(rule)
         # how often each outcome comes with each of the voter's three votes
         invariants = [
-            [np.bincount(row + 1, minlength=3).tolist() for row in rows]
+            [[np.count_nonzero(row == x) for x in (-1, 0, 1)] for row in rows]
             for rows in (voter_outcomes(table, n, v) for v in range(n))
         ]
         admits = functools.partial(automorphism_filter, table, n)
@@ -675,8 +673,7 @@ def assignment_table(rule: VotingRule, assignment: Permutation) -> np.ndarray:
         raise ValueError("assignment degree mismatch")
     if n > PROFILE_SCAN_CAP:
         raise InfeasibleError("assignment comparison exceeds scan cap")
-    table = outcome_table(rule)
-    return table[permutation_code_map(n, assignment)]
+    return relabel_table(outcome_table(rule), n, assignment)
 
 
 def assignment_classes(rule: VotingRule) -> dict[bytes, list[Permutation]]:

@@ -24,12 +24,11 @@ from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 from ._numpy import np
 from .perms import PermGroup, Permutation, compose, symmetric_generators
-from .profiles import VoteProfile, votes_from_code
+from .profiles import VoteProfile
 
 GRDTree = Union[int, tuple]
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
-PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
 CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
 # voters a rule document or a uniform tree may have; above CCC(100, 100)'s
 # 10,000, and low enough that n-sized permutations and orbits stay small
@@ -532,18 +531,14 @@ def is_neutral(rule: VotingRule) -> bool:
 
 
 def is_symmetric(rule: VotingRule) -> bool:
-    """The outcome depends only on the vote tally."""
-    from .tables import code_sums, outcome_table
+    """The outcome depends only on the vote tally: it is invariant under
+    every relabelling, so under the generators of the symmetric group."""
+    from .tables import outcome_table, respects_table
 
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
-    # tally = (+1 votes) * (n + 1) + (-1 votes), one voter at a time
-    tally = code_sums([np.array([1, 0, n + 1], dtype=np.int64)] * n)
-    seen = np.zeros(((n + 1) ** 2, 3), dtype=bool)
-    seen[tally, table + 1] = True
-    # the outcome is a function of the tally iff no tally has two outcomes
-    return bool(np.all(seen.sum(axis=1) <= 1))
+    return all(respects_table(table, n, g) for g in symmetric_generators(n))
 
 
 def is_positively_responsive(rule: VotingRule) -> bool:
@@ -560,35 +555,3 @@ def is_positively_responsive(rule: VotingRule) -> bool:
         if np.any((below >= 0) & (above != 1)) or np.any((above <= 0) & (below != -1)):
             return False
     return True
-
-
-def is_positively_responsive_by_pairs(rule: VotingRule) -> bool:
-    """Oracle over all comparable profile pairs; kept separate from the
-    single-step scan so the two can cross-check each other."""
-    n = rule.n
-    if n > PAIR_ORACLE_CAP:
-        raise InfeasibleError(f"pair oracle limited to n<={PAIR_ORACLE_CAP}")
-    profiles = [votes_from_code(c, n) for c in range(3**n)]
-    results = [outcome(rule, p) for p in profiles]
-    for i, a in enumerate(profiles):
-        for j, b in enumerate(profiles):
-            if i == j:
-                continue
-            if all(x >= y for x, y in zip(a, b)):
-                if results[j] >= 0 and results[i] != 1:
-                    return False
-                if results[i] <= 0 and results[j] != -1:
-                    return False
-    return True
-
-
-def is_monotone(rule: VotingRule) -> bool:
-    """Weak coordinatewise monotonicity of the outcome, by table scan."""
-    from .tables import outcome_table, voter_outcomes
-
-    n = rule.n
-    _require_scan(n)
-    table = outcome_table(rule)
-    return all(
-        np.all(np.diff(voter_outcomes(table, n, v), axis=0) >= 0) for v in range(n)
-    )

@@ -1,4 +1,4 @@
-"""Canonical JSON interchange for rules, profiles, and reports.
+"""Canonical JSON interchange for rules and reports.
 
 Serialized forms carry a format version and sort all keys, so equal objects
 always produce byte-identical documents.
@@ -11,7 +11,6 @@ import json
 from typing import Any
 
 from .analysis import AnalysisReport
-from .profiles import VoteProfile
 from .rules import (
     CCC,
     GRD,
@@ -134,24 +133,6 @@ def dumps_rule(rule: VotingRule, indent: int | None = 2) -> str:
 
 def loads_rule(text: str) -> VotingRule:
     return rule_from_dict(json.loads(text))
-
-
-def profile_to_dict(phi: VoteProfile) -> dict:
-    return {"format": FORMAT_VERSION, "votes": list(phi.votes)}
-
-
-def profile_from_dict(doc: dict) -> VoteProfile:
-    if doc.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format {doc.get('format')!r}")
-    return VoteProfile.of(doc["votes"])
-
-
-def dumps_profile(phi: VoteProfile, indent: int | None = 2) -> str:
-    return canonical_json(profile_to_dict(phi), indent=indent)
-
-
-def loads_profile(text: str) -> VoteProfile:
-    return profile_from_dict(json.loads(text))
 
 
 def report_to_dict(report: AnalysisReport) -> dict:

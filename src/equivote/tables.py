@@ -5,8 +5,11 @@ a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes
 in row blocks of at most BATCH_ROWS, handing each block, voter-major, to
 the numpy kernel the rule class carries (`rule.batch`).
 The table of a degree-n rule is its value on every base-3 profile code (voter
-v's vote plus one is the digit of weight 3^v); the axiom, automorphism and
-winningness scans reduce to code arithmetic on it, with no digit matrix kept.
+v's vote plus one is the digit of weight 3^v), so it is also an n-axis
+3 x 3 x ... x 3 array whose axis v is voter v's vote, and this module alone
+knows that layout: relabelling voters transposes the axes, a coalition's
+unanimous slab fixes the members' axes, and one voter's outcomes over the
+others' profiles move that voter's axis to the front.
 The automorphism search extends permutations one voter at a time:
 `automorphism_filter` checks each prefix of images on the profiles it is
 the first to decide, those where every voter it leaves free votes alike,
@@ -44,16 +47,6 @@ def digits(codes: np.ndarray, n: int) -> np.ndarray:
     return out.T
 
 
-def code_sums(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """For every code over len(rows) voters, in code order, the sum over
-    voters u of rows[u][d_u], where d_u is voter u's digit."""
-    acc = np.zeros(1, dtype=np.int64)
-    # voter 0 is the lowest digit, so it is added last and varies fastest
-    for row in reversed(rows):
-        acc = (acc[:, None] + row).ravel()
-    return acc
-
-
 def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
     """Outcome of the rule on each row of an (m, n) vote matrix, as int8[m]."""
     votes = np.asarray(votes, dtype=np.int8)
@@ -89,18 +82,22 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     return table
 
 
-def permutation_code_map(n: int, perm: Permutation) -> np.ndarray:
-    """codes such that entry c is the code of the perm-relabelled profile."""
-    # voter u's digit lands at the place of voter perm(u)
-    return code_sums(
-        [np.arange(3, dtype=np.int64) * 3 ** perm.images[u] for u in range(n)]
-    )
+def _cube(table: np.ndarray, n: int) -> np.ndarray:
+    """The table as an n-axis view whose axis v is voter v's digit; voter 0
+    is the lowest digit, so the axes run in Fortran order."""
+    return table.reshape((3,) * n, order="F")
+
+
+def relabel_table(table: np.ndarray, n: int, perm: Permutation) -> np.ndarray:
+    """The table after relabelling voters by perm: entry c is the outcome
+    of profile c with voter u's vote moved to voter perm(u)."""
+    return _cube(table, n).transpose(perm.images).flatten(order="F")
 
 
 def respects_table(table: np.ndarray, n: int, perm: Permutation) -> bool:
     """Whether relabelling voters by perm leaves every outcome unchanged."""
-    mapped = permutation_code_map(n, perm)
-    return bool(np.array_equal(table[mapped], table))
+    cube = _cube(table, n)
+    return bool(np.array_equal(cube.transpose(perm.images), cube))
 
 
 def automorphism_filter(
@@ -150,18 +147,20 @@ def automorphism_filter(
     return [prefixes[k] for k in live]
 
 
-def slab_unanimous_codes(n: int, members: Sequence[int], value: int) -> np.ndarray:
-    """Codes of every profile where the members all vote value."""
-    others = sorted(set(range(n)) - set(members))
-    base = sum((value + 1) * 3**v for v in members)
-    return base + code_sums([np.arange(3, dtype=np.int64) * 3**v for v in others])
+def slab(table: np.ndarray, n: int, members: Iterable[int], value: int) -> np.ndarray:
+    """A view of the outcomes of every profile where the members all vote
+    value, one axis per other voter."""
+    index: list = [slice(None)] * n
+    for v in members:
+        index[v] = value + 1
+    return _cube(table, n)[tuple(index)]
 
 
 def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
     """Shape (3, 3^(n-1)): row d holds the outcomes with voter v voting
     d - 1, column j the j-th profile of the other voters."""
-    low = slab_unanimous_codes(n, (v,), -1)
-    return np.stack([table[low + d * 3**v] for d in range(3)])
+    # code = (higher voters) * 3^(v+1) + d * 3^v + (lower voters)
+    return table.reshape(3 ** (n - 1 - v), 3, 3**v).transpose(1, 0, 2).reshape(3, -1)
 
 
 def binary_voter_outcomes(rule: VotingRule, v: int) -> Iterator[np.ndarray]:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +28,8 @@ from equivote.rules import (
     eval_longest_run,
     eval_majority,
     evaluate,
-    is_monotone,
     is_neutral,
     is_positively_responsive,
-    is_positively_responsive_by_pairs,
     is_symmetric,
     make_coalition_rule,
     outcome,
@@ -41,7 +40,38 @@ from equivote.rules import (
     uniform_tree,
 )
 from equivote.geometry import build_projective_rule
-from equivote.tables import outcome_table, permutation_code_map, respects_table
+from equivote.tables import outcome_table, relabel_table, respects_table, voter_outcomes
+
+PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
+
+
+def is_monotone(rule):
+    """Weak coordinatewise monotonicity of the outcome, by table scan."""
+    n = rule.n
+    table = outcome_table(rule)
+    return all(
+        np.all(np.diff(voter_outcomes(table, n, v), axis=0) >= 0) for v in range(n)
+    )
+
+
+def is_positively_responsive_by_pairs(rule):
+    """Oracle over all comparable profile pairs; kept separate from the
+    single-step scan so the two can cross-check each other."""
+    n = rule.n
+    if n > PAIR_ORACLE_CAP:
+        raise InfeasibleError(f"pair oracle limited to n<={PAIR_ORACLE_CAP}")
+    profiles = [votes_from_code(c, n) for c in range(3**n)]
+    results = [outcome(rule, p) for p in profiles]
+    for i, a in enumerate(profiles):
+        for j, b in enumerate(profiles):
+            if i == j:
+                continue
+            if all(x >= y for x, y in zip(a, b)):
+                if results[j] >= 0 and results[i] != 1:
+                    return False
+                if results[i] <= 0 and results[j] != -1:
+                    return False
+    return True
 
 
 def test_sign():
@@ -333,8 +363,10 @@ def test_table_matches_direct_evaluation():
 def test_code_map_matches_profile_action(code, images):
     perm = Permutation(tuple(images))
     phi = VoteProfile(votes_from_code(code, 5))
-    mapped = permutation_code_map(5, perm)[code]
-    assert mapped == profile_code(apply_to_profile(perm, phi))
+    # the codes themselves as a table, so each entry names its profile
+    table = np.arange(3**5)
+    relabelled = relabel_table(table, 5, perm)
+    assert relabelled[code] == table[profile_code(apply_to_profile(perm, phi))]
 
 
 def test_declared_automorphisms_respect_tables():

@@ -4,7 +4,6 @@ import pytest
 
 from equivote.analysis import AnalysisReport, analyze_rule
 from equivote.geometry import build_projective_rule
-from equivote.profiles import VoteProfile
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,
@@ -19,13 +18,9 @@ from equivote.rules import (
 from equivote.serialize import (
     FORMAT_VERSION,
     canonical_json,
-    dumps_profile,
     dumps_rule,
     load_rule_file,
-    loads_profile,
     loads_rule,
-    profile_from_dict,
-    profile_to_dict,
     report_to_dict,
     rule_from_dict,
     rule_to_dict,
@@ -130,14 +125,6 @@ def test_bad_documents_rejected():
 def test_malformed_documents_name_the_field(doc, field):
     with pytest.raises(ValueError, match=field):
         rule_from_dict(doc)
-
-
-def test_profile_roundtrip():
-    phi = VoteProfile.of((1, 0, -1, 1))
-    assert loads_profile(dumps_profile(phi)) == phi
-    assert profile_to_dict(phi) == {"format": FORMAT_VERSION, "votes": [1, 0, -1, 1]}
-    with pytest.raises(ValueError):
-        profile_from_dict({"format": 0, "votes": [1]})
 
 
 def test_report_to_dict_drops_empty_fields():

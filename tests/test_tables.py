@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from closure_oracle import iter_permutations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivote import analysis, tables
@@ -32,6 +32,7 @@ from equivote.rules import (
     Dictatorship,
     LongestRun,
     Majority,
+    is_symmetric,
     make_coalition_rule,
     outcome,
     uniform_grd,
@@ -41,9 +42,9 @@ from equivote.tables import (
     automorphism_filter,
     evaluate_batch,
     outcome_table,
-    permutation_code_map,
+    relabel_table,
     respects_table,
-    slab_unanimous_codes,
+    slab,
     voter_outcomes,
 )
 from equivote.verify import equitable_catalog, proof_coalition
@@ -377,21 +378,25 @@ def test_chain_search_finds_the_stabilizer_of_one_profile():
 
 
 # Brute-force oracles over `profiles.all_profiles` and the scalar `outcome`
-# for the code arithmetic in `tables`.
+# for the views and transposes of the table in `tables`. A table that holds
+# its own codes shows which profile each entry of a view reads.
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.permutations(range(n))))
-def test_permutation_code_map_matches_profile_action(images):
+def test_relabel_table_matches_profile_action(images):
     perm = Permutation(tuple(images))
     n = perm.n
-    expected = [profile_code(apply_to_profile(perm, phi)) for phi in all_profiles(n)]
-    assert permutation_code_map(n, perm).tolist() == expected
+    table = np.arange(3**n)
+    expected = [
+        table[profile_code(apply_to_profile(perm, phi))] for phi in all_profiles(n)
+    ]
+    assert relabel_table(table, n, perm).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_slab_unanimous_codes_match_profiles(data):
+def test_slab_holds_the_unanimous_profiles(data):
     n = data.draw(st.integers(1, 5))
     members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     value = data.draw(VOTE)
@@ -400,13 +405,33 @@ def test_slab_unanimous_codes_match_profiles(data):
         for phi in all_profiles(n)
         if all(phi.votes[v] == value for v in members)
     ]
-    assert slab_unanimous_codes(n, sorted(members), value).tolist() == expected
+    got = slab(np.arange(3**n), n, sorted(members), value)
+    assert got.ndim == n - len(members)
+    assert sorted(got.ravel().tolist()) == expected
 
 
-def test_slab_unanimous_codes_with_no_free_voter():
+def test_slab_with_no_free_voter():
     for value in (-1, 0, 1):
         phi = VoteProfile((value,) * 4)
-        assert slab_unanimous_codes(4, range(4), value).tolist() == [profile_code(phi)]
+        got = slab(np.arange(3**4), 4, range(4), value)
+        assert got.ravel().tolist() == [profile_code(phi)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(filter_tables())
+@example((1, np.array([1, 0, -1], dtype=np.int8)))
+# invariant under the rotation alone, and under the transposition (0 1) alone
+@example((5, outcome_table(LongestRun(5))))
+@example((3, outcome_table(Dictatorship(3, dictator=2))))
+def test_is_symmetric_matches_tally_definition(case):
+    n, table = case
+    tallies = {}
+    for phi in all_profiles(n):
+        tally = (phi.votes.count(1), phi.votes.count(-1))
+        tallies.setdefault(tally, set()).add(int(table[profile_code(phi)]))
+    with mock.patch.object(tables, "outcome_table", lambda rule: table):
+        got = is_symmetric(Majority(n))
+    assert got == all(len(seen) == 1 for seen in tallies.values())
 
 
 @settings(max_examples=60, deadline=None)
