@@ -43,7 +43,7 @@ from .perms import (
     is_k_transitive,
     orbit,
 )
-from .profiles import VoteProfile, all_profiles, apply_to_profile
+from .profiles import VoteProfile
 from .randomized import (
     ConstructionFailed,
     IntersectingSet,
@@ -94,9 +94,7 @@ __all__ = [
     "VerificationReport",
     "VoteProfile",
     "VotingRule",
-    "all_profiles",
     "analyze_rule",
-    "apply_to_profile",
     "assignment_classes",
     "automorphism_group",
     "build_3_equitable_rule",

@@ -4,9 +4,9 @@ stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of CGT,
 2005, section 4.4). Orbits, and so transitivity, come from the generators
 alone.
 
-The chain and the element listing are tuples of images, composed with
-`operator.itemgetter`, so building and listing a group loads no numpy.
-Only the n-cycle search walks the chain's products as numpy blocks."""
+The chain and its elements are tuples of images, composed with
+`operator.itemgetter`, so no group work loads numpy. One lazy walk over the
+chain yields the elements; the listing and the n-cycle search both read it."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
-
-from ._numpy import np
 
 Images = tuple[int, ...]
 
@@ -71,13 +69,6 @@ def compose(g: Permutation, h: Permutation) -> Permutation:
     return Permutation(_after(g.images, h.images))
 
 
-def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
-    for i, img in enumerate(p.images):
-        images[img] = i
-    return Permutation(tuple(images))
-
-
 def cycle_lengths(p: Permutation) -> tuple[int, ...]:
     """Sorted lengths of the cycles of p."""
     seen = [False] * p.n
@@ -124,21 +115,35 @@ class PermGroup:
         return math.prod(map(len, self._chain.values()))
 
     @functools.cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted by images: the products u_0 u_1 ... of one
-        transversal row per level, the deepest level multiplied in first."""
+    def elements(self) -> tuple[Images, ...]:
+        """Every element as its images, in walk order; refused by order x
+        degree before any is built."""
         order = self.order
         check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
-        rows = [tuple(range(self.n))]
-        for level in reversed(self._chain.values()):
-            rows = [_after(u, row) for u in level for row in rows]
-        return tuple(map(Permutation, sorted(rows)))
+        return tuple(self.walk())
+
+    def walk(self) -> Iterator[Images]:
+        """Every element once, lazily: the products u_0 u_1 ... of one
+        transversal row per level, the rows of the deepest level varying
+        fastest. The identity comes first, since each level's first row is
+        the identity."""
+        elements: Iterator[Images] = iter([tuple(range(self.n))])
+        for level in self._chain.values():
+            elements = _times(elements, level)
+        return elements
 
 
 def _after(g: Images, h: Images) -> Images:
     """g after h: the images g[h[0]], g[h[1]], ...; itemgetter returns a
     bare item, not a tuple, for a single index."""
     return operator.itemgetter(*h)(g) if len(h) > 1 else tuple(g[x] for x in h)
+
+
+def _times(prefixes: Iterator[Images], level: tuple[Images, ...]) -> Iterator[Images]:
+    """Each prefix after each row of the level, the rows varying fastest."""
+    for g in prefixes:
+        for u in level:
+            yield _after(g, u)
 
 
 def _stabilizer_chain(
@@ -213,20 +218,6 @@ def _stabilizer_chain(
         strong.append((level(residue), residue, invert(residue)))
 
 
-def _element_blocks(
-    n: int, chain: Iterable[np.ndarray], rows: int
-) -> Iterator[np.ndarray]:
-    """Every element once, as the products u_0 u_1 ... of one row per
-    level, in blocks of at most `rows` rows (the deepest levels multiplied
-    out, the others walked one product at a time)."""
-    levels = list(chain)
-    tail = np.arange(n)[None, :]
-    while levels and len(tail) * len(levels[-1]) <= rows:
-        tail = levels.pop()[:, tail].reshape(-1, n)  # u after each tail row
-    for picks in itertools.product(*levels):
-        yield functools.reduce(lambda g, h: g[h], picks, np.arange(n))[tail]
-
-
 def generate_closure(n: int, generators: Iterable[Permutation]) -> PermGroup:
     """The group the generators generate, its chain built (or refused) now."""
     group = PermGroup(n=n, generators=tuple(generators))
@@ -286,21 +277,17 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
 
 
 def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
-    """An element that is a single n-cycle, if the group has one. The
-    chain's elements are walked block by block, whatever the order, unless
-    the group is not transitive."""
+    """An element that is a single n-cycle, if the group has one: the first
+    in walk order, whatever the group's order, unless the group is not
+    transitive. An element is an n-cycle iff its path from 0 first returns
+    after n steps."""
     n = group.n
     if len(orbit(group, 0)) < n:
         return None
-    levels = (np.asarray(level) for level in group._chain.values())
-    for block in _element_blocks(n, levels, MAX_GROUP_ENTRIES // n):
-        # a row is an n-cycle iff its path from 0 first returns after n steps
-        rows = np.arange(len(block))
-        point = np.zeros(len(block), dtype=np.intp)
-        cyclic = np.ones(len(block), dtype=bool)
-        for _ in range(n - 1):
-            point = block[rows, point]
-            cyclic &= point != 0
-        if cyclic.any():
-            return Permutation(tuple(block[np.argmax(cyclic)].tolist()))
+    for g in group.walk():
+        point, steps = g[0], 1
+        while point:
+            point, steps = g[point], steps + 1
+        if steps == n:
+            return Permutation(g)
     return None

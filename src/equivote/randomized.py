@@ -44,7 +44,7 @@ def verify_intersecting_set(group: PermGroup, points) -> bool:
     A set of every voter is its only translate, and needs no element."""
     pts = frozenset(points)
     return pts == set(range(group.n)) or all(
-        not pts.isdisjoint(frozenset(g.images[v] for v in pts))
+        not pts.isdisjoint(frozenset(g[v] for v in pts))
         for g in group.elements
     )
 
@@ -75,7 +75,7 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
         point_set = set(base) | set(draws)
         ok = True
         for g in group.elements:
-            if not any(g.images[v] in point_set for v in point_set):
+            if not any(g[v] in point_set for v in point_set):
                 ok = False
                 break
         if ok:
@@ -110,7 +110,7 @@ def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
     whole = frozenset(range(group.n))
     if whole == frozenset(members):
         return (whole,)
-    seen = {frozenset(g.images[v] for v in members) for g in group.elements}
+    seen = {frozenset(g[v] for v in members) for g in group.elements}
     return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 
 

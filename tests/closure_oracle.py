@@ -1,7 +1,8 @@
 """Breadth-first walks under a generator set: the product closure, the
 reference for the stabilizer chain's order, elements and n-cycles, and the
 orbit of an ordered k-tuple, the reference for its k-transitivity. Also
-every permutation of a degree, the reference for a full symmetric group."""
+every permutation of a degree, the reference for a full symmetric group,
+and a group's elements as sorted `Permutation`s."""
 
 import itertools
 import math
@@ -13,6 +14,11 @@ def iter_permutations(n):
     """All n! permutations of degree n in lexicographic order."""
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
+
+
+def listing(group):
+    """Every element of the group as a `Permutation`, sorted by images."""
+    return tuple(map(Permutation, sorted(group.walk())))
 
 
 def bfs_closure(n, generators):

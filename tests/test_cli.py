@@ -599,10 +599,12 @@ def cli_numpy_modules(cwd, *argv):
         ("construct", "--type", "group_orbit", "--group", "cyclic", "--n", "12", "--seed", "0",
          "--out", "out.rule"),
         ("construct", "--type", "group_orbit", "--group", "pgl2", "--p", "13", "--out", "out.rule"),
+        ("analyze", "--rule", "pgl13.rule", "--equity", "--k", "3", "--cyclic"),
     ],
 )
-def test_commands_without_arrays_do_not_load_numpy(tmp_path, argv):
+def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
     (tmp_path / "maj5.rule").write_text('{"format":1,"type":"majority","n":5}')
+    make_rule(capsys, tmp_path, "pgl13.rule", "--type", "group_orbit", "--group", "pgl2", "--p", "13")
     assert cli_numpy_modules(tmp_path, *argv) == [0, []]
 
 

@@ -3,7 +3,7 @@ import itertools
 import time
 
 import pytest
-from closure_oracle import bfs_closure
+from closure_oracle import bfs_closure, listing
 
 from equivote.geometry import (
     ProjectivePlane,
@@ -126,7 +126,7 @@ def test_pgl3_fano_group():
     assert is_k_transitive(group, 2)
     assert not is_k_transitive(group, 3)
     lines = set(plane.lines)
-    for g in group.elements:
+    for g in listing(group):
         for line in lines:
             assert frozenset(g.images[i] for i in line) in lines
 
@@ -143,11 +143,11 @@ def test_pgl3_overflow():
 def test_induced_group_generators_close_to_elements(p, dim):
     group = pgl2_elements(p) if dim == 2 else pgl3_elements(p)
     assert len(group.generators) == 1 + dim * (dim - 1)
-    assert bfs_closure(group.n, group.generators) == [g.images for g in group.elements]
+    assert bfs_closure(group.n, group.generators) == [g.images for g in listing(group)]
 
 
 def _digest(group):
-    return hashlib.sha256(repr([g.images for g in group.elements]).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr([g.images for g in listing(group)]).encode()).hexdigest()[:16]
 
 
 def test_induced_group_elements_frozen():
@@ -184,7 +184,7 @@ def test_induced_group_matches_scalar_action(p, dim):
     group = pgl2_elements(p) if dim == 2 else pgl3_elements(p)
     expected = _scalar_induced_images(p, dim)
     assert len(expected) == group.order
-    assert [g.images for g in group.elements] == sorted(expected)
+    assert [g.images for g in listing(group)] == sorted(expected)
 
 
 def test_induced_group_size_cap():

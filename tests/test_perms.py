@@ -4,9 +4,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from closure_oracle import bfs_closure, iter_permutations, tuple_orbit_is_full
+from closure_oracle import bfs_closure, iter_permutations, listing, tuple_orbit_is_full
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from profile_oracle import inverse
 
 from equivote import perms as perms_module
 from equivote.analysis import automorphism_group
@@ -19,7 +20,6 @@ from equivote.perms import (
     cycle_lengths,
     find_n_cycle,
     generate_closure,
-    inverse,
     is_k_transitive,
     orbit,
     symmetric_generators,
@@ -88,13 +88,13 @@ def test_iter_permutations_lex():
 def test_closure_symmetric():
     group = generate_closure(4, symmetric_generators(4))
     assert group.order == 24
-    assert set(group.elements) == set(iter_permutations(4))
+    assert set(listing(group)) == set(iter_permutations(4))
 
 
 def test_closure_cyclic():
     group = generate_closure(5, [Permutation.rotation(5)])
     assert group.order == 5
-    assert set(group.elements) == {
+    assert set(listing(group)) == {
         Permutation.rotation(5, shift=s) for s in range(5)
     }
 
@@ -117,7 +117,7 @@ def test_closure_overflow(monkeypatch):
 def test_closure_identity_only():
     group = generate_closure(3, [])
     assert group.order == 1
-    assert group.elements == (Permutation.identity(3),)
+    assert listing(group) == (Permutation.identity(3),)
 
 
 KLEIN = (
@@ -158,7 +158,7 @@ def test_orbit_stabilizer_sizes():
         generate_closure(6, [Permutation.rotation(6)]),
     ):
         for point in range(group.n):
-            fixing = sum(1 for g in group.elements if g.images[point] == point)
+            fixing = sum(1 for g in listing(group) if g.images[point] == point)
             assert len(orbit(group, point)) * fixing == group.order
 
 
@@ -207,13 +207,33 @@ def test_find_n_cycle_rotation():
 def test_repeated_generators_dedupe():
     group = PermGroup(3, (Permutation.identity(3),) * 4)
     assert group.order == 1
-    assert group.elements == (Permutation.identity(3),)
+    assert listing(group) == (Permutation.identity(3),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets)
+def test_walk_yields_each_element_once_identity_first(case):
+    n, gens = case
+    group = PermGroup(n, gens)
+    walked = list(group.walk())
+    assert len(walked) == len(set(walked)) == group.order
+    assert walked[0] == tuple(range(n))
+    assert set(walked) == set(bfs_closure(n, gens))
+
+
+def test_find_n_cycle_walks_a_group_too_large_to_list(monkeypatch):
+    # a fresh group, so no listing cached on the shared PGL(2,13) is read
+    group = PermGroup(14, pgl2_elements(13).generators)
+    monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", group.order * group.n - 1)
+    with pytest.raises(ClosureOverflow, match="2184 elements of degree 14"):
+        group.elements
+    assert cycle_lengths(find_n_cycle(group)) == (14,)
 
 
 def _matches_closure(group):
     want = bfs_closure(group.n, group.generators)
     assert group.order == len(want)
-    assert [g.images for g in group.elements] == want
+    assert [g.images for g in listing(group)] == want
     has_cycle = any(cycle_lengths(Permutation(g)) == (group.n,) for g in want)
     assert (find_n_cycle(group) is not None) == has_cycle
 
@@ -256,9 +276,10 @@ def test_catalog_k_transitivity_matches_tuple_walk():
 GROUP_IMPORTS = """
 import sys
 from equivote.geometry import pgl2_elements
-from equivote.perms import Permutation, generate_closure, transitivity
+from equivote.perms import Permutation, find_n_cycle, generate_closure, transitivity
 cyclic = generate_closure(1000, [Permutation.rotation(1000)])
 print(len(cyclic.elements), transitivity(cyclic), pgl2_elements(31).order)
+print(find_n_cycle(pgl2_elements(31)) is not None)
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
 """
 
@@ -275,7 +296,7 @@ def test_group_construction_does_not_load_numpy():
         check=True,
         timeout=60,
     )
-    assert done.stdout.splitlines() == ["1000 1 29760", "[]"]
+    assert done.stdout.splitlines() == ["1000 1 29760", "True", "[]"]
 
 
 def test_pgl2_31_has_an_n_cycle():

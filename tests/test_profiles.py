@@ -1,15 +1,10 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from profile_oracle import all_profiles, apply_to_profile, profile_code, votes_from_code
 
 from equivote.perms import Permutation, compose
-from equivote.profiles import (
-    VoteProfile,
-    all_profiles,
-    apply_to_profile,
-    profile_code,
-    votes_from_code,
-)
+from equivote.profiles import VoteProfile
 
 profiles = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.lists(

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from profile_oracle import all_profiles, apply_to_profile, profile_code, votes_from_code
 
 from equivote.perms import Permutation
-from equivote.profiles import (
-    VoteProfile,
-    all_profiles,
-    apply_to_profile,
-    profile_code,
-    votes_from_code,
-)
+from equivote.profiles import VoteProfile
 from equivote.rules import (
     CCC,
     CCC_MAX_ENTRIES,

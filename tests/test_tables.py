@@ -6,9 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from closure_oracle import iter_permutations
+from closure_oracle import iter_permutations, listing
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from profile_oracle import all_profiles, apply_to_profile, profile_code, votes_from_code
 
 from equivote import analysis, tables
 from equivote.analysis import (
@@ -19,13 +20,7 @@ from equivote.analysis import (
 )
 from equivote.geometry import build_projective_rule
 from equivote.perms import Permutation
-from equivote.profiles import (
-    VoteProfile,
-    all_profiles,
-    apply_to_profile,
-    profile_code,
-    votes_from_code,
-)
+from equivote.profiles import VoteProfile
 from equivote.rules import (
     CCC,
     GRD,
@@ -362,7 +357,7 @@ def _table_group(table, n):
 def test_chain_search_matches_permutation_scan(case):
     n, table = case
     want = [p for p in iter_permutations(n) if respects_table(table, n, p)]
-    assert list(_table_group(table, n).elements) == want
+    assert list(listing(_table_group(table, n))) == want
 
 
 def test_chain_search_finds_the_stabilizer_of_one_profile():
@@ -373,11 +368,11 @@ def test_chain_search_finds_the_stabilizer_of_one_profile():
     table[code] = -table[code]
     group = _table_group(table, 8)
     assert group.order == 72  # 3! 3! 2!
-    assert all(respects_table(table, 8, p) for p in group.elements)
-    assert all(set(p.images[:3]) == {0, 1, 2} for p in group.elements)
+    assert all(respects_table(table, 8, p) for p in listing(group))
+    assert all(set(p.images[:3]) == {0, 1, 2} for p in listing(group))
 
 
-# Brute-force oracles over `profiles.all_profiles` and the scalar `outcome`
+# Brute-force oracles over `profile_oracle.all_profiles` and the scalar `outcome`
 # for the views and transposes of the table in `tables`. A table that holds
 # its own codes shows which profile each entry of a view reads.
 
