@@ -1,12 +1,17 @@
 """The numpy module every equivote module uses, executed on first use.
 
-Importing numpy is most of a cold CLI start, yet `--help`, `eval` and
-`construct` of every rule but a group orbit touch no array. So `np` is the
-module object of numpy under `importlib.util.LazyLoader`: it is registered
-in `sys.modules` at once and runs numpy's own import on its first attribute
-access. When numpy is already imported, `np` is that module.
+Importing numpy takes longer than the rest of a cold CLI start, yet
+`--help`, `eval`, every `construct`, and the equity, k-equity and
+cyclicity verdicts on a group-orbit rule touch no array. So `np` is the
+module object of numpy under `importlib.util.LazyLoader`: it is
+registered in `sys.modules` at once and runs numpy's own import on its
+first attribute access. When numpy is already imported, `np` is that
+module.
 
-Only numpy is deferred. The package and the CLI still import every equivote
+The start keeps other imports small the same way: the value classes are
+frozen records from `_record`, not dataclasses (so neither `dataclasses`
+nor `inspect` loads), and `fractions` is imported by the one function that
+returns fractions. The package and the CLI still import every equivote
 module eagerly: the benchmark's tracer (`bench/trace_boot.py`) wraps
 functions in each `equivote.<module>` it finds in `sys.modules` right after
 `import equivote, equivote.cli`.

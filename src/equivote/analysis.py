@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from ._numpy import np
+from ._record import record
 from .geometry import is_prime, pgl2_elements, pgl3_elements
 from .perms import (
     ClosureOverflow,
@@ -48,6 +47,9 @@ from .tables import (
     slab,
     voter_outcomes,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FACTORIAL_CAP = 8
 ASSIGNMENT_CAP = 5
@@ -131,7 +133,7 @@ def is_winning_coalition(
     return True
 
 
-@dataclass(frozen=True)
+@record
 class MinCoalitionSearch:
     """Outcome of the ascending-size minimal winning coalition search."""
 
@@ -163,8 +165,9 @@ def _scan_size(
 
     Subsets are checked block by block, the first `prefix` of them on their
     own: the caller vouches that every size-k subset has a translate among
-    them, so when none of them wins, none wins. Without a table the rule
-    must be monotone; the caller refuses the rest.
+    them, so when none of them wins, none wins, and when there is one and
+    it wins, all win and no other is checked. Without a table the rule must
+    be monotone; the caller refuses the rest.
     """
     combos = itertools.combinations(range(n), k)
     weights = 3 ** np.arange(n, dtype=np.int64)
@@ -175,6 +178,8 @@ def _scan_size(
     while start < count:
         if start == prefix and not winners:
             break
+        if start == prefix == 1:
+            return winners + list(itertools.islice(combos, keep - 1))
         end = prefix if start < prefix else count
         # no more subsets than the winners still needed take at the rate
         # seen so far: exactly that many where every subset wins
@@ -455,7 +460,9 @@ def certified_subgroup(
     cert = rule.certificate()
     if rule.family is None:
         if cert is not None and n <= scan_cap:
-            cert = replace(cert, validated=_validated_generators(rule))
+            cert = EquityCertificate(
+                cert.group, cert.kind, _validated_generators(rule), cert.cycle
+            )
         return cert
     if cert is None:
         group = _group_from_provenance(rule.provenance or {}, n)
@@ -464,7 +471,7 @@ def certified_subgroup(
     if cert is not None and all(
         preserves_family(g, family_set) for g in cert.group.generators
     ):
-        return replace(cert, validated=True)
+        return EquityCertificate(cert.group, cert.kind, True, cert.cycle)
     if n > factorial_cap:
         return None
     stabilizer = automorphism_group(
@@ -612,6 +619,8 @@ def pivotality(
     An automorphism maps the distribution to itself, so one voter per orbit
     of the certified group is counted and its value copied to the rest.
     """
+    from fractions import Fraction  # only this path needs it at start-up
+
     n = rule.n
     if distribution == "ternary":
         if n > scan_cap:
@@ -727,7 +736,7 @@ def identity_class_realizes_all(rule: VotingRule) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisReport:
     """Bundle of analysis results for one rule, ready for serialization."""
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
+from ._record import record
 from .perms import PermGroup, Permutation, check_group_entries
 from .rules import CoalitionRule, make_coalition_rule
 
@@ -59,7 +59,7 @@ def projective_lines(p: int) -> tuple[frozenset[int], ...]:
     return tuple(lines)
 
 
-@dataclass(frozen=True)
+@record
 class ProjectivePlane:
     p: int
     points: tuple[tuple[int, int, int], ...]

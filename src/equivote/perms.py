@@ -14,8 +14,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
+
+from ._record import record
 
 Images = tuple[int, ...]
 
@@ -28,7 +29,7 @@ class ClosureOverflow(ValueError):
     """A group's chain or element list would exceed MAX_GROUP_ENTRIES."""
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection on {0..n-1}, stored as the tuple of images."""
 
@@ -92,7 +93,7 @@ def check_group_entries(entries: int, what: str) -> None:
         raise ClosureOverflow(f"{what} needs over {MAX_GROUP_ENTRIES} entries")
 
 
-@dataclass(frozen=True)
+@record
 class PermGroup:
     """The permutation group of degree n that the generators generate.
     Its order, elements, n-cycles and k-transitivity for k >= 2 come from
@@ -279,15 +280,29 @@ def is_k_transitive(group: PermGroup, k: int) -> bool:
 def find_n_cycle(group: PermGroup) -> Optional[Permutation]:
     """An element that is a single n-cycle, if the group has one: the first
     in walk order, whatever the group's order, unless the group is not
-    transitive. An element is an n-cycle iff its path from 0 first returns
-    after n steps."""
+    transitive.
+
+    The walk is pruned. A row of level j fixes the points 0..j-1, so every
+    extension of a product of rows down to level i agrees with it on the
+    points below the next level (all n points past the last level). A
+    product whose path from 0 comes back to 0 among those points in fewer
+    than n steps has no n-cycle among its extensions, and past the last
+    level only the n-cycles are kept."""
     n = group.n
     if len(orbit(group, 0)) < n:
         return None
-    for g in group.walk():
-        point, steps = g[0], 1
-        while point:
-            point, steps = g[point], steps + 1
-        if steps == n:
-            return Permutation(g)
-    return None
+    elements: Iterator[Images] = iter([tuple(range(n))])
+    bounds = (*tuple(group._chain)[1:], n)
+    for level, bound in zip(group._chain.values(), bounds):
+        may_close_late = functools.partial(_may_close_late, bound)
+        elements = filter(may_close_late, _times(elements, level))
+    return next(map(Permutation, elements), None)
+
+
+def _may_close_late(bound: int, g: Images) -> bool:
+    """False when g's path from 0 returns to 0 within the points
+    0..bound-1 in fewer than len(g) steps."""
+    point, steps = g[0], 1
+    while 0 < point < bound:
+        point, steps = g[point], steps + 1
+    return point != 0 or steps == len(g)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class VoteProfile:
     """One vote in {-1, 0, +1} per voter."""
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .geometry import pgl2_elements
 from .perms import PermGroup, Permutation, generate_closure
 from .rules import CoalitionRule, make_coalition_rule, preserves_family
@@ -28,7 +28,7 @@ class ConstructionFailed(RuntimeError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
+@record
 class IntersectingSet:
     """A set of points meeting all its translates under a group."""
 
@@ -143,7 +143,7 @@ def build_rule_from_group(
     return rule
 
 
-@dataclass(frozen=True)
+@record
 class EquitableConstruction:
     rule: CoalitionRule
     points: tuple[int, ...]

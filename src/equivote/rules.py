@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._numpy import np
+from ._record import record
 from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile
 
@@ -47,7 +47,7 @@ def eval_majority(votes: tuple[int, ...]) -> int:
     return sign(sum(votes))
 
 
-@dataclass(frozen=True)
+@record
 class EquityCertificate:
     """A subgroup of the automorphism group with how it was justified, and
     an n-cycle in it when the construction provides one. A rule's own
@@ -59,12 +59,12 @@ class EquityCertificate:
     cycle: Optional[Permutation] = None
 
 
-@dataclass(frozen=True)
+@record
 class Majority:
     n: int
 
-    monotone: ClassVar[bool] = True
-    family: ClassVar[None] = None
+    monotone = True
+    family = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -88,7 +88,7 @@ class Majority:
         return f"majority{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class LongestRun:
     """Unique strictly-longest cyclic block of identical nonzero votes decides,
     otherwise majority."""
@@ -97,8 +97,8 @@ class LongestRun:
 
     # no monotone certificate: the rule fails monotonicity for some
     # degrees, first at n=10
-    monotone: ClassVar[bool] = False
-    family: ClassVar[None] = None
+    monotone = False
+    family = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -123,13 +123,13 @@ class LongestRun:
         return f"longest_run{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Dictatorship:
     n: int
     dictator: int = 0
 
-    monotone: ClassVar[bool] = True
-    family: ClassVar[None] = None
+    monotone = True
+    family = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.dictator < self.n:
@@ -152,14 +152,14 @@ class Dictatorship:
         return f"dictatorship{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class GRD:
     """Recursive majority over a partition tree; leaves are voter indices."""
 
     tree: GRDTree
 
-    monotone: ClassVar[bool] = True
-    family: ClassVar[None] = None
+    monotone = True
+    family = None
 
     def __post_init__(self) -> None:
         leaves = tree_leaves(self.tree)
@@ -191,21 +191,23 @@ class GRD:
         return f"grd{self.n}"
 
 
-@dataclass(frozen=True)
+@record(uncompared=("provenance", "grid"))
 class CoalitionRule:
     """Consensus on any family member forces the outcome; majority otherwise.
 
     The family must be pairwise intersecting, so the two consensus branches
     can never both fire. `grid` is set only by `CCC`: the rows x cols grid
-    whose row-union-column sets make up the family.
+    whose row-union-column sets make up the family. Equality and hashing
+    ignore `provenance` and `grid`, so the caches keyed on rules treat a
+    CCC and the coalition document of its family as one rule.
     """
 
     n: int
     family: tuple[frozenset[int], ...]
-    provenance: Optional[dict] = field(default=None, compare=False)
-    grid: Optional[tuple[int, int]] = field(default=None, compare=False)
+    provenance: Optional[dict] = None
+    grid: Optional[tuple[int, int]] = None
 
-    monotone: ClassVar[bool] = True
+    monotone = True
 
     def __post_init__(self) -> None:
         if not self.family:

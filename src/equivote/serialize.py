@@ -6,7 +6,6 @@ always produce byte-identical documents.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
@@ -137,10 +136,7 @@ def loads_rule(text: str) -> VotingRule:
 
 def report_to_dict(report: AnalysisReport) -> dict:
     doc = {"format": FORMAT_VERSION, "kind": "analysis"}
-    for field in dataclasses.fields(report):
-        value = getattr(report, field.name)
-        if value is not None:
-            doc[field.name] = value
+    doc.update((k, v) for k, v in vars(report).items() if v is not None)
     return doc
 
 

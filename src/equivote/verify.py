@@ -8,12 +8,11 @@ count; wall time is measured but kept out of the machine format.
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from ._record import record
 from .analysis import (
     assignment_classes,
     automorphism_group,
@@ -52,14 +51,14 @@ from .rules import (
     uniform_grd,
 )
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     claim: str
     passed: bool
@@ -680,7 +679,9 @@ def verify_claim(claim: str, **params) -> VerificationReport:
     if claim not in _VERIFIERS:
         raise ValueError(f"unknown claim {claim!r}")
     verifier = _VERIFIERS[claim]
-    unknown = set(params) - set(inspect.signature(verifier).parameters)
+    code = verifier.__code__  # verifiers take no *args or **kwargs
+    accepted = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    unknown = set(params) - set(accepted)
     if unknown:
         raise ValueError(
             f"claim {claim!r} does not accept parameters {sorted(unknown)}"

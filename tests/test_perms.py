@@ -230,12 +230,27 @@ def test_find_n_cycle_walks_a_group_too_large_to_list(monkeypatch):
     assert cycle_lengths(find_n_cycle(group)) == (14,)
 
 
+def first_n_cycle_in_walk(group):
+    """The unpruned search: every element of the walk, in order."""
+    n = group.n
+    return next((g for g in group.walk() if cycle_lengths(Permutation(g)) == (n,)), None)
+
+
 def _matches_closure(group):
     want = bfs_closure(group.n, group.generators)
     assert group.order == len(want)
     assert [g.images for g in listing(group)] == want
     has_cycle = any(cycle_lengths(Permutation(g)) == (group.n,) for g in want)
-    assert (find_n_cycle(group) is not None) == has_cycle
+    found = find_n_cycle(group)
+    assert (found is not None) == has_cycle
+    if found is not None:  # the pruned search finds the walk's first
+        assert found.images == first_n_cycle_in_walk(group)
+
+
+def test_find_n_cycle_in_a_symmetric_group_too_large_to_walk():
+    # an unpruned walk meets all 19! elements that fix 0 first
+    got = find_n_cycle(PermGroup(20, symmetric_generators(20)))
+    assert cycle_lengths(got) == (20,)
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,13 +262,13 @@ def test_chain_matches_closure(case):
 
 def _catalog_groups():
     fano = build_projective_rule(2)
-    yield from (LongestRun(n).certificate().group for n in (4, 5, 6, 7))
+    yield from (LongestRun(n).certificate().group for n in (4, 5, 6, 7, 12))
     yield uniform_grd((2, 2)).certificate().group
     yield uniform_grd((3, 3)).certificate().group
     yield from (CCC(r, c).certificate().group for r, c in ((2, 2), (2, 3), (3, 3)))
     yield from (pgl2_elements(p) for p in (2, 3, 5, 7, 11, 13, 17, 19))
     yield from (pgl3_elements(p) for p in (2, 3))
-    yield from (PermGroup(n, symmetric_generators(n)) for n in (3, 5, 7))
+    yield from (PermGroup(n, symmetric_generators(n)) for n in (3, 5, 7, 8))
     yield automorphism_group(fano)
     yield automorphism_group(fano, method="coalition_preserving")
     yield automorphism_group(Majority(6))

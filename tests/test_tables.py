@@ -24,6 +24,7 @@ from equivote.profiles import VoteProfile
 from equivote.rules import (
     CCC,
     GRD,
+    PROFILE_SCAN_CAP,
     Dictatorship,
     LongestRun,
     Majority,
@@ -586,18 +587,40 @@ def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypa
     monkeypatch.setattr(analysis, "_extremal_profiles", counting)
     got = min_winning_coalitions(Majority(13))
     assert got.subsets_checked == sum(math.comb(13, k) for k in range(1, 8))
-    # Sym(13) decides sizes 1..6 with one subset each; all 1,716 of size 7 win
-    assert sum(evaluated) == 6 + math.comb(13, 7)
+    # Sym(13) decides each size with one subset: sizes 1..6 lose, and size 7
+    # wins, so all 1,716 subsets of size 7 win unevaluated
+    assert sum(evaluated) == 7
     evaluated.clear()
     min_winning_coalitions(LongestRun(9))
     # the rotation is transitive: the subsets that hold voter 0, then size 5
     assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(1, 5)) + 126
     evaluated.clear()
     got = min_winning_coalitions(Majority(19))
-    # every size-10 subset wins; blocks stop at the WITNESS_LIMIT + 1 winners kept
-    assert sum(evaluated) == 9 + analysis.WITNESS_LIMIT + 1
+    # {0..9} wins, so every size-10 subset does
+    assert sum(evaluated) == 10
     combos = itertools.combinations(range(19), 10)
     assert got.witnesses == tuple(itertools.islice(combos, analysis.WITNESS_LIMIT))
+    # the first `keep` winners are returned, evaluated or not
+    got = analysis._scan_size(Majority(7), 7, 4, True, None, keep=5, prefix=1)
+    assert got == list(itertools.islice(itertools.combinations(range(7), 4), 5))
+
+
+@pytest.mark.parametrize("scan_cap", [PROFILE_SCAN_CAP, 0], ids=["table", "direct"])
+@pytest.mark.parametrize("n", [*range(1, 14), 19, 21])
+def test_majority_search_matches_the_subset_count(n, scan_cap):
+    got = min_winning_coalitions(Majority(n), scan_cap=scan_cap)
+    size = n // 2 + 1  # a coalition wins majority iff it is more than half
+    limit = analysis.WITNESS_LIMIT
+    combos = itertools.combinations(range(n), size)
+    assert got == analysis.MinCoalitionSearch(
+        min_size=size,
+        witnesses=tuple(itertools.islice(combos, limit)),
+        exact=True,
+        lower_bound=size,
+        subsets_checked=sum(math.comb(n, k) for k in range(1, size + 1)),
+        method=("table" if n <= scan_cap else "direct") + "+monotone",
+        witnesses_complete=math.comb(n, size) <= limit,
+    )
 
 
 def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
