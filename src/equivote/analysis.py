@@ -39,12 +39,14 @@ from .tables import (
     BATCH_ROWS,
     automorphism_filter,
     binary_voter_outcomes,
-    digits,
+    block_width,
     evaluate_batch,
     outcome_table,
+    profile_blocks,
     relabel_table,
     respects_table,
     slab,
+    table_outcomes,
     voter_outcomes,
 )
 
@@ -88,15 +90,6 @@ def _extremal_wins(extremal_outcomes: np.ndarray) -> np.ndarray:
     return (extremal_outcomes[:b] == 1) & (extremal_outcomes[b:] == -1)
 
 
-def _completions(n: int, ms: frozenset[int], x: int, lo: int, hi: int) -> np.ndarray:
-    """Profiles with the coalition voting x and the others filled with the
-    base-3 digits of codes lo..hi-1."""
-    others = sorted(set(range(n)) - ms)
-    votes = np.full((hi - lo, n), x, dtype=np.int8)
-    votes[:, others] = digits(np.arange(lo, hi, dtype=np.int32), len(others)) - 1
-    return votes
-
-
 def is_winning_coalition(
     rule: VotingRule,
     members: Iterable[int],
@@ -125,10 +118,12 @@ def is_winning_coalition(
         return False
     if method == "monotone":
         return True
+    others = [v for v in range(n) if v not in ms]
     for x in (1, -1):
-        for lo in range(0, 3**free, BATCH_ROWS):
-            hi = min(lo + BATCH_ROWS, 3**free)
-            if not np.all(evaluate_batch(rule, _completions(n, ms, x, lo, hi)) == x):
+        for block in profile_blocks(free, n):
+            votes = np.full((n, block.shape[1]), x, dtype=np.int8)
+            votes[others] = block
+            if not np.all(rule.batch(votes) == x):
                 return False
     return True
 
@@ -170,10 +165,9 @@ def _scan_size(
     be monotone; the caller refuses the rest.
     """
     combos = itertools.combinations(range(n), k)
-    weights = 3 ** np.arange(n, dtype=np.int64)
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
-    step = BATCH_ROWS // 2
+    step = block_width(n, BATCH_ROWS // 2)
     start, count = 0, math.comb(n, k)
     while start < count:
         if start == prefix and not winners:
@@ -190,7 +184,7 @@ def _scan_size(
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
         extremal = _extremal_profiles(n, subsets)
         if table is not None:
-            outcomes = table[(extremal.astype(np.int64) + 1) @ weights]
+            outcomes = table_outcomes(table, extremal)
         else:
             outcomes = evaluate_batch(rule, extremal)
         for row in subsets[_extremal_wins(outcomes)]:
@@ -428,16 +422,22 @@ def _group_from_provenance(prov: dict, n: int) -> Optional[PermGroup]:
     return None
 
 
+def _named_perms(cert: EquityCertificate) -> tuple[Permutation, ...]:
+    """The certificate's generators, then its n-cycle unless it is one."""
+    gens = cert.group.generators
+    return gens + ((cert.cycle,) if cert.cycle not in (None, *gens) else ())
+
+
 @functools.lru_cache(maxsize=32)
 def _validated_generators(rule: VotingRule) -> bool:
-    """Check a profile rule's certificate generators against its outcome
-    table, once per process: profile rules compare on every field, so the
-    rule is a sound key. `verify all` validates 15 rules."""
+    """Check a profile rule's certificate generators and n-cycle against its
+    outcome table, once per process: profile rules compare on every field,
+    so the rule is a sound key. `verify all` validates 15 rules."""
     n = rule.n
     table = outcome_table(rule)
-    for g in rule.certificate().group.generators:
+    for g in _named_perms(rule.certificate()):
         if not respects_table(table, n, g):
-            raise AssertionError("certificate generator is not an automorphism")
+            raise AssertionError("certificate permutation is not an automorphism")
     return True
 
 
@@ -448,13 +448,13 @@ def certified_subgroup(
 ) -> Optional[EquityCertificate]:
     """A by-construction automorphism subgroup, validated where feasible.
 
-    The rule names its own certificate. Generators of profile-defined rules
-    are validated by a full outcome-table scan when the degree is within the
-    scan cap; coalition families validate their groups by set preservation
-    of each generator at any degree: the grid shifts of a CCC grid, else
-    the group the provenance names, else the family stabilizer while n is
-    within the factorial cap. A named group that breaks the
-    family is dropped.
+    The rule names its own certificate. Generators and the named n-cycle
+    of profile-defined rules are validated by a full outcome-table scan
+    when the degree is within the scan cap; coalition families validate
+    their groups by set preservation of each generator and the n-cycle at
+    any degree: the grid shifts of a CCC grid, else the group the
+    provenance names, else the family stabilizer while n is within the
+    factorial cap. A named group that breaks the family is dropped.
     """
     n = rule.n
     cert = rule.certificate()
@@ -469,7 +469,7 @@ def certified_subgroup(
         cert = None if group is None else EquityCertificate(group, "family_group")
     family_set = frozenset(rule.family)
     if cert is not None and all(
-        preserves_family(g, family_set) for g in cert.group.generators
+        preserves_family(g, family_set) for g in _named_perms(cert)
     ):
         return EquityCertificate(cert.group, cert.kind, True, cert.cycle)
     if n > factorial_cap:

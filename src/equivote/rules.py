@@ -50,8 +50,9 @@ def eval_majority(votes: tuple[int, ...]) -> int:
 @record
 class EquityCertificate:
     """A subgroup of the automorphism group with how it was justified, and
-    an n-cycle in it when the construction provides one. A rule's own
-    `certificate()` comes unvalidated."""
+    an automorphism that is an n-cycle when the construction provides one;
+    the cycle need not lie in the group (a GRD's odometer is not in its
+    torus group). A rule's own `certificate()` comes unvalidated."""
 
     group: PermGroup
     kind: str
@@ -220,6 +221,8 @@ class CoalitionRule:
                 raise ValueError("family member out of range")
         if self.grid is not None and self.family == ccc_family(*self.grid):
             return  # row i + column j meets row k + column l in cell (i, l)
+        if frozenset.intersection(*members):
+            return  # every member holds a common voter
         for a, b in itertools.combinations(members, 2):
             if a.isdisjoint(b):
                 raise ValueError(f"family members {sorted(a)} and {sorted(b)} are disjoint")

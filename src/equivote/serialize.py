@@ -131,7 +131,10 @@ def dumps_rule(rule: VotingRule, indent: int | None = 2) -> str:
 
 
 def loads_rule(text: str) -> VotingRule:
-    return rule_from_dict(json.loads(text))
+    try:
+        return rule_from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError("rule document nests too deeply") from None
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
@@ -143,7 +146,4 @@ def report_to_dict(report: AnalysisReport) -> dict:
 def load_rule_file(path: str) -> VotingRule:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        return rule_from_dict(json.loads(text))
-    except RecursionError:
-        raise ValueError("rule document nests too deeply") from None
+    return loads_rule(text)

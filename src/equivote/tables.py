@@ -1,15 +1,16 @@
 """Vectorized rule evaluation and outcome tables over the full profile space.
 
-`evaluate_batch` is the one evaluator behind every exhaustive scan: it maps
-a matrix of profiles (one per row, votes in {-1, 0, +1}) to their outcomes
-in row blocks of at most BATCH_ROWS, handing each block, voter-major, to
-the numpy kernel the rule class carries (`rule.batch`).
+Every exhaustive scan hands the numpy kernel the rule class carries
+(`rule.batch`) voter-major blocks of profiles, cut by `evaluate_batch` from a
+matrix of profiles (one per row, votes in {-1, 0, +1}) or yielded by
+`profile_blocks`: every profile of some voters, in code order, without codes.
 The table of a degree-n rule is its value on every base-3 profile code (voter
 v's vote plus one is the digit of weight 3^v), so it is also an n-axis
 3 x 3 x ... x 3 array whose axis v is voter v's vote, and this module alone
 knows that layout: relabelling voters transposes the axes, a coalition's
 unanimous slab fixes the members' axes, and one voter's outcomes over the
-others' profiles move that voter's axis to the front.
+others' profiles move that voter's axis to the front. `table_outcomes` is
+the one place that computes profile codes.
 The automorphism search extends permutations one voter at a time:
 `automorphism_filter` checks each prefix of images on the profiles it is
 the first to decide, those where every voter it leaves free votes alike,
@@ -19,6 +20,7 @@ have all been kept.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Iterable, Iterator, Sequence
 
@@ -32,19 +34,27 @@ _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
 _TABLE_CACHE_BYTES = 32 << 20
 
 
-def digits(codes: np.ndarray, n: int) -> np.ndarray:
-    """Shape (len(codes), n) int8: the base-3 digits of each code, stored
-    voter-major so that `evaluate_batch` hands its kernel a contiguous block.
-    The codes are decoded in int32, which holds every code while 3^n <= 2^31."""
-    if 3**n > 1 << 31:
-        raise ValueError(f"codes of {n} voters do not fit in int32")
-    codes = np.asarray(codes, dtype=np.int32)
-    out = np.empty((n, len(codes)), dtype=np.int8)
-    for v in range(n):
-        quotient = codes // 3
-        out[v] = codes - 3 * quotient
-        codes = quotient
-    return out.T
+def block_width(n: int, rows: int) -> int:
+    """rows, cut once n > 64 so that a block of profiles of n voters holds
+    at most rows << 6 votes."""
+    return max(1, min(rows, (rows << 6) // n))
+
+
+def profile_blocks(f: int, n: int) -> Iterator[np.ndarray]:
+    """The votes of f voters over all 3^f of their profiles, in code order,
+    as voter-major int8 blocks of 3^k profiles for a kernel of n voters:
+    k is at most f and the largest with 3^k within `block_width`. The low
+    k voters run through one fixed digit pattern and each higher voter
+    votes alike across a block. Every block is the same array, refilled."""
+    k = 0
+    while k < f and 3 ** (k + 1) <= block_width(n, BATCH_ROWS):
+        k += 1
+    block = np.empty((f, 3**k), dtype=np.int8)
+    # np.indices varies its last axis fastest, and voter 0 is the lowest digit
+    block[:k] = np.indices((3,) * k, dtype=np.int8)[::-1].reshape(k, 3**k) - 1
+    for high in itertools.product((-1, 0, 1), repeat=f - k):
+        block[k:] = np.array(high[::-1], dtype=np.int8)[:, None]
+        yield block
 
 
 def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
@@ -54,9 +64,10 @@ def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
     if votes.ndim != 2 or votes.shape[1] != n:
         raise ValueError(f"expected a vote matrix with {n} columns")
     out = np.empty(len(votes), dtype=np.int8)
-    for lo in range(0, len(votes), BATCH_ROWS):
-        ballots = np.ascontiguousarray(votes[lo : lo + BATCH_ROWS].T)
-        out[lo : lo + BATCH_ROWS] = rule.batch(ballots)
+    rows = block_width(n, BATCH_ROWS)
+    for lo in range(0, len(votes), rows):
+        ballots = np.ascontiguousarray(votes[lo : lo + rows].T)
+        out[lo : lo + rows] = rule.batch(ballots)
     return out
 
 
@@ -71,15 +82,22 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
         return table
     n = rule.n
     table = np.empty(3**n, dtype=np.int8)
-    for lo in range(0, 3**n, BATCH_ROWS):
-        codes = np.arange(lo, min(lo + BATCH_ROWS, 3**n), dtype=np.int32)
-        table[lo : lo + len(codes)] = evaluate_batch(rule, digits(codes, n) - 1)
+    lo = 0
+    for block in profile_blocks(n, n):
+        table[lo : lo + block.shape[1]] = rule.batch(block)
+        lo += block.shape[1]
     table.setflags(write=False)
     _TABLES[rule] = table
     cached = sum(t.nbytes for t in _TABLES.values())
     while len(_TABLES) > 1 and cached > _TABLE_CACHE_BYTES:
         cached -= _TABLES.popitem(last=False)[1].nbytes
     return table
+
+
+def table_outcomes(table: np.ndarray, votes: np.ndarray) -> np.ndarray:
+    """The table's outcome on each row of an (m, n) vote matrix."""
+    weights = 3 ** np.arange(votes.shape[1], dtype=np.int64)
+    return table[(votes.astype(np.int64) + 1) @ weights]
 
 
 def _cube(table: np.ndarray, n: int) -> np.ndarray:
@@ -113,7 +131,8 @@ def automorphism_filter(
     voter j-1 votes otherwise, which its parent prefix did not decide; at
     j = n, on every profile. So along a chain of kept prefixes each
     profile is compared once by length n - 1, and a permutation is an
-    automorphism iff it is kept. The codes go in blocks of BATCH_ROWS.
+    automorphism iff it is kept. Each check compares a view of the table
+    with the same view of its transpose whose axis u is voter prefix[u]'s.
     """
     prefixes = [tuple(p) for p in perms]
     j = len(prefixes[0]) if prefixes else 0
@@ -121,30 +140,20 @@ def automorphism_filter(
         raise ValueError("prefixes must share one length")
     if j == 0:
         return prefixes  # the constant profiles, which no relabelling moves
-    # place[k, u]: the place value of voter u's digit once prefix k relabels
-    place = 3 ** np.array(prefixes, dtype=np.int64)
-    lead = 3 ** (j - 1)  # voter j-1's place value
-    # the place values of the free voters j..n-1, before and after relabelling
-    free = (3**n - 1) // 2 - (3**j - 1) // 2
-    free_image = (3**n - 1) // 2 - place.sum(axis=1)
-    # (c, d): the free voters all have digit c, voter j-1 digit d
+    cube = _cube(table, n)
+    # (c, d): voters j..n-1 all have digit c, voter j-1 digit d
     if j < n:
         pairs = [(c, d) for c in range(3) for d in range(3) if c != d]
     else:
-        pairs = [(0, d) for d in range(3)]  # no free voter
-    live = np.arange(len(prefixes))
-    # the voters below j-1 run over every digit string, a block at a time
-    for lo in range(0, lead, BATCH_ROWS):
-        low = np.arange(lo, min(lo + BATCH_ROWS, lead), dtype=np.int64)
-        low_image = digits(low, j - 1) @ place[live, : j - 1].T
-        for c, d in pairs:
-            codes = low + d * lead + c * free
-            image = low_image + (d * place[live, j - 1] + c * free_image[live])
-            agree = (table[image] == table[codes][:, None]).all(axis=0)
-            live, low_image = live[agree], low_image[:, agree]
-        if not len(live):
-            break
-    return [prefixes[k] for k in live]
+        pairs = [(0, d) for d in range(3)]  # no voter votes c
+    views = [(slice(None),) * (j - 1) + (d,) + (c,) * (n - j) for c, d in pairs]
+
+    def agrees(p: tuple[int, ...]) -> bool:
+        # the voters outside p, all fixed at c, follow in any order
+        moved = cube.transpose(p + tuple(v for v in range(n) if v not in p))
+        return all(np.array_equal(moved[view], cube[view]) for view in views)
+
+    return [p for p in prefixes if agrees(p)]
 
 
 def slab(table: np.ndarray, n: int, members: Iterable[int], value: int) -> np.ndarray:

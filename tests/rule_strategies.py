@@ -7,9 +7,9 @@ from equivote.rules import GRD, Dictatorship, make_coalition_rule
 
 
 @st.composite
-def grd_rules(draw, max_n=12):
+def grd_rules(draw, max_n=12, min_n=1):
     """Recursive majority over a random, generally non-uniform, tree."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     order = draw(st.permutations(range(n)))
 
     def split(leaves):
@@ -25,10 +25,10 @@ def grd_rules(draw, max_n=12):
 
 
 @st.composite
-def coalition_rules(draw, max_n=12):
+def coalition_rules(draw, max_n=12, min_n=1):
     """A random pairwise-intersecting family: each drawn member is kept only
     if it meets every member kept before it."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     member = st.frozensets(st.integers(0, n - 1), min_size=1)
     kept = [draw(member)]
     for candidate in draw(st.lists(member, max_size=8)):
@@ -38,6 +38,6 @@ def coalition_rules(draw, max_n=12):
 
 
 @st.composite
-def dictatorships(draw, max_n=12):
-    n = draw(st.integers(1, max_n))
+def dictatorships(draw, max_n=12, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     return Dictatorship(n, draw(st.integers(0, n - 1)))

@@ -432,6 +432,39 @@ def test_generators_validated_once_per_process(monkeypatch):
     assert len(calls) == len(gens) and set(calls) == set(gens)
 
 
+def _with_cycle(rule_class, cycle, monkeypatch):
+    """Make the rule class's certificate name the given n-cycle."""
+    certificate = rule_class.certificate
+
+    def bogus(rule):
+        cert = certificate(rule)
+        return EquityCertificate(cert.group, cert.kind, cert.validated, cycle)
+
+    monkeypatch.setattr(rule_class, "certificate", bogus)
+
+
+def test_profile_certificate_cycle_is_validated(monkeypatch):
+    rule = LongestRun(5)
+    cycle = Permutation((2, 3, 1, 4, 0))  # 0 -> 2 -> 1 -> 3 -> 4 -> 0
+    assert cycle_lengths(cycle) == (5,)
+    assert not respects_table(analysis.outcome_table(rule), 5, cycle)
+    _with_cycle(LongestRun, cycle, monkeypatch)
+    analysis._validated_generators.cache_clear()
+    with pytest.raises(AssertionError, match="not an automorphism"):
+        certified_subgroup(rule)
+    # above the scan cap the certificate stays structural and unchecked
+    assert certified_subgroup(rule, scan_cap=4).cycle == cycle
+
+
+def test_coalition_certificate_cycle_is_validated(monkeypatch):
+    rule = CCC(2, 3)
+    rotation = Permutation.rotation(6)  # row 0 + column 0 goes to {1, 2, 3, 4}
+    assert not preserves_family(rotation, frozenset(rule.family))
+    _with_cycle(type(rule), rotation, monkeypatch)
+    assert certified_subgroup(rule).kind == "family_stabilizer"
+    assert certified_subgroup(rule, factorial_cap=0) is None
+
+
 def test_oversized_plane_group_leaves_equity_capped():
     rule = build_projective_rule(5)
     assert certified_subgroup(rule) is None

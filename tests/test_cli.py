@@ -572,17 +572,21 @@ print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("numpy.") or
 """
 
 
-def cli_start_modules(cwd, *argv):
-    """The exit code of one CLI run in a fresh process, and which of numpy's
-    submodules, dataclasses, inspect, fractions and decimal it loaded."""
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def cli_start_modules(cwd, *argv):
+    """The exit code of one CLI run in a fresh process, and which of numpy's
+    submodules, dataclasses, inspect, fractions and decimal it loaded."""
     done = subprocess.run(
         [sys.executable, "-c", CLI_IMPORTS, *argv],
         cwd=cwd,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -618,3 +622,50 @@ def test_analysis_loads_numpy(tmp_path):
     rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "maj5.rule", "--min-coalition")
     assert rc == 0
     assert any(m.startswith("numpy.") for m in modules)
+
+
+# Runs the CLI in a child process; prints its exit code and peak RSS (KiB on
+# Linux), then its output. Only that child counts towards RUSAGE_CHILDREN.
+CLI_PEAK_RSS = """
+import resource, subprocess, sys
+done = subprocess.run([sys.executable, "-m", "equivote.cli", *sys.argv[1:]], capture_output=True, text=True)
+print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(done.stdout)
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, search",
+    [
+        (
+            {"format": 1, "type": "dictatorship", "n": 16384},
+            {"size": 1, "exact": True, "lower_bound": 1, "witness_count": 1,
+             "witnesses_complete": True, "witnesses": [[0]], "subsets_checked": 16384},
+        ),
+        (
+            {"format": 1, "type": "coalition", "n": 16384, "family": [[0, 1, 2]]},
+            {"size": None, "exact": False, "lower_bound": 2, "witness_count": 0,
+             "witnesses_complete": False, "witnesses": [], "subsets_checked": 16384},
+        ),
+    ],
+)
+def test_coalition_search_at_the_degree_limit_stays_small(tmp_path, doc, search):
+    # once n > 64 a block holds at most 2^21 votes: 64 subsets of 16,384
+    # voters here, not the 16,384 subsets (512 MiB of votes) of smaller n
+    (tmp_path / "big.rule").write_text(json.dumps(doc))
+    argv = ["analyze", "--rule", "big.rule", "--min-coalition", "--format", "machine"]
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_PEAK_RSS, *argv],
+        cwd=tmp_path,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    status, out = done.stdout.split("\n", 1)
+    rc, peak_kib = map(int, status.split())
+    assert rc == 0
+    assert peak_kib < 150 * 1024
+    report = json.loads(out)
+    assert report["min_coalition"] == search
+    assert report["methods"] == {"min_coalition": "direct+monotone"}

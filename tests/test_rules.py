@@ -251,6 +251,17 @@ def test_coalition_rule_validation():
     # a grid only skips the pairwise check for its own row-union-column family
     with pytest.raises(ValueError):
         CoalitionRule(4, (frozenset({0}), frozenset({1})), grid=(2, 2))
+    # members that share a voter only in part are still compared pairwise
+    with pytest.raises(ValueError, match="disjoint"):
+        make_coalition_rule(5, [{0, 1}, {0, 2}, {1, 2}, {3, 4}])
+
+
+def test_star_family_skips_the_pairwise_check():
+    # 40,000 members that all hold voter 0: about 800 million pairs, which
+    # the pairwise check would take minutes over
+    pairs = itertools.combinations(range(1, 400), 2)
+    family = [{0, i, j} for i, j in itertools.islice(pairs, 40_000)]
+    assert len(make_coalition_rule(400, family).family) == 40_000
 
 
 def test_coalition_rule_canonicalizes():

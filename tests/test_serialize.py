@@ -149,3 +149,9 @@ def test_rule_files(tmp_path):
     deep.write_text('{"format":1,"type":"grd","tree":' + nested + "}")
     with pytest.raises(ValueError, match="nests too deeply"):
         load_rule_file(str(deep))
+
+
+def test_loads_rule_refuses_deep_nesting():
+    nested = "[" * 100_000 + "0" + "]" * 100_000
+    with pytest.raises(ValueError, match="nests too deeply"):
+        loads_rule('{"format":1,"type":"grd","tree":' + nested + "}")

@@ -107,26 +107,60 @@ def test_longest_run_kernel_across_its_run_length_dtypes(data):
     assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
 
 
-def test_digits_match_votes_from_code():
-    for n in range(1, 7):
-        got = tables.digits(np.arange(3**n), n) - 1
-        assert got.tolist() == [list(votes_from_code(c, n)) for c in range(3**n)]
+def _rules_of_degree(n):
+    """A rule of every family with exactly n voters."""
+    grids = [(r, n // r) for r in range(1, n + 1) if n % r == 0]
+    return st.one_of(
+        st.just(Majority(n)),
+        st.just(LongestRun(n)),
+        dictatorships(min_n=n, max_n=n),
+        grd_rules(min_n=n, max_n=n),
+        st.sampled_from(grids).map(lambda grid: CCC(*grid)),
+        coalition_rules(min_n=n, max_n=n),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_table_matches_outcome_on_sampled_profiles(data):
+    n = data.draw(st.integers(10, 12))
+    rule = data.draw(_rules_of_degree(n))
+    # block edges of the 3^9-profile blocks, and codes anywhere
+    edges = st.sampled_from([0, 3**9 - 1, 3**9, 2 * 3**9, 3**n - 1])
+    code = st.one_of(edges, st.integers(0, 3**n - 1))
+    codes = data.draw(st.lists(code, min_size=1, max_size=16))
+    table = outcome_table(rule)
+    assert [table[c] for c in codes] == [
+        outcome(rule, votes_from_code(c, n)) for c in codes
+    ]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_digits_match_votes_from_code_up_to_the_scan_cap(data):
-    n = data.draw(st.integers(1, 15))
-    codes = data.draw(st.lists(st.integers(0, 3**n - 1), min_size=1, max_size=8))
-    got = tables.digits(np.array(codes), n) - 1
-    assert got.tolist() == [list(votes_from_code(c, n)) for c in codes]
+@given(st.integers(1, 5).flatmap(_rules_of_degree), st.sampled_from((1, 2, 3, 10)))
+def test_table_matches_outcome_when_blocks_hold_few_voters(rule, batch_rows):
+    # blocks of 1, 3 and 9 profiles: voters past the first 0, 1 or 2 are
+    # set once per block
+    with mock.patch.object(tables, "BATCH_ROWS", batch_rows), mock.patch.object(
+        tables, "_TABLES", OrderedDict()
+    ):
+        table = outcome_table(rule)
+    assert table.tolist() == [outcome(rule, phi.votes) for phi in all_profiles(rule.n)]
 
 
-def test_digits_refuse_degrees_whose_codes_overflow_int32():
-    # 19 voters is the largest degree whose codes all fit in int32
-    assert tables.digits(np.array([3**19 - 1]), 19).tolist() == [[2] * 19]
-    with pytest.raises(ValueError, match="int32"):
-        tables.digits(np.arange(3), 20)
+@pytest.mark.parametrize("batch_rows", [1, 3, 10, tables.BATCH_ROWS])
+@pytest.mark.parametrize("f", range(5))
+def test_profile_blocks_run_in_code_order(f, batch_rows, monkeypatch):
+    monkeypatch.setattr(tables, "BATCH_ROWS", batch_rows)
+    blocks = [block.copy() for block in tables.profile_blocks(f, f or 1)]
+    assert len({block.shape for block in blocks}) == 1
+    got = np.concatenate(blocks, axis=1).T.tolist()
+    assert got == [list(votes_from_code(c, f)) for c in range(3**f)]
+
+
+def test_table_of_one_voter():
+    rules = [Majority(1), LongestRun(1), Dictatorship(1), GRD(0), CCC(1, 1)]
+    for rule in rules + [make_coalition_rule(1, [{0}])]:
+        assert outcome_table(rule).tolist() == [-1, 0, 1]
 
 
 def test_evaluate_batch_tied_and_uniform_rows():
@@ -177,6 +211,15 @@ def test_winning_slab_above_table_cap():
     assert is_winning_coalition(rule, proof) is _scalar_winning(rule, proof) is True
     block = tuple(range(6))  # the other seven can outrun it
     assert is_winning_coalition(rule, block) is _scalar_winning(rule, block) is False
+
+
+@pytest.mark.parametrize(
+    "rule", [Majority(4), LongestRun(13), Dictatorship(3, 2), CCC(2, 2), GRD((0, (1, 2)))]
+)
+def test_grand_coalition_leaves_no_voter_free(rule):
+    # the completions of every voter are the one empty profile of no voter
+    everyone = range(rule.n)
+    assert is_winning_coalition(rule, everyone) is _scalar_winning(rule, everyone) is True
 
 
 def test_direct_search_matches_scalar_reference():
