@@ -36,11 +36,9 @@ from .rules import (
     preserves_family,
 )
 from .tables import (
-    BATCH_ROWS,
     automorphism_filter,
     binary_voter_outcomes,
     block_width,
-    evaluate_batch,
     outcome_table,
     profile_blocks,
     relabel_table,
@@ -76,12 +74,13 @@ def _check_members(n: int, members: Iterable[int]) -> frozenset[int]:
 
 
 def _extremal_profiles(n: int, subsets: np.ndarray) -> np.ndarray:
-    """For b subsets (one per row): rows 0..b-1 have the subset voting +1
-    and everyone else -1, rows b..2b-1 are their negations."""
+    """For b subsets (one per row), a voter-major block of 2b profiles:
+    profiles 0..b-1 have the subset voting +1 and everyone else -1,
+    profiles b..2b-1 are their negations."""
     b = len(subsets)
-    votes = np.full((2 * b, n), -1, dtype=np.int8)
-    votes[np.arange(b)[:, None], subsets] = 1
-    votes[b:] = -votes[:b]
+    votes = np.full((n, 2 * b), -1, dtype=np.int8)
+    votes[subsets, np.arange(b)[:, None]] = 1
+    votes[:, b:] = -votes[:, :b]
     return votes
 
 
@@ -114,7 +113,7 @@ def is_winning_coalition(
     if method == "exhaustive" and free > PROFILE_SCAN_CAP:
         raise InfeasibleError(f"3^{free} completions exceed cap {PROFILE_SCAN_CAP}")
     subset = np.array([sorted(ms)], dtype=np.int64)
-    if not _extremal_wins(evaluate_batch(rule, _extremal_profiles(n, subset)))[0]:
+    if not _extremal_wins(rule.batch(_extremal_profiles(n, subset)))[0]:
         return False
     if method == "monotone":
         return True
@@ -167,7 +166,7 @@ def _scan_size(
     combos = itertools.combinations(range(n), k)
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
-    step = block_width(n, BATCH_ROWS // 2)
+    step = max(1, block_width(n) // 2)
     start, count = 0, math.comb(n, k)
     while start < count:
         if start == prefix and not winners:
@@ -186,7 +185,7 @@ def _scan_size(
         if table is not None:
             outcomes = table_outcomes(table, extremal)
         else:
-            outcomes = evaluate_batch(rule, extremal)
+            outcomes = rule.batch(extremal)
         for row in subsets[_extremal_wins(outcomes)]:
             ms = tuple(row.tolist())
             if monotone or _slab_wins(table, n, ms):

@@ -509,8 +509,8 @@ def _tree_to_json(tree: GRDTree):
 
 
 def outcome(rule: VotingRule, votes: tuple[int, ...]) -> int:
-    """Scalar outcome of one profile: the reference that the vectorized
-    `tables.evaluate_batch` is tested against."""
+    """Scalar outcome of one profile: the reference that each rule's
+    vectorized kernel, `rule.batch`, is tested against."""
     return rule.scalar(votes)
 
 

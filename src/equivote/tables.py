@@ -1,9 +1,9 @@
 """Vectorized rule evaluation and outcome tables over the full profile space.
 
-Every exhaustive scan hands the numpy kernel the rule class carries
-(`rule.batch`) voter-major blocks of profiles, cut by `evaluate_batch` from a
-matrix of profiles (one per row, votes in {-1, 0, +1}) or yielded by
-`profile_blocks`: every profile of some voters, in code order, without codes.
+Every scan hands the numpy kernel the rule class carries (`rule.batch`)
+voter-major, C-contiguous int8 blocks of at most `block_width(n)` profiles
+(one per column, votes in {-1, 0, +1}); `profile_blocks` yields every
+profile of some voters that way, in code order, without codes.
 The table of a degree-n rule is its value on every base-3 profile code (voter
 v's vote plus one is the digit of weight 3^v), so it is also an n-axis
 3 x 3 x ... x 3 array whose axis v is voter v's vote, and this module alone
@@ -34,10 +34,10 @@ _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
 _TABLE_CACHE_BYTES = 32 << 20
 
 
-def block_width(n: int, rows: int) -> int:
-    """rows, cut once n > 64 so that a block of profiles of n voters holds
-    at most rows << 6 votes."""
-    return max(1, min(rows, (rows << 6) // n))
+def block_width(n: int) -> int:
+    """Profiles per kernel block: BATCH_ROWS, cut once n > 64 so that a
+    block of profiles of n voters holds at most BATCH_ROWS << 6 votes."""
+    return max(1, min(BATCH_ROWS, (BATCH_ROWS << 6) // n))
 
 
 def profile_blocks(f: int, n: int) -> Iterator[np.ndarray]:
@@ -47,7 +47,7 @@ def profile_blocks(f: int, n: int) -> Iterator[np.ndarray]:
     k voters run through one fixed digit pattern and each higher voter
     votes alike across a block. Every block is the same array, refilled."""
     k = 0
-    while k < f and 3 ** (k + 1) <= block_width(n, BATCH_ROWS):
+    while k < f and 3 ** (k + 1) <= block_width(n):
         k += 1
     block = np.empty((f, 3**k), dtype=np.int8)
     # np.indices varies its last axis fastest, and voter 0 is the lowest digit
@@ -55,20 +55,6 @@ def profile_blocks(f: int, n: int) -> Iterator[np.ndarray]:
     for high in itertools.product((-1, 0, 1), repeat=f - k):
         block[k:] = np.array(high[::-1], dtype=np.int8)[:, None]
         yield block
-
-
-def evaluate_batch(rule: VotingRule, votes: np.ndarray) -> np.ndarray:
-    """Outcome of the rule on each row of an (m, n) vote matrix, as int8[m]."""
-    votes = np.asarray(votes, dtype=np.int8)
-    n = rule.n
-    if votes.ndim != 2 or votes.shape[1] != n:
-        raise ValueError(f"expected a vote matrix with {n} columns")
-    out = np.empty(len(votes), dtype=np.int8)
-    rows = block_width(n, BATCH_ROWS)
-    for lo in range(0, len(votes), rows):
-        ballots = np.ascontiguousarray(votes[lo : lo + rows].T)
-        out[lo : lo + rows] = rule.batch(ballots)
-    return out
 
 
 def outcome_table(rule: VotingRule) -> np.ndarray:
@@ -94,10 +80,10 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     return table
 
 
-def table_outcomes(table: np.ndarray, votes: np.ndarray) -> np.ndarray:
-    """The table's outcome on each row of an (m, n) vote matrix."""
-    weights = 3 ** np.arange(votes.shape[1], dtype=np.int64)
-    return table[(votes.astype(np.int64) + 1) @ weights]
+def table_outcomes(table: np.ndarray, ballots: np.ndarray) -> np.ndarray:
+    """The table's outcome on each profile of a voter-major block."""
+    weights = 3 ** np.arange(len(ballots), dtype=np.int64)
+    return table[weights @ (ballots + 1)]
 
 
 def _cube(table: np.ndarray, n: int) -> np.ndarray:
@@ -174,19 +160,19 @@ def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
 
 def binary_voter_outcomes(rule: VotingRule, v: int) -> Iterator[np.ndarray]:
     """The binary counterpart of `voter_outcomes`, evaluated in blocks of
-    at most BATCH_ROWS columns: row d holds the outcomes with voter v voting
-    d - 1, column j the profile of the other voters whose votes, in voter
-    order, are the bits of j (1 for +1)."""
+    at most `block_width` columns: row d holds the outcomes with voter v
+    voting d - 1, column j the profile of the other voters whose votes, in
+    voter order, are the bits of j (1 for +1)."""
     n = rule.n
     others = [u for u in range(n) if u != v]
-    for lo in range(0, 2 ** (n - 1), BATCH_ROWS):
-        codes = np.arange(lo, min(lo + BATCH_ROWS, 2 ** (n - 1)), dtype=np.int32)
-        # voter-major, so that evaluate_batch hands it to the kernel uncopied
+    step = block_width(n)
+    for lo in range(0, 2 ** (n - 1), step):
+        codes = np.arange(lo, min(lo + step, 2 ** (n - 1)), dtype=np.int32)
         ballots = np.empty((n, len(codes)), dtype=np.int8)
         for bit, u in enumerate(others):
             ballots[u] = 2 * (codes >> bit & 1) - 1
         block = np.empty((3, len(codes)), dtype=np.int8)
         for d in range(3):
             ballots[v] = d - 1
-            block[d] = evaluate_batch(rule, ballots.T)
+            block[d] = rule.batch(ballots)
         yield block

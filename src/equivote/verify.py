@@ -115,7 +115,9 @@ def verify_thm1(ns: Iterable[int] = range(4, 17)) -> VerificationReport:
     start = time.monotonic()
     ns = list(ns)
     checks: list[CheckResult] = []
-    for n in ns:
+    # every rule is built, or its size refused, before any size is checked
+    rules = [LongestRun(n) for n in ns]
+    for n, rule in zip(ns, rules):
         w = proof_coalition(n)
         bound = 2 * _ceil_sqrt(n) - 1
         checks.append(
@@ -125,7 +127,6 @@ def verify_thm1(ns: Iterable[int] = range(4, 17)) -> VerificationReport:
                 f"n={n} |W|={len(w)} bound={bound} W={list(w)}",
             )
         )
-        rule = LongestRun(n)
         if n <= 12:
             won = is_winning_coalition(rule, w, method="exhaustive")
             detail = "exhaustive"

@@ -461,6 +461,18 @@ def test_oversized_depth_refused_before_any_depth_is_checked(capsys, monkeypatch
     assert err == f"error: branching gives {3**14} voters, outside 1..16384\n"
 
 
+def test_nonpositive_size_refused_before_any_size_is_checked(capsys, monkeypatch):
+    import equivote.verify as verify
+
+    calls = []
+    real = verify.proof_coalition
+    monkeypatch.setattr(verify, "proof_coalition", lambda n: calls.append(n) or real(n))
+    for sizes in ("0", "4,-1"):
+        rc, out, err = run(capsys, "verify", "thm1", "--n", sizes)
+        assert (rc, out, len(calls)) == (2, "", 0)
+        assert err == "error: n must be positive\n"
+
+
 def test_largest_uniform_tree_within_the_limit_is_built(capsys):
     rc, out, _ = run(capsys, "construct", "--type", "grd", "--branching", "2," * 13 + "2")
     assert rc == 0

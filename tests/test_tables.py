@@ -24,6 +24,7 @@ from equivote.profiles import VoteProfile
 from equivote.rules import (
     CCC,
     GRD,
+    CoalitionRule,
     PROFILE_SCAN_CAP,
     Dictatorship,
     LongestRun,
@@ -36,7 +37,6 @@ from equivote.rules import (
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.tables import (
     automorphism_filter,
-    evaluate_batch,
     outcome_table,
     relabel_table,
     respects_table,
@@ -82,12 +82,17 @@ def profile_rows(draw, n):
     return draw(st.lists(VOTE, min_size=period, max_size=period)) * (n // period)
 
 
+def _ballots(rows):
+    """The voter-major int8 block of the profiles listed one per row."""
+    return np.array(rows, dtype=np.int8).T.copy()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_evaluate_batch_matches_outcome(data):
+def test_kernel_matches_outcome(data):
     rule = data.draw(RULES)
     rows = data.draw(st.lists(profile_rows(rule.n), min_size=1, max_size=24))
-    got = evaluate_batch(rule, np.array(rows, dtype=np.int8))
+    got = rule.batch(_ballots(rows))
     assert got.dtype == np.int8
     assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
 
@@ -103,7 +108,7 @@ def test_longest_run_kernel_across_its_run_length_dtypes(data):
     against = [x] * rule.n
     against[rule.n // 2] = -x
     rows = [against, *data.draw(st.lists(profile_rows(rule.n), max_size=8))]
-    got = evaluate_batch(rule, np.array(rows, dtype=np.int8))
+    got = rule.batch(_ballots(rows))
     assert got.tolist() == [outcome(rule, tuple(row)) for row in rows]
 
 
@@ -163,7 +168,7 @@ def test_table_of_one_voter():
         assert outcome_table(rule).tolist() == [-1, 0, 1]
 
 
-def test_evaluate_batch_tied_and_uniform_rows():
+def test_longest_run_kernel_on_tied_and_uniform_profiles():
     rows = [
         (1, 1, -1, -1, 0, 0),  # two longest nonzero blocks tie: majority, 0
         (1, 1, 0, -1, -1, -1),  # unique longest block decides
@@ -171,16 +176,9 @@ def test_evaluate_batch_tied_and_uniform_rows():
         (-1, -1, -1, -1, -1, -1),
         (1, 1, 0, 0, 0, 1),  # the +1 block wraps round the ring
     ]
-    got = evaluate_batch(LongestRun(6), np.array(rows))
+    got = LongestRun(6).batch(_ballots(rows))
     assert got.tolist() == [0, -1, 0, -1, 1]
     assert got.tolist() == [outcome(LongestRun(6), row) for row in rows]
-
-
-def test_evaluate_batch_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        evaluate_batch(Majority(3), np.zeros((4, 2), dtype=np.int8))
-    with pytest.raises(ValueError):
-        evaluate_batch(Majority(3), np.zeros(3, dtype=np.int8))
 
 
 def test_longest_run_table_matches_scalar_loop():
@@ -258,7 +256,6 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     )
     monkeypatch.setattr(tables, "_TABLES", OrderedDict())
     monkeypatch.setattr(tables, "BATCH_ROWS", 7)
-    monkeypatch.setattr(analysis, "BATCH_ROWS", 7)
     got = (
         outcome_table(lr),
         is_winning_coalition(lr, (0, 1, 2, 3, 6)),
@@ -542,9 +539,9 @@ def test_reduced_search_matches_full_scan(rule, data):
     scan_cap = data.draw(st.sampled_from([12, n - 1] if rule.monotone else [12]))
     budget = data.draw(st.one_of(st.just(COALITION_BUDGET), st.integers(0, 2**n)))
     limit = data.draw(st.sampled_from([3, analysis.WITNESS_LIMIT]))
-    rows = data.draw(st.sampled_from([4, 7, analysis.BATCH_ROWS]))
+    rows = data.draw(st.sampled_from([4, 7, tables.BATCH_ROWS]))
     with mock.patch.object(analysis, "WITNESS_LIMIT", limit), mock.patch.object(
-        analysis, "BATCH_ROWS", rows
+        tables, "BATCH_ROWS", rows
     ):
         got = min_winning_coalitions(rule, budget=budget, scan_cap=scan_cap)
         with mock.patch.object(analysis, "_symmetry", _every_voter):
@@ -606,6 +603,50 @@ def test_binary_pivotality_evaluates_three_votes_per_profile_of_the_others(monke
     # one voter for the transitive rotation: its three votes against each of
     # the others' 2^9 profiles
     assert sum(evaluated) == 1536
+
+
+@pytest.mark.parametrize("batch_rows", [tables.BATCH_ROWS, 7])
+def test_every_kernel_block_is_voter_major_int8_within_the_block_width(
+    batch_rows, monkeypatch
+):
+    monkeypatch.setattr(tables, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(tables, "_TABLES", OrderedDict())
+    blocks = []
+    for cls in (Majority, LongestRun, Dictatorship, GRD, CoalitionRule):
+
+        def spy(rule, ballots, batch=cls.batch):
+            flags = (ballots.dtype, ballots.flags.c_contiguous, len(ballots))
+            blocks.append((flags, ballots.shape[1], rule.n))
+            return batch(rule, ballots)
+
+        monkeypatch.setattr(cls, "batch", spy)
+
+    lr, far = LongestRun(9), Dictatorship(100, 3)
+    calls = [
+        lambda: outcome_table(lr),
+        lambda: outcome_table(CCC(2, 3)),
+        lambda: outcome_table(GRD((0, 1, (2, 3, 4)))),
+        lambda: is_winning_coalition(lr, (0, 1, 2, 3, 6)),
+        lambda: is_winning_coalition(Majority(7), (0, 1, 2, 3), method="monotone"),
+        # the table search reaches the kernel through its table alone
+        lambda: min_winning_coalitions(LongestRun(8)),
+        lambda: min_winning_coalitions(Majority(9), scan_cap=0),
+        lambda: pivotality(lr),
+        lambda: pivotality(make_coalition_rule(5, [{0, 1}, {1, 2}])),
+        lambda: min_winning_coalitions(far),
+        lambda: is_winning_coalition(far, range(95)),
+        lambda: is_winning_coalition(far, (3, 50), method="monotone"),
+    ]
+    for i, call in enumerate(calls):
+        blocks.clear()
+        call()
+        assert blocks, i
+        for flags, width, n in blocks:
+            assert flags == (np.int8, True, n)
+            assert 1 <= width <= max(2, tables.block_width(n))
+            # BATCH_ROWS profiles, and once n > 64 BATCH_ROWS << 6 votes
+            assert width <= max(2, batch_rows)
+            assert n * width <= max(2 * n, batch_rows << 6)
 
 
 def test_symmetry_reads_the_transitivity_of_the_certified_group():
@@ -679,7 +720,7 @@ def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
 
     monkeypatch.setattr(analysis, "_extremal_profiles", counting)
     monkeypatch.setattr(analysis, "WITNESS_LIMIT", 19)
-    monkeypatch.setattr(analysis, "BATCH_ROWS", 64)  # blocks of 32 subsets
+    monkeypatch.setattr(tables, "BATCH_ROWS", 64)  # blocks of 32 subsets
     pairs = itertools.combinations(range(19), 2)
     rule = make_coalition_rule(20, ({a, b, 19} for a, b in pairs))
     got = min_winning_coalitions(rule)
