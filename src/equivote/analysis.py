@@ -33,6 +33,8 @@ from .rules import (
     InfeasibleError,
     PROFILE_SCAN_CAP,
     VotingRule,
+    ccc_family,
+    grid_certificate,
     preserves_family,
 )
 from .tables import (
@@ -449,11 +451,13 @@ def certified_subgroup(
 
     The rule names its own certificate. Generators and the named n-cycle
     of profile-defined rules are validated by a full outcome-table scan
-    when the degree is within the scan cap; coalition families validate
-    their groups by set preservation of each generator and the n-cycle at
-    any degree: the grid shifts of a CCC grid, else the group the
-    provenance names, else the family stabilizer while n is within the
-    factorial cap. A named group that breaks the family is dropped.
+    when the degree is within the scan cap. A coalition rule that holds
+    its grid's own family keeps `grid_certificate`'s shifts and diagonal
+    cycle, which permute the row-plus-column sets by construction. Any
+    other named group, the provenance's included, is validated at any
+    degree by set preservation of each generator and the n-cycle, and
+    dropped if it breaks the family; the family stabilizer follows while
+    n is within the factorial cap.
     """
     n = rule.n
     cert = rule.certificate()
@@ -467,8 +471,11 @@ def certified_subgroup(
         group = _group_from_provenance(rule.provenance or {}, n)
         cert = None if group is None else EquityCertificate(group, "family_group")
     family_set = frozenset(rule.family)
-    if cert is not None and all(
-        preserves_family(g, family_set) for g in _named_perms(cert)
+    if cert is not None and (
+        rule.grid is not None
+        and cert is grid_certificate(*rule.grid)
+        and rule.family == ccc_family(*rule.grid)
+        or all(preserves_family(g, family_set) for g in _named_perms(cert))
     ):
         return EquityCertificate(cert.group, cert.kind, True, cert.cycle)
     if n > factorial_cap:

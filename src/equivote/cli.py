@@ -16,18 +16,10 @@ from .analysis import COALITION_BUDGET, FACTORIAL_CAP, analyze_rule
 from .geometry import build_projective_rule
 from .profiles import VoteProfile
 from .randomized import build_rule_from_group, group_from_descriptor
-from .rules import (
-    CCC,
-    Dictatorship,
-    InfeasibleError,
-    LongestRun,
-    Majority,
-    PROFILE_SCAN_CAP,
-    evaluate,
-    uniform_grd,
-)
+from .rules import InfeasibleError, PROFILE_SCAN_CAP, evaluate, uniform_grd
 from .serialize import (
     FORMAT_VERSION,
+    RULE_TYPES,
     canonical_json,
     dumps_rule,
     load_rule_file,
@@ -68,19 +60,11 @@ def _parse_int_list(raw: str) -> list[int]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     kind = args.type
-    if kind == "majority":
-        rule = Majority(_require(args.n, "--n"))
-    elif kind == "longest_run":
-        rule = LongestRun(_require(args.n, "--n"))
-    elif kind == "dictatorship":
-        rule = Dictatorship(_require(args.n, "--n"), dictator=args.dictator)
-    elif kind == "grd":
+    if kind == "grd":
         branching = tuple(
             int(tok) for tok in _require(args.branching, "--branching").split(",")
         )
         rule = uniform_grd(branching)
-    elif kind == "ccc":
-        rule = CCC(_require(args.rows, "--rows"), _require(args.cols, "--cols"))
     elif kind == "fano":
         rule = build_projective_rule(_require(args.p, "--p"))
     elif kind == "group_orbit":
@@ -89,7 +73,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
             group_from_descriptor(desc), desc, seed=args.seed
         )
     else:
-        raise ValueError(f"unknown rule type {kind!r}")
+        # an optional field's flag has a default, so it is never None
+        construct, required, optional = RULE_TYPES[kind]
+        rule = construct(
+            **{k: _require(getattr(args, k), f"--{k}") for k in required + optional}
+        )
     _emit(dumps_rule(rule), args.out)
     return 0
 
@@ -179,26 +167,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_params(claim: str, args: argparse.Namespace) -> dict:
-    """Map the override flags onto the claim's verifier parameters."""
+def _verify_params(args: argparse.Namespace) -> dict:
+    """Map each override flag onto the verifier parameter it sets; with
+    --group, the --n or --p grid and --seed make prop4's configs instead.
+    `verify_claim` refuses any parameter its claim does not take."""
     params: dict = {}
-    if claim in ("thm1", "lemma3") and args.n is not None:
-        params["ns"] = _parse_int_list(args.n)
-    if claim == "thm3" and args.depth is not None:
-        params["depths"] = _parse_int_list(args.depth)
-    if claim == "thm8":
-        if args.p is not None:
-            params["primes"] = _parse_int_list(args.p)
-        if args.seed is not None:
-            params["seed"] = args.seed
-    if claim == "prop4" and args.group is not None:
-        seed = args.seed if args.seed is not None else 0
-        if args.group == "cyclic":
-            sizes = _parse_int_list(_require(args.n, "--n"))
-            params["configs"] = [({"kind": "cyclic", "n": n}, seed) for n in sizes]
-        else:
-            primes = _parse_int_list(_require(args.p, "--p"))
-            params["configs"] = [({"kind": "pgl2", "p": p}, seed) for p in primes]
+    for flag, key in (("n", "ns"), ("depth", "depths"), ("p", "primes")):
+        if getattr(args, flag) is not None:
+            params[key] = _parse_int_list(getattr(args, flag))
+    if args.seed is not None:
+        params["seed"] = args.seed
+    if args.group is not None:
+        flag, key = ("n", "ns") if args.group == "cyclic" else ("p", "primes")
+        grid = _require(params.pop(key, None), f"--{flag}")
+        seed = params.pop("seed", 0)
+        params["configs"] = [({"kind": args.group, flag: v}, seed) for v in grid]
     return params
 
 
@@ -209,10 +192,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.claim == "all" and overridden:
         raise ValueError("parameter overrides require a single claim, not 'all'")
     claims = list(CLAIM_IDS) if args.claim == "all" else [args.claim]
-    reports = {
-        claim: verify_claim(claim, **_verify_params(claim, args))
-        for claim in claims
-    }
+    params = _verify_params(args)
+    reports = {claim: verify_claim(claim, **params) for claim in claims}
     overall = all(r.passed for r in reports.values())
     if args.format == "machine":
         doc = {
@@ -220,8 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "kind": "verification_suite",
             "passed": overall,
             "reports": {
-                claim: verification_to_dict(r, machine=True)
-                for claim, r in reports.items()
+                claim: verification_to_dict(r) for claim, r in reports.items()
             },
         }
         _emit(canonical_json(doc), args.out)

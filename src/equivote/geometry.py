@@ -80,7 +80,7 @@ def build_projective_rule(p: int) -> CoalitionRule:
     plane = projective_plane(p)
     return make_coalition_rule(
         n=len(plane.points),
-        members=plane.lines,
+        family=plane.lines,
         provenance={"kind": "projective_plane", "p": p},
     )
 

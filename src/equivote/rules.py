@@ -25,6 +25,7 @@ from ._numpy import np
 from ._record import record
 from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile
+from .tables import outcome_table, respects_table, voter_outcomes
 
 GRDTree = Union[int, tuple]
 
@@ -249,16 +250,7 @@ class CoalitionRule:
     def certificate(self) -> Optional[EquityCertificate]:
         if self.grid is None:
             return None  # a coalition document's provenance is only a hint
-        rows, cols = self.grid
-        cells = [(i, j) for i in range(rows) for j in range(cols)]
-        row_shift = Permutation(tuple((i + 1) % rows * cols + j for i, j in cells))
-        col_shift = Permutation(tuple(i * cols + (j + 1) % cols for i, j in cells))
-        cycle = None
-        if math.gcd(rows, cols) == 1:
-            # the diagonal shift is one n-cycle (Chinese remainder theorem)
-            cycle = compose(row_shift, col_shift)
-        group = PermGroup(self.n, (row_shift, col_shift))
-        return EquityCertificate(group, "grid_shifts", cycle=cycle)
+        return grid_certificate(*self.grid)
 
     @property
     def label(self) -> str:
@@ -274,10 +266,10 @@ VotingRule = Union[Majority, LongestRun, Dictatorship, GRD, CoalitionRule]
 
 
 def make_coalition_rule(
-    n: int, members: Iterable[Iterable[int]], provenance: Optional[dict] = None
+    n: int, family: Iterable[Iterable[int]], provenance: Optional[dict] = None
 ) -> CoalitionRule:
     """Canonicalize (dedupe, sort) and validate a coalition family."""
-    fam = sorted({frozenset(m) for m in members}, key=lambda s: (len(s), sorted(s)))
+    fam = sorted({frozenset(m) for m in family}, key=lambda s: (len(s), sorted(s)))
     return CoalitionRule(n=n, family=tuple(fam), provenance=provenance)
 
 
@@ -352,6 +344,22 @@ def ccc_family(rows: int, cols: int) -> tuple[frozenset[int], ...]:
             col = {r * cols + j for r in range(rows)}
             members.append(frozenset(row | col))
     return tuple(sorted(set(members), key=lambda s: (len(s), sorted(s))))
+
+
+@lru_cache(maxsize=64)
+def grid_certificate(rows: int, cols: int) -> EquityCertificate:
+    """The row and column shifts of a rows x cols voter grid, with their
+    product when it is an n-cycle; built once per grid, so that a check
+    can tell this certificate from any other by identity."""
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    row_shift = Permutation(tuple((i + 1) % rows * cols + j for i, j in cells))
+    col_shift = Permutation(tuple(i * cols + (j + 1) % cols for i, j in cells))
+    cycle = None
+    if math.gcd(rows, cols) == 1:
+        # the diagonal shift is one n-cycle (Chinese remainder theorem)
+        cycle = compose(row_shift, col_shift)
+    group = PermGroup(rows * cols, (row_shift, col_shift))
+    return EquityCertificate(group, "grid_shifts", cycle=cycle)
 
 
 def CCC(rows: int, cols: int) -> CoalitionRule:
@@ -527,8 +535,6 @@ def _require_scan(n: int) -> None:
 
 def is_neutral(rule: VotingRule) -> bool:
     """f(-phi) == -f(phi) over every profile."""
-    from .tables import outcome_table
-
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
@@ -538,8 +544,6 @@ def is_neutral(rule: VotingRule) -> bool:
 def is_symmetric(rule: VotingRule) -> bool:
     """The outcome depends only on the vote tally: it is invariant under
     every relabelling, so under the generators of the symmetric group."""
-    from .tables import outcome_table, respects_table
-
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)
@@ -549,8 +553,6 @@ def is_symmetric(rule: VotingRule) -> bool:
 def is_positively_responsive(rule: VotingRule) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
-    from .tables import outcome_table, voter_outcomes
-
     n = rule.n
     _require_scan(n)
     table = outcome_table(rule)

@@ -7,7 +7,7 @@ always produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .analysis import AnalysisReport
 from .rules import (
@@ -48,40 +48,64 @@ def rule_to_dict(rule: VotingRule) -> dict:
     return {"format": FORMAT_VERSION, **rule.to_doc()}
 
 
-# fields of each rule document type besides "format" and "type": required,
-# then optional
-_RULE_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "majority": (("n",), ()),
-    "longest_run": (("n",), ()),
-    "dictatorship": (("n",), ("dictator",)),
-    "grd": (("tree",), ()),
-    "ccc": (("rows", "cols"), ()),
-    "coalition": (("n", "family"), ("provenance",)),
-}
-
-
-def _int_field(doc: dict, key: str, default: int | None = None) -> int:
-    value = doc.get(key, default)
+def _int_field(key: str, value: Any) -> int:
     if not _is_int(value):
         raise ValueError(f"rule field {key!r} must be an integer, got {value!r}")
     return value
 
 
-def _check_degree(degree: int, fields: str) -> None:
-    if degree > MAX_DEGREE:
+def _degree_field(key: str, value: Any) -> int:
+    """An int voter count within MAX_DEGREE."""
+    if _int_field(key, value) > MAX_DEGREE:
         raise ValueError(
-            f"rule {fields}: {degree} voters, above the limit of {MAX_DEGREE}"
+            f"rule field {key!r}: {value} voters, above the limit of {MAX_DEGREE}"
         )
+    return value
 
 
-def _family_field(doc: dict) -> list[frozenset[int]]:
-    family = doc["family"]
-    if not isinstance(family, list) or not all(
+def _tree_field(key: str, value: Any) -> GRDTree:
+    tree = _tree_from_json(value)
+    _degree_field(key, len(tree_leaves(tree)))
+    return tree
+
+
+def _family_field(key: str, value: Any) -> list[frozenset[int]]:
+    if not isinstance(value, list) or not all(
         isinstance(member, list) and all(_is_int(v) for v in member)
-        for member in family
+        for member in value
     ):
-        raise ValueError("rule field 'family' must be a list of integer lists")
-    return [frozenset(member) for member in family]
+        raise ValueError(f"rule field {key!r} must be a list of integer lists")
+    return [frozenset(member) for member in value]
+
+
+def _provenance_field(key: str, value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"rule field {key!r} must be an object")
+    return value
+
+
+# CCC_MAX_ENTRIES admits at most about 10,400 voters, below MAX_DEGREE, so
+# rows and cols need no degree check
+_FIELD_READERS: dict[str, Callable[[str, Any], Any]] = {
+    "n": _degree_field,
+    "dictator": _int_field,
+    "rows": _int_field,
+    "cols": _int_field,
+    "tree": _tree_field,
+    "family": _family_field,
+    "provenance": _provenance_field,
+}
+
+# each rule document type's constructor, which takes the fields as keywords,
+# and its fields besides "format" and "type": required, then optional
+RULE_TYPES: dict[str, tuple[Callable[..., VotingRule], tuple[str, ...], tuple[str, ...]]] = {
+    "majority": (Majority, ("n",), ()),
+    "longest_run": (LongestRun, ("n",), ()),
+    "dictatorship": (Dictatorship, ("n",), ("dictator",)),
+    "grd": (GRD, ("tree",), ()),
+    "ccc": (CCC, ("rows", "cols"), ()),
+    "coalition": (make_coalition_rule, ("n", "family"), ("provenance",)),
+}
 
 
 def rule_from_dict(doc: Any) -> VotingRule:
@@ -92,38 +116,17 @@ def rule_from_dict(doc: Any) -> VotingRule:
     if not _is_int(doc.get("format")) or doc["format"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
     kind = doc.get("type")
-    if not isinstance(kind, str) or kind not in _RULE_FIELDS:
+    if not isinstance(kind, str) or kind not in RULE_TYPES:
         raise ValueError(f"unknown rule type {kind!r}")
-    required, optional = _RULE_FIELDS[kind]
+    construct, required, optional = RULE_TYPES[kind]
     unknown = sorted(set(doc) - {"format", "type", *required, *optional})
     if unknown:
         raise ValueError(f"unknown rule field {unknown[0]!r} for type {kind!r}")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ValueError(f"missing rule field {missing[0]!r} for type {kind!r}")
-    if "n" in required:
-        _check_degree(_int_field(doc, "n"), "field 'n'")
-    if kind == "majority":
-        return Majority(n=_int_field(doc, "n"))
-    if kind == "longest_run":
-        return LongestRun(n=_int_field(doc, "n"))
-    if kind == "dictatorship":
-        return Dictatorship(
-            n=_int_field(doc, "n"), dictator=_int_field(doc, "dictator", 0)
-        )
-    if kind == "grd":
-        tree = _tree_from_json(doc["tree"])
-        _check_degree(len(tree_leaves(tree)), "field 'tree'")
-        return GRD(tree=tree)
-    if kind == "ccc":
-        # CCC_MAX_ENTRIES admits at most about 10,400 voters, below MAX_DEGREE
-        return CCC(rows=_int_field(doc, "rows"), cols=_int_field(doc, "cols"))
-    provenance = doc.get("provenance")
-    if "provenance" in doc and not isinstance(provenance, dict):
-        raise ValueError("rule field 'provenance' must be an object")
-    return make_coalition_rule(
-        _int_field(doc, "n"), _family_field(doc), provenance=provenance
-    )
+    fields = [key for key in (*required, *optional) if key in doc]
+    return construct(**{key: _FIELD_READERS[key](key, doc[key]) for key in fields})
 
 
 def dumps_rule(rule: VotingRule, indent: int | None = 2) -> str:

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._numpy import np
-from .perms import Permutation
-from .rules import VotingRule
+
+if TYPE_CHECKING:
+    from .perms import Permutation
+    from .rules import VotingRule
 
 BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
 

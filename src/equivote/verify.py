@@ -83,8 +83,8 @@ def _finish(
     )
 
 
-def verification_to_dict(report: VerificationReport, machine: bool = True) -> dict:
-    doc = {
+def verification_to_dict(report: VerificationReport) -> dict:
+    return {
         "format": 1,
         "kind": "verification",
         "claim": report.claim,
@@ -95,9 +95,6 @@ def verification_to_dict(report: VerificationReport, machine: bool = True) -> di
             for c in report.checks
         ],
     }
-    if not machine:
-        doc["wall_time_s"] = round(report.wall_time, 3)
-    return doc
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -589,25 +586,26 @@ def verify_prop3() -> VerificationReport:
     """Prime voter counts force a full rotation among the symmetries."""
     start = time.monotonic()
     checks: list[CheckResult] = []
-    cyclic_rules: list[tuple[str, VotingRule]] = [
-        ("longest_run7", LongestRun(7)),
-        ("projective_p2", build_projective_rule(2)),
-        ("majority3", Majority(3)),
-        ("majority5", Majority(5)),
-        ("majority7", Majority(7)),
+    cyclic_rules: list[VotingRule] = [
+        LongestRun(7),
+        build_projective_rule(2),
+        Majority(3),
+        Majority(5),
+        Majority(7),
     ]
-    for label, rule in cyclic_rules:
+    for rule in cyclic_rules:
         checks.append(
             _check(
-                f"cyclic_{label}",
+                f"cyclic_{rule.label}",
                 is_cyclic_rule(rule) is True,
                 "n-cycle automorphism found",
             )
         )
+    dictatorship = Dictatorship(5)
     checks.append(
         _check(
-            "not_cyclic_dictatorship5",
-            is_cyclic_rule(Dictatorship(5)) is False,
+            f"not_cyclic_{dictatorship.label}",
+            is_cyclic_rule(dictatorship) is False,
             "full group fixes the dictator",
         )
     )

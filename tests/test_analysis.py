@@ -36,6 +36,7 @@ from equivote.perms import Permutation, cycle_lengths, is_k_transitive
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,
+    CoalitionRule,
     Dictatorship,
     GRD,
     InfeasibleError,
@@ -337,6 +338,25 @@ def test_certified_subgroup_kinds():
     # the grid diagonal is an n-cycle exactly when gcd(rows, cols) = 1
     assert cycle_lengths(certified_subgroup(CCC(2, 3)).cycle) == (6,)
     assert certified_subgroup(CCC(2, 2)).cycle is None
+
+
+def test_grid_certificate_is_taken_without_a_family_scan(monkeypatch):
+    calls = []
+    real = analysis.preserves_family
+    monkeypatch.setattr(
+        analysis, "preserves_family", lambda *args: calls.append(args) or real(*args)
+    )
+    for rows, cols in ((2, 3), (3, 3), (4, 6), (1, 5)):
+        cert = certified_subgroup(CCC(rows, cols))
+        assert (cert.kind, cert.validated) == ("grid_shifts", True)
+    assert calls == []
+
+
+def test_grid_certificate_needs_the_grids_family():
+    # a grid rule may hold another intersecting family, which the shifts break
+    rule = CoalitionRule(6, ccc_family(2, 3)[:-1], grid=(2, 3))
+    assert certified_subgroup(rule).kind == "family_stabilizer"
+    assert certified_subgroup(CoalitionRule(9, ccc_family(3, 3)[:-1], grid=(3, 3))) is None
 
 
 @pytest.mark.parametrize(

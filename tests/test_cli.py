@@ -87,12 +87,21 @@ def test_construct_documents(capsys, tmp_path):
     assert orbit["provenance"]["group"] == {"kind": "cyclic", "n": 16}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("majority",), "--n"),
+        (("dictatorship", "--dictator", "1"), "--n"),
+        (("ccc", "--rows", "2"), "--cols"),
+        (("ccc", "--cols", "2"), "--rows"),
+    ],
+)
+def test_construct_missing_flag_is_named(capsys, argv, flag):
+    rc, out, err = run(capsys, "construct", "--type", *argv)
+    assert (rc, out, err) == (2, "", f"error: {flag} is required for this type\n")
+
+
 def test_construct_missing_flag(capsys):
-    rc, _, err = run(capsys, "construct", "--type", "majority")
-    assert rc == 2
-    assert err.startswith("error:")
-    rc, _, err = run(capsys, "construct", "--type", "ccc", "--rows", "2")
-    assert rc == 2
     rc, _, err = run(capsys, "construct", "--type", "group_orbit", "--seed", "1")
     assert rc == 2
 
@@ -320,6 +329,24 @@ def test_verify_overrides(capsys):
         capsys, "verify", "prop4", "--group", "cyclic", "--n", "16", "--seed", "0"
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma1", "--n", "4"),
+        ("thm7", "--seed", "1"),
+        ("thm1", "--p", "3"),
+        ("prop4", "--seed", "3"),
+        ("prop4", "--group", "pgl2", "--p", "5", "--n", "5"),
+        ("thm1", "--group", "cyclic", "--n", "5"),
+    ],
+)
+def test_verify_refuses_flags_the_claim_does_not_take(capsys, argv):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: claim {argv[0]!r} ")
+    assert err.count("\n") == 1
 
 
 def test_verify_override_rejects_all(capsys):

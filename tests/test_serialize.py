@@ -17,6 +17,7 @@ from equivote.rules import (
 )
 from equivote.serialize import (
     FORMAT_VERSION,
+    RULE_TYPES,
     canonical_json,
     dumps_rule,
     load_rule_file,
@@ -45,6 +46,21 @@ ROUNDTRIP_RULES = [
 def test_rule_roundtrips():
     for rule in ROUNDTRIP_RULES:
         assert loads_rule(dumps_rule(rule)) == rule
+
+
+def test_rule_types_are_the_documents_the_rules_write():
+    # one rule of each family, and a coalition document
+    rules = [
+        Majority(5),
+        LongestRun(9),
+        Dictatorship(4, dictator=2),
+        GRD((0, 1, (2, 3, 4))),
+        CCC(3, 4),
+        make_coalition_rule(4, [{0}]),
+    ]
+    docs = [rule_to_dict(rule) for rule in rules]
+    assert [rule_from_dict(doc) for doc in docs] == rules
+    assert sorted(doc["type"] for doc in docs) == sorted(RULE_TYPES)
 
 
 def test_rule_doc_shape():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from profile_oracle import all_profiles, apply_to_profile, profile_code, votes_from_code
 
-from equivote import analysis, tables
+from equivote import analysis, rules, tables
 from equivote.analysis import (
     COALITION_BUDGET,
     is_winning_coalition,
@@ -465,7 +465,7 @@ def test_is_symmetric_matches_tally_definition(case):
     for phi in all_profiles(n):
         tally = (phi.votes.count(1), phi.votes.count(-1))
         tallies.setdefault(tally, set()).add(int(table[profile_code(phi)]))
-    with mock.patch.object(tables, "outcome_table", lambda rule: table):
+    with mock.patch.object(rules, "outcome_table", lambda rule: table):
         got = is_symmetric(Majority(n))
     assert got == all(len(seen) == 1 for seen in tallies.values())
 

@@ -33,10 +33,8 @@ def test_verify_claim_rejects_bad_input():
 
 def test_report_to_dict_modes():
     report = verify_claim("lemma3", ns=[3])
-    machine = verification_to_dict(report, machine=True)
-    human = verification_to_dict(report, machine=False)
+    machine = verification_to_dict(report)
     assert "wall_time_s" not in machine
-    assert "wall_time_s" in human
     assert machine["passed"] is True
     assert all(c["passed"] for c in machine["checks"])
 
