@@ -1,8 +1,9 @@
 """The numpy module every equivote module uses, executed on first use.
 
 Importing numpy takes longer than the rest of a cold CLI start, yet
-`--help`, `eval`, every `construct`, and the equity, k-equity and
-cyclicity verdicts on a group-orbit rule touch no array. So `np` is the
+`--help`, `eval`, every `construct`, the equity, k-equity and cyclicity
+verdicts on a group-orbit rule, and the minimal winning coalitions of a
+coalition rule above the scan cap touch no array. So `np` is the
 module object of numpy under `importlib.util.LazyLoader`: it is
 registered in `sys.modules` at once and runs numpy's own import on its
 first attribute access. When numpy is already imported, `np` is that

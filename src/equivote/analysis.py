@@ -28,6 +28,7 @@ from .perms import (
 )
 from .randomized import verify_intersecting_set
 from .rules import (
+    CoalitionRule,
     EquityCertificate,
     GRDTree,
     InfeasibleError,
@@ -197,6 +198,35 @@ def _scan_size(
     return winners
 
 
+def _contained_winners(
+    rule: CoalitionRule, k: int, keep: int
+) -> list[tuple[int, ...]]:
+    """The first `keep` winning size-k subsets of a coalition rule, in
+    combination order, read off its family; no smaller size may have a
+    winner, as in the ascending search.
+
+    Let S vote +1 and the rest -1. The family is pairwise intersecting, so
+    a member inside S forces +1 and then no member lies in the complement
+    of S; otherwise S wins only if 2|S| > n and no member fits in the
+    complement. S wins the negated profile exactly when it wins this one,
+    since a pairwise-intersecting family makes the rule neutral. Let m0 be
+    the smallest member size and k* = min(m0, n//2 + 1):
+    - below k* no member fits in S and 2|S| <= n, so nothing wins;
+    - at k*, when 2 m0 <= n, k* = m0 and the majority clause fails, so the
+      winners are exactly the members of size m0;
+    - at k*, when 2 m0 > n, 2k* > n and the complement holds n - k* < m0
+      voters, so every k*-subset wins.
+    """
+    n = rule.n
+    m0 = min(map(len, rule.family))
+    if k < min(m0, n // 2 + 1):
+        return []
+    if 2 * m0 <= n:
+        smallest = {tuple(sorted(m)) for m in rule.family if len(m) == m0}
+        return sorted(smallest)[:keep]
+    return list(itertools.islice(itertools.combinations(range(n), k), keep))
+
+
 def min_winning_coalitions(
     rule: VotingRule,
     budget: int = COALITION_BUDGET,
@@ -206,7 +236,9 @@ def min_winning_coalitions(
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
     lower-bound-only partial result instead of silently truncating. At most
-    WITNESS_LIMIT witnesses are kept, in combination order. An automorphism
+    WITNESS_LIMIT witnesses are kept, in combination order. Without a table
+    a coalition rule's winners are read off its family
+    (`_contained_winners`); any other rule's are scanned. An automorphism
     maps winning coalitions to winning ones, so with a certified group that
     is t-transitive and s = min(k, t), the size-k subsets that contain
     0..s-1 decide whether any size-k subset wins. The budget and
@@ -222,7 +254,9 @@ def min_winning_coalitions(
     method = ("direct" if table is None else "table") + (
         "+monotone" if monotone else "+slab"
     )
-    t, _ = _symmetry(rule)
+    contained = table is None and isinstance(rule, CoalitionRule)
+    # reading winners off the family needs no group
+    t = 0 if contained else _symmetry(rule)[0]
     checked = 0
     for k in range(1, n + 1):
         count_k = math.comb(n, k)
@@ -236,11 +270,14 @@ def min_winning_coalitions(
                 method=method,
                 witnesses_complete=False,
             )
-        s = min(k, t)
         # one winner past the limit tells whether the witness list is complete
-        winners = _scan_size(
-            rule, n, k, monotone, table, WITNESS_LIMIT + 1, math.comb(n - s, k - s)
-        )
+        if contained:
+            winners = _contained_winners(rule, k, WITNESS_LIMIT + 1)
+        else:
+            s = min(k, t)
+            winners = _scan_size(
+                rule, n, k, monotone, table, WITNESS_LIMIT + 1, math.comb(n - s, k - s)
+            )
         checked += count_k
         if winners:
             complete = len(winners) <= WITNESS_LIMIT

@@ -24,9 +24,10 @@ from .serialize import (
     dumps_rule,
     load_rule_file,
     report_to_dict,
+    rule_from_dict,
     rule_to_dict,
 )
-from .verify import CLAIM_IDS, verification_to_dict, verify_claim
+from .verify import CLAIM_IDS, claim_parameters, verification_to_dict, verify_claim
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -73,11 +74,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
             group_from_descriptor(desc), desc, seed=args.seed
         )
     else:
+        # read back as a document, so each flag passes its field's reader;
         # an optional field's flag has a default, so it is never None
-        construct, required, optional = RULE_TYPES[kind]
-        rule = construct(
-            **{k: _require(getattr(args, k), f"--{k}") for k in required + optional}
-        )
+        _, required, optional = RULE_TYPES[kind]
+        fields = {k: _require(getattr(args, k), f"--{k}") for k in required + optional}
+        rule = rule_from_dict({"format": FORMAT_VERSION, "type": kind, **fields})
     _emit(dumps_rule(rule), args.out)
     return 0
 
@@ -168,31 +169,44 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _verify_params(args: argparse.Namespace) -> dict:
-    """Map each override flag onto the verifier parameter it sets; with
-    --group, the --n or --p grid and --seed make prop4's configs instead.
-    `verify_claim` refuses any parameter its claim does not take."""
-    params: dict = {}
-    for flag, key in (("n", "ns"), ("depth", "depths"), ("p", "primes")):
-        if getattr(args, flag) is not None:
-            params[key] = _parse_int_list(getattr(args, flag))
-    if args.seed is not None:
-        params["seed"] = args.seed
+    """Map each override flag onto the verifier parameter it sets, and
+    refuse by name every flag whose parameter the claim does not take.
+    With --group, a claim that takes configs (prop4) gets one config per
+    value of the --n or --p grid, with --seed (default 0)."""
+    sets = {"n": "ns", "depth": "depths", "p": "primes", "seed": "seed"}
+    accepted = claim_parameters(args.claim)
+    grid_flag = None
     if args.group is not None:
-        flag, key = ("n", "ns") if args.group == "cyclic" else ("p", "primes")
-        grid = _require(params.pop(key, None), f"--{flag}")
-        seed = params.pop("seed", 0)
-        params["configs"] = [({"kind": args.group, flag: v}, seed) for v in grid]
+        sets["group"] = "configs"
+        if "configs" in accepted:
+            grid_flag = "n" if args.group == "cyclic" else "p"
+            sets[grid_flag] = sets["seed"] = "configs"
+    given = [flag for flag in sets if getattr(args, flag) is not None]
+    refused = [f"--{flag}" for flag in given if sets[flag] not in accepted]
+    if refused:
+        raise ValueError(f"claim {args.claim!r} does not accept {', '.join(refused)}")
+    params = {
+        sets[flag]: args.seed if flag == "seed" else _parse_int_list(getattr(args, flag))
+        for flag in given
+        if sets[flag] != "configs"
+    }
+    if grid_flag is not None:
+        grid = _parse_int_list(_require(getattr(args, grid_flag), f"--{grid_flag}"))
+        seed = 0 if args.seed is None else args.seed
+        params["configs"] = [({"kind": args.group, grid_flag: v}, seed) for v in grid]
     return params
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    overridden = any(
-        v is not None for v in (args.n, args.depth, args.p, args.group, args.seed)
-    )
-    if args.claim == "all" and overridden:
-        raise ValueError("parameter overrides require a single claim, not 'all'")
-    claims = list(CLAIM_IDS) if args.claim == "all" else [args.claim]
-    params = _verify_params(args)
+    if args.claim == "all":
+        overridden = any(
+            v is not None for v in (args.n, args.depth, args.p, args.group, args.seed)
+        )
+        if overridden:
+            raise ValueError("parameter overrides require a single claim, not 'all'")
+        claims, params = list(CLAIM_IDS), {}
+    else:
+        claims, params = [args.claim], _verify_params(args)
     reports = {claim: verify_claim(claim, **params) for claim in claims}
     overall = all(r.passed for r in reports.values())
     if args.format == "machine":

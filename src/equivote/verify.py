@@ -673,16 +673,19 @@ _VERIFIERS: dict[str, Callable[..., VerificationReport]] = {
 CLAIM_IDS = tuple(_VERIFIERS)
 
 
-def verify_claim(claim: str, **params) -> VerificationReport:
-    """Run one verifier, optionally overriding its default parameter grid."""
+def claim_parameters(claim: str) -> frozenset[str]:
+    """The names of the parameters a claim's verifier takes."""
     if claim not in _VERIFIERS:
         raise ValueError(f"unknown claim {claim!r}")
-    verifier = _VERIFIERS[claim]
-    code = verifier.__code__  # verifiers take no *args or **kwargs
-    accepted = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
-    unknown = set(params) - set(accepted)
+    code = _VERIFIERS[claim].__code__  # verifiers take no *args or **kwargs
+    return frozenset(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
+
+
+def verify_claim(claim: str, **params) -> VerificationReport:
+    """Run one verifier, optionally overriding its default parameter grid."""
+    unknown = set(params) - claim_parameters(claim)
     if unknown:
         raise ValueError(
             f"claim {claim!r} does not accept parameters {sorted(unknown)}"
         )
-    return verifier(**params)
+    return _VERIFIERS[claim](**params)

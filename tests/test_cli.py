@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from equivote.analysis import COALITION_BUDGET
 from equivote.cli import SCAN_CAP_LIMIT, main
-from equivote.serialize import load_rule_file, loads_rule
+from equivote.serialize import load_rule_file, loads_rule, rule_from_dict, rule_to_dict
 from equivote.verify import CheckResult, VerificationReport
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,6 +99,34 @@ def test_construct_documents(capsys, tmp_path):
 def test_construct_missing_flag_is_named(capsys, argv, flag):
     rc, out, err = run(capsys, "construct", "--type", *argv)
     assert (rc, out, err) == (2, "", f"error: {flag} is required for this type\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("majority", "--n", "5"),
+        ("longest_run", "--n", "9"),
+        ("dictatorship", "--n", "4", "--dictator", "2"),
+        ("grd", "--branching", "3,2"),
+        ("ccc", "--rows", "3", "--cols", "4"),
+        ("fano", "--p", "2"),
+        ("group_orbit", "--group", "cyclic", "--n", "16"),
+        ("group_orbit", "--group", "pgl2", "--p", "13"),
+    ],
+)
+def test_every_constructed_document_reads_back(capsys, argv):
+    rc, out, err = run(capsys, "construct", "--type", *argv)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert rule_to_dict(rule_from_dict(doc)) == doc
+
+
+def test_construct_refuses_what_a_reader_refuses(capsys, tmp_path):
+    out = tmp_path / "big.rule"
+    rc, stdout, err = run(capsys, "construct", "--type", "majority", "--n", "20000", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == "error: rule field 'n': 20000 voters, above the limit of 16384\n"
+    assert not out.exists()
 
 
 def test_construct_missing_flag(capsys):
@@ -331,22 +359,26 @@ def test_verify_overrides(capsys):
     assert rc == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("lemma1", "--n", "4"),
-        ("thm7", "--seed", "1"),
-        ("thm1", "--p", "3"),
-        ("prop4", "--seed", "3"),
-        ("prop4", "--group", "pgl2", "--p", "5", "--n", "5"),
-        ("thm1", "--group", "cyclic", "--n", "5"),
-    ],
-)
+# each override the claim does not take, and the flags its refusal names
+REFUSED_FLAGS = {
+    ("lemma1", "--n", "4"): "--n",
+    ("thm7", "--seed", "1"): "--seed",
+    ("thm1", "--p", "3"): "--p",
+    ("prop4", "--seed", "3"): "--seed",
+    ("prop4", "--group", "pgl2", "--p", "5", "--n", "5"): "--n",
+    ("thm1", "--group", "cyclic", "--n", "5"): "--group",
+    ("thm1", "--group", "pgl2", "--n", "5"): "--group",
+    ("lemma1", "--n", "4", "--seed", "2", "--p", "3"): "--n, --p, --seed",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_FLAGS))
 def test_verify_refuses_flags_the_claim_does_not_take(capsys, argv):
     rc, out, err = run(capsys, "verify", *argv)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: claim {argv[0]!r} ")
     assert err.count("\n") == 1
+    assert err == f"error: claim {argv[0]!r} does not accept {REFUSED_FLAGS[argv]}\n"
 
 
 def test_verify_override_rejects_all(capsys):
@@ -648,11 +680,15 @@ def cli_start_modules(cwd, *argv):
          "--out", "out.rule"),
         ("construct", "--type", "group_orbit", "--group", "pgl2", "--p", "13", "--out", "out.rule"),
         ("analyze", "--rule", "pgl13.rule", "--equity", "--k", "3", "--cyclic"),
+        ("analyze", "--rule", "c16.rule", "--min-coalition"),
+        ("analyze", "--rule", "fan1414.rule", "--min-coalition"),
     ],
 )
 def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
     (tmp_path / "maj5.rule").write_text('{"format":1,"type":"majority","n":5}')
     make_rule(capsys, tmp_path, "pgl13.rule", "--type", "group_orbit", "--group", "pgl2", "--p", "13")
+    make_rule(capsys, tmp_path, "c16.rule", "--type", "group_orbit", "--group", "cyclic", "--n", "16")
+    (tmp_path / "fan1414.rule").write_text('{"format":1,"type":"coalition","n":1414,"family":[[0,1,2]]}')
     assert cli_start_modules(tmp_path, *argv) == [0, []]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from collections import OrderedDict
@@ -726,8 +727,137 @@ def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
     got = min_winning_coalitions(rule)
     assert got.witnesses == tuple((0, a, 19) for a in range(1, 19)) + ((1, 2, 19),)
     assert not got.witnesses_complete
+    # the search reads a coalition rule's winners off its family, so the
+    # scan it would otherwise run is called on its own
+    scanned = analysis._scan_size(rule, 20, 3, True, None, 20, math.comb(20, 3))
+    assert tuple(scanned) == got.witnesses + ((1, 3, 19),)
     # 19 of the first 192 subsets win, so the 20th is looked for at that rate
     assert [rows for rows, k in sizes if k == 3] == [32] * 6 + [192 // 19] * 2
+
+
+@st.composite
+def intersecting_families(draw):
+    """A random coalition rule of at most 12 voters, its family sometimes
+    holding a member more than once."""
+    rule = draw(coalition_rules(max_n=12))
+    again = draw(st.lists(st.sampled_from(rule.family), max_size=3))
+    return CoalitionRule(rule.n, rule.family + tuple(again))
+
+
+def _extremal_winners(rule, k):
+    """The size-k subsets that win both extremal profiles, by the scalar
+    outcome."""
+    n = rule.n
+    return [
+        ms
+        for ms in itertools.combinations(range(n), k)
+        if all(
+            outcome(rule, tuple(x if v in ms else -x for v in range(n))) == x
+            for x in (1, -1)
+        )
+    ]
+
+
+def _scanned_minimum(rule, keep):
+    """The minimum winning size and the first `keep` winners of that size,
+    by the direct scan of every subset, after checking that the containment
+    decision equals that scan at each size up to it."""
+    n = rule.n
+    for k in range(1, n + 1):
+        scanned = analysis._scan_size(rule, n, k, True, None, keep, math.comb(n, k))
+        assert analysis._contained_winners(rule, k, keep) == scanned
+        if scanned:
+            return k, scanned
+    raise AssertionError("the grand coalition always wins")
+
+
+def _search_without_profiles(rule, budget=COALITION_BUDGET):
+    """The direct search of a coalition rule, with every way to evaluate a
+    profile or to build its group refused."""
+    refuse = AssertionError("the containment decision evaluated a profile")
+    with contextlib.ExitStack() as stack:
+        for name in ("_scan_size", "_extremal_profiles", "_symmetry"):
+            stack.enter_context(mock.patch.object(analysis, name, side_effect=refuse))
+        stack.enter_context(mock.patch.object(CoalitionRule, "batch", side_effect=refuse))
+        return min_winning_coalitions(rule, budget=budget, scan_cap=0)
+
+
+BUDGETS = st.sampled_from(["below", "at", "at+", "decides", "default"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    intersecting_families(),
+    st.sampled_from([1, 3, analysis.WITNESS_LIMIT]),
+    BUDGETS | st.integers(0, 2**12),
+)
+@example(CoalitionRule(5, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))), 1, "decides")
+def test_contained_winners_match_the_scan_and_the_table_search(rule, limit, budget):
+    n = rule.n
+    with mock.patch.object(analysis, "WITNESS_LIMIT", limit):
+        size, scanned = _scanned_minimum(rule, limit + 1)
+        assert all(not _extremal_winners(rule, k) for k in range(1, size))
+        assert _extremal_winners(rule, size)[: limit + 1] == scanned
+        below = sum(math.comb(n, k) for k in range(1, size))
+        at = below + math.comb(n, size)
+        # stops below the minimum size, at it (twice), then decides it
+        named = {
+            "below": max(0, below - 1),
+            "at": below,
+            "at+": at - 1,
+            "decides": at,
+            "default": COALITION_BUDGET,
+        }
+        budget = named.get(budget, budget)
+        # the table search evaluates every subset's profiles in the table
+        table = min_winning_coalitions(rule, budget=budget)
+        direct = _search_without_profiles(rule, budget)
+    assert (table.method, direct.method) == ("table+monotone", "direct+monotone")
+    assert {**vars(direct), "method": None} == {**vars(table), "method": None}
+
+
+def _fan(n):
+    """Every 3-subset that holds voter 0: more size-3 members than a small
+    witness limit keeps."""
+    return make_coalition_rule(n, ({0, a, b} for a, b in itertools.combinations(range(1, n), 2)))
+
+
+@pytest.mark.parametrize(
+    "rule, limit",
+    [
+        (build_projective_rule(2), 20_000),
+        (CCC(2, 3), 20_000),
+        (CCC(3, 3), 20_000),
+        (CCC(3, 3), 4),
+        (_orbit_rule("cyclic", 12, 0), 20_000),
+        (_orbit_rule("cyclic", 16, 0), 20_000),
+        (_orbit_rule("cyclic", 16, 1), 100),
+        (_orbit_rule("pgl2", 13, 0), 20_000),
+        (_fan(8), 5),
+        (_fan(14), 20_000),
+    ],
+    ids=lambda case: getattr(case, "label", str(case)),
+)
+def test_contained_winners_on_catalog_rules(rule, limit, monkeypatch):
+    n = rule.n
+    monkeypatch.setattr(analysis, "WITNESS_LIMIT", limit)
+    size, scanned = _scanned_minimum(rule, limit + 1)
+    if n <= PROFILE_SCAN_CAP:
+        assert all(not _extremal_winners(rule, k) for k in range(1, size))
+        assert _extremal_winners(rule, size)[: limit + 1] == scanned
+    got = _search_without_profiles(rule)
+    assert got == analysis.MinCoalitionSearch(
+        min_size=size,
+        witnesses=tuple(scanned[:limit]),
+        exact=True,
+        lower_bound=size,
+        subsets_checked=sum(math.comb(n, k) for k in range(1, size + 1)),
+        method="direct+monotone",
+        witnesses_complete=len(scanned) <= limit,
+    )
+    if n <= PROFILE_SCAN_CAP:
+        table = min_winning_coalitions(rule)
+        assert {**vars(got), "method": None} == {**vars(table), "method": None}
 
 
 def test_coalition_search_never_validates_generators(monkeypatch):
