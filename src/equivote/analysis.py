@@ -28,6 +28,7 @@ from .perms import (
 )
 from .randomized import verify_intersecting_set
 from .rules import (
+    GRD,
     CoalitionRule,
     EquityCertificate,
     GRDTree,
@@ -36,6 +37,7 @@ from .rules import (
     VotingRule,
     ccc_family,
     grid_certificate,
+    outcome,
     preserves_family,
 )
 from .tables import (
@@ -92,6 +94,15 @@ def _extremal_wins(extremal_outcomes: np.ndarray) -> np.ndarray:
     return (extremal_outcomes[:b] == 1) & (extremal_outcomes[b:] == -1)
 
 
+def _extremal_win(rule: VotingRule, members: Iterable[int]) -> bool:
+    """Whether one subset wins both its extremal profiles, decided by the
+    scalar `outcome` with no array: it votes +1 and everyone else -1, then
+    the negation."""
+    ms = frozenset(members)
+    votes = tuple(1 if v in ms else -1 for v in range(rule.n))
+    return outcome(rule, votes) == 1 and outcome(rule, tuple(-x for x in votes)) == -1
+
+
 def is_winning_coalition(
     rule: VotingRule,
     members: Iterable[int],
@@ -115,8 +126,7 @@ def is_winning_coalition(
     free = n - len(ms)
     if method == "exhaustive" and free > PROFILE_SCAN_CAP:
         raise InfeasibleError(f"3^{free} completions exceed cap {PROFILE_SCAN_CAP}")
-    subset = np.array([sorted(ms)], dtype=np.int64)
-    if not _extremal_wins(rule.batch(_extremal_profiles(n, subset)))[0]:
+    if not _extremal_win(rule, ms):
         return False
     if method == "monotone":
         return True
@@ -164,9 +174,15 @@ def _scan_size(
     own: the caller vouches that every size-k subset has a translate among
     them, so when none of them wins, none wins, and when there is one and
     it wins, all win and no other is checked. Without a table the rule must
-    be monotone; the caller refuses the rest.
+    be monotone; the caller refuses the rest. Without a table and with one
+    such subset the certified group is k-homogeneous, so the first subset
+    alone is decided, on its two extremal profiles through the scalar
+    `outcome`, and no block is built.
     """
     combos = itertools.combinations(range(n), k)
+    if table is None and prefix == 1:
+        wins = _extremal_win(rule, range(k))
+        return list(itertools.islice(combos, keep)) if wins else []
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
     step = max(1, block_width(n) // 2)
@@ -243,6 +259,13 @@ def min_winning_coalitions(
     is t-transitive and s = min(k, t), the size-k subsets that contain
     0..s-1 decide whether any size-k subset wins. The budget and
     `subsets_checked` count every subset so decided.
+
+    Without a table, a GRD whose every node has odd arity has no winner
+    below `grd_min_coalition_structural(tree)`, so those sizes are counted
+    and not scanned. On an extremal profile no voter abstains, so an odd
+    node's children sum to an odd number and the node never ties. A node
+    is then +1 iff a strict majority of its children are, so S wins iff it
+    holds a recursive majority, which has at least that many leaves.
     """
     n = rule.n
     monotone = rule.monotone
@@ -257,6 +280,8 @@ def min_winning_coalitions(
     contained = table is None and isinstance(rule, CoalitionRule)
     # reading winners off the family needs no group
     t = 0 if contained else _symmetry(rule)[0]
+    odd = table is None and isinstance(rule, GRD) and _odd_branching(rule.tree)
+    floor = grd_min_coalition_structural(rule.tree) if odd else 1
     checked = 0
     for k in range(1, n + 1):
         count_k = math.comb(n, k)
@@ -273,6 +298,8 @@ def min_winning_coalitions(
         # one winner past the limit tells whether the witness list is complete
         if contained:
             winners = _contained_winners(rule, k, WITNESS_LIMIT + 1)
+        elif k < floor:
+            winners = []
         else:
             s = min(k, t)
             winners = _scan_size(
@@ -313,6 +340,13 @@ def grd_min_coalition_structural(tree: GRDTree) -> int:
     costs = sorted(grd_min_coalition_structural(child) for child in tree)
     need = len(costs) // 2 + 1
     return sum(costs[:need])
+
+
+def _odd_branching(tree: GRDTree) -> bool:
+    """Whether every node of the tree has an odd number of children."""
+    if isinstance(tree, int):
+        return True
+    return len(tree) % 2 == 1 and all(map(_odd_branching, tree))
 
 
 def grd_recursion_bound(n: int) -> int:
@@ -661,6 +695,10 @@ def pivotality(
     (a swing), so this is the share of the others' profiles that swing.
     An automorphism maps the distribution to itself, so one voter per orbit
     of the certified group is counted and its value copied to the rest.
+    When that group is Sym(n), the others' profiles of one tally form one
+    orbit of voter 0's stabilizer, so one profile per tally is evaluated,
+    through the scalar `outcome`, and weighted by its multinomial count;
+    no table or block is built.
     """
     from fractions import Fraction  # only this path needs it at start-up
 
@@ -668,20 +706,44 @@ def pivotality(
     if distribution == "ternary":
         if n > scan_cap:
             raise InfeasibleError(f"3^{n} scan exceeds cap {scan_cap}")
-        table = outcome_table(rule)
-        space, blocks = 3, lambda v: [voter_outcomes(table, n, v)]
+        values: tuple[int, ...] = (-1, 0, 1)
     elif distribution == "binary":
         if n > PIVOT_BINARY_CAP:
             raise InfeasibleError(f"2^{n} scan exceeds cap {PIVOT_BINARY_CAP}")
-        space, blocks = 2, functools.partial(binary_voter_outcomes, rule)
+        values = (-1, 1)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    _, reps = _symmetry(rule)
-    swings = {
-        v: sum(np.count_nonzero(np.ptp(block, axis=0)) for block in blocks(v))
-        for v in set(reps)
-    }
-    return tuple(Fraction(swings[r], space ** (n - 1)) for r in reps)
+    t, reps = _symmetry(rule)
+    if t == n:
+        swings = {0: _tally_swings(rule, values)}
+    else:
+        table = outcome_table(rule) if distribution == "ternary" else None
+
+        def blocks(v: int) -> Iterable[np.ndarray]:
+            if table is None:
+                return binary_voter_outcomes(rule, v)
+            return [voter_outcomes(table, n, v)]
+
+        swings = {
+            v: sum(np.count_nonzero(np.ptp(block, axis=0)) for block in blocks(v))
+            for v in set(reps)
+        }
+    return tuple(Fraction(swings[r], len(values) ** (n - 1)) for r in reps)
+
+
+def _tally_swings(rule: VotingRule, values: tuple[int, ...]) -> int:
+    """How many profiles of voters 1..n-1 over `values` let voter 0 swing,
+    for a rule invariant under every relabelling: each multiset of votes
+    is one tally, evaluated once and counted (n-1)! / prod(c_x!) times."""
+    n = rule.n
+    count = 0
+    for others in itertools.combinations_with_replacement(values, n - 1):
+        if len({outcome(rule, (d, *others)) for d in (-1, 0, 1)}) > 1:
+            weight = math.factorial(n - 1)
+            for x in values:
+                weight //= math.factorial(others.count(x))
+            count += weight
+    return count
 
 
 def check_sqrt_lower_bound(

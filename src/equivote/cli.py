@@ -89,12 +89,22 @@ def _require(value, flag: str):
     return value
 
 
+_GROUP_FLAGS = {"cyclic": "n", "pgl2": "p"}  # the flag that sizes each --group
+
+
+def _group_size(args: argparse.Namespace):
+    """The value of the flag that sizes the --group, refused when absent."""
+    flag = _GROUP_FLAGS[args.group]
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"--group {args.group} needs --{flag}")
+    return value
+
+
 def _group_descriptor(args: argparse.Namespace) -> dict:
-    if args.group == "cyclic":
-        return {"kind": "cyclic", "n": _require(args.n, "--n")}
-    if args.group == "pgl2":
-        return {"kind": "pgl2", "p": _require(args.p, "--p")}
-    raise ValueError("--group must be cyclic or pgl2")
+    if args.group not in _GROUP_FLAGS:
+        raise ValueError("--group must be cyclic or pgl2")
+    return {"kind": args.group, _GROUP_FLAGS[args.group]: _group_size(args)}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -179,7 +189,7 @@ def _verify_params(args: argparse.Namespace) -> dict:
     if args.group is not None:
         sets["group"] = "configs"
         if "configs" in accepted:
-            grid_flag = "n" if args.group == "cyclic" else "p"
+            grid_flag = _GROUP_FLAGS[args.group]
             sets[grid_flag] = sets["seed"] = "configs"
     given = [flag for flag in sets if getattr(args, flag) is not None]
     refused = [f"--{flag}" for flag in given if sets[flag] not in accepted]
@@ -191,7 +201,7 @@ def _verify_params(args: argparse.Namespace) -> dict:
         if sets[flag] != "configs"
     }
     if grid_flag is not None:
-        grid = _parse_int_list(_require(getattr(args, grid_flag), f"--{grid_flag}"))
+        grid = _parse_int_list(_group_size(args))
         seed = 0 if args.seed is None else args.seed
         params["configs"] = [({"kind": args.group, grid_flag: v}, seed) for v in grid]
     return params

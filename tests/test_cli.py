@@ -129,6 +129,20 @@ def test_construct_refuses_what_a_reader_refuses(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, group, flag",
+    [
+        (("verify", "prop4"), "pgl2", "--p"),
+        (("verify", "prop4"), "cyclic", "--n"),
+        (("construct", "--type", "group_orbit"), "pgl2", "--p"),
+        (("construct", "--type", "group_orbit"), "cyclic", "--n"),
+    ],
+)
+def test_group_without_its_size_is_named(capsys, command, group, flag):
+    rc, out, err = run(capsys, *command, "--group", group)
+    assert (rc, out, err) == (2, "", f"error: --group {group} needs {flag}\n")
+
+
 def test_construct_missing_flag(capsys):
     rc, _, err = run(capsys, "construct", "--type", "group_orbit", "--seed", "1")
     assert rc == 2
@@ -682,6 +696,9 @@ def cli_start_modules(cwd, *argv):
         ("analyze", "--rule", "pgl13.rule", "--equity", "--k", "3", "--cyclic"),
         ("analyze", "--rule", "c16.rule", "--min-coalition"),
         ("analyze", "--rule", "fan1414.rule", "--min-coalition"),
+        ("analyze", "--rule", "maj19.rule", "--min-coalition"),
+        ("analyze", "--rule", "grd27.rule", "--min-coalition", "--caps", "budget=200000"),
+        ("verify", "thm3", "--depth", "3"),
     ],
 )
 def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
@@ -689,7 +706,16 @@ def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
     make_rule(capsys, tmp_path, "pgl13.rule", "--type", "group_orbit", "--group", "pgl2", "--p", "13")
     make_rule(capsys, tmp_path, "c16.rule", "--type", "group_orbit", "--group", "cyclic", "--n", "16")
     (tmp_path / "fan1414.rule").write_text('{"format":1,"type":"coalition","n":1414,"family":[[0,1,2]]}')
+    (tmp_path / "maj19.rule").write_text('{"format":1,"type":"majority","n":19}')
+    make_rule(capsys, tmp_path, "grd27.rule", "--type", "grd", "--branching", "3,3,3")
     assert cli_start_modules(tmp_path, *argv) == [0, []]
+
+
+def test_symmetric_pivotality_does_not_load_numpy(tmp_path):
+    # pivotality returns Fractions, so fractions and decimal load here
+    (tmp_path / "maj16.rule").write_text('{"format":1,"type":"majority","n":16}')
+    rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "maj16.rule", "--pivotality", "binary")
+    assert (rc, [m for m in modules if m.startswith("numpy.")]) == (0, [])
 
 
 def test_analysis_loads_numpy(tmp_path):

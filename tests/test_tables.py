@@ -606,6 +606,19 @@ def test_binary_pivotality_evaluates_three_votes_per_profile_of_the_others(monke
     assert sum(evaluated) == 1536
 
 
+def _count_outcomes(monkeypatch):
+    """The profiles of every scalar `outcome` call that analysis makes, in
+    call order."""
+    calls = []
+
+    def counting(rule, votes):
+        calls.append(votes)
+        return outcome(rule, votes)
+
+    monkeypatch.setattr(analysis, "outcome", counting)
+    return calls
+
+
 @pytest.mark.parametrize("batch_rows", [tables.BATCH_ROWS, 7])
 def test_every_kernel_block_is_voter_major_int8_within_the_block_width(
     batch_rows, monkeypatch
@@ -628,15 +641,12 @@ def test_every_kernel_block_is_voter_major_int8_within_the_block_width(
         lambda: outcome_table(CCC(2, 3)),
         lambda: outcome_table(GRD((0, 1, (2, 3, 4)))),
         lambda: is_winning_coalition(lr, (0, 1, 2, 3, 6)),
-        lambda: is_winning_coalition(Majority(7), (0, 1, 2, 3), method="monotone"),
         # the table search reaches the kernel through its table alone
         lambda: min_winning_coalitions(LongestRun(8)),
-        lambda: min_winning_coalitions(Majority(9), scan_cap=0),
         lambda: pivotality(lr),
         lambda: pivotality(make_coalition_rule(5, [{0, 1}, {1, 2}])),
         lambda: min_winning_coalitions(far),
         lambda: is_winning_coalition(far, range(95)),
-        lambda: is_winning_coalition(far, (3, 50), method="monotone"),
     ]
     for i, call in enumerate(calls):
         blocks.clear()
@@ -648,6 +658,20 @@ def test_every_kernel_block_is_voter_major_int8_within_the_block_width(
             # BATCH_ROWS profiles, and once n > 64 BATCH_ROWS << 6 votes
             assert width <= max(2, batch_rows)
             assert n * width <= max(2 * n, batch_rows << 6)
+    # one subset on its two extremal profiles needs no kernel block: the
+    # scalar outcome decides it, and a losing +1 profile ends the check
+    scalar = _count_outcomes(monkeypatch)
+    scalar_calls = [
+        (lambda: is_winning_coalition(Majority(7), (0, 1, 2, 3), method="monotone"), 2),
+        # sizes 1..4 lose on their first profile, size 5 wins on both
+        (lambda: min_winning_coalitions(Majority(9), scan_cap=0), 4 + 2),
+        (lambda: is_winning_coalition(far, (3, 50), method="monotone"), 2),
+    ]
+    for i, (call, count) in enumerate(scalar_calls):
+        blocks.clear()
+        scalar.clear()
+        call()
+        assert (blocks, len(scalar)) == ([], count), i
 
 
 def test_symmetry_reads_the_transitivity_of_the_certified_group():
@@ -670,19 +694,22 @@ def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypa
         return extremal(n, subsets)
 
     monkeypatch.setattr(analysis, "_extremal_profiles", counting)
+    scalar = _count_outcomes(monkeypatch)
     got = min_winning_coalitions(Majority(13))
     assert got.subsets_checked == sum(math.comb(13, k) for k in range(1, 8))
-    # Sym(13) decides each size with one subset: sizes 1..6 lose, and size 7
-    # wins, so all 1,716 subsets of size 7 win unevaluated
-    assert sum(evaluated) == 7
-    evaluated.clear()
+    # Sym(13) decides each size with one subset: sizes 1..6 lose on its +1
+    # profile, and size 7 wins on both, so all 1,716 subsets of size 7 win
+    # unevaluated; with no table no block is built
+    assert (sum(evaluated), len(scalar)) == (0, 6 + 2)
+    scalar.clear()
     min_winning_coalitions(LongestRun(9))
     # the rotation is transitive: the subsets that hold voter 0, then size 5
     assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(1, 5)) + 126
+    assert scalar == []
     evaluated.clear()
     got = min_winning_coalitions(Majority(19))
     # {0..9} wins, so every size-10 subset does
-    assert sum(evaluated) == 10
+    assert (sum(evaluated), len(scalar)) == (0, 9 + 2)
     combos = itertools.combinations(range(19), 10)
     assert got.witnesses == tuple(itertools.islice(combos, analysis.WITNESS_LIMIT))
     # the first `keep` winners are returned, evaluated or not
@@ -706,6 +733,141 @@ def test_majority_search_matches_the_subset_count(n, scan_cap):
         method=("table" if n <= scan_cap else "direct") + "+monotone",
         witnesses_complete=math.comb(n, size) <= limit,
     )
+
+
+def _count_blocks(monkeypatch, cls):
+    """The shape of every block the class's kernel is called on."""
+    shapes = []
+    batch = cls.batch
+
+    def counting(rule, ballots):
+        shapes.append(ballots.shape)
+        return batch(rule, ballots)
+
+    monkeypatch.setattr(cls, "batch", counting)
+    return shapes
+
+
+def _sizes_scanned(sizes):
+    """`_scan_size`, recording each size it is asked to scan."""
+    scan_size = analysis._scan_size
+
+    def recording(rule, n, k, *rest):
+        sizes.append(k)
+        return scan_size(rule, n, k, *rest)
+
+    return recording
+
+
+def _search_fields(search):
+    """A search's result without its method, which names the path taken."""
+    return (
+        search.min_size,
+        search.witnesses,
+        search.exact,
+        search.lower_bound,
+        search.subsets_checked,
+        search.witnesses_complete,
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_symmetric_search_matches_the_table_and_the_kernel_scan(n, monkeypatch):
+    rule = Majority(n)
+    scalar = _count_outcomes(monkeypatch)
+    got = min_winning_coalitions(rule, scan_cap=0)
+    size = got.min_size
+    # one subset per size: sizes below the minimum lose on its +1 profile
+    assert len(scalar) == size + 1
+    if n <= PROFILE_SCAN_CAP:
+        assert _search_fields(got) == _search_fields(min_winning_coalitions(rule))
+    kernel = _count_blocks(monkeypatch, Majority)
+    # below n, so that more than one subset has the size
+    for k in range(1, n):
+        scalar.clear()
+        one = analysis._scan_size(rule, n, k, True, None, 3, prefix=1)
+        assert (len(kernel), len(scalar)) == (0, 1 if k < size else 2)
+        # every subset is its own translate: the kernel scans them all
+        every = analysis._scan_size(rule, n, k, True, None, 3, prefix=math.comb(n, k))
+        assert kernel and one == every, k
+        kernel.clear()
+
+
+@st.composite
+def odd_grd_rules(draw, max_n=12):
+    """Recursive majority over a random tree whose every node has an odd
+    number of children, so an odd number of leaves; uniform trees among
+    them, and unary nodes."""
+    n = draw(st.sampled_from(range(1, max_n + 1, 2)))
+    order = draw(st.permutations(range(n)))
+
+    def split(leaves):
+        if len(leaves) == 1:
+            return (leaves[0],) if draw(st.integers(0, 4)) == 0 else leaves[0]
+        parts = draw(st.sampled_from(range(3, len(leaves) + 1, 2)))
+        sizes = [1] * parts
+        for _ in range((len(leaves) - parts) // 2):
+            sizes[draw(st.integers(0, parts - 1))] += 2
+        bounds = list(itertools.accumulate([0, *sizes]))
+        return tuple(split(leaves[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    return GRD(split(list(order)))
+
+
+ODD_GRDS = st.one_of(
+    odd_grd_rules(),
+    st.sampled_from([uniform_grd(b) for b in [(1,), (3,), (5,), (3, 3), (11,), (3, 1, 3)]]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ODD_GRDS, st.data())
+def test_odd_grd_search_skips_the_sizes_below_its_structural_floor(rule, data):
+    n = rule.n
+    floor = analysis.grd_min_coalition_structural(rule.tree)
+    decided = [sum(math.comb(n, j) for j in range(1, k + 1)) for k in range(n + 1)]
+    # the budget stops the search below the floor, at it, or lets it finish
+    stops = [decided[max(0, floor - 2)], decided[floor - 1], decided[floor]]
+    budget = data.draw(st.sampled_from([*stops, COALITION_BUDGET]) | st.integers(0, 2**n))
+    scanned = []
+    with mock.patch.object(analysis, "_scan_size", _sizes_scanned(scanned)):
+        got = min_winning_coalitions(rule, budget=budget, scan_cap=0)
+    assert _search_fields(got) == _search_fields(min_winning_coalitions(rule, budget=budget))
+    assert got.method == "direct+monotone"
+    # odd branching never ties, so the floor is the minimum
+    assert got.min_size in (None, floor)
+    # scanned from the floor to the size where the search ended: found
+    # there when exact, refused by the budget before it otherwise
+    last = got.lower_bound if got.exact else got.lower_bound - 1
+    assert scanned == list(range(floor, last + 1))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [((0, 1), (2, 3)), (0, 1, (2, 3)), ((0, 1, 2), (3, 4, 5)), (0, 1, 2, 3)],
+)
+def test_a_grd_with_an_even_node_scans_every_size(tree, monkeypatch):
+    rule = GRD(tree)
+    scanned = []
+    monkeypatch.setattr(analysis, "_scan_size", _sizes_scanned(scanned))
+    got = min_winning_coalitions(rule, scan_cap=0)
+    assert scanned == list(range(1, got.min_size + 1))
+    assert _search_fields(got) == _search_fields(min_winning_coalitions(rule))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_symmetric_pivotality_counts_one_profile_per_tally(n, monkeypatch):
+    rule = Majority(n)
+    dists = ["binary", "ternary"] if n <= PROFILE_SCAN_CAP else ["binary"]
+    kernel = _count_blocks(monkeypatch, Majority)
+    scalar = _count_outcomes(monkeypatch)
+    got = [pivotality(rule, distribution=d) for d in dists]
+    # three votes of voter 0 against each tally of the other n - 1 voters
+    tallies = n + (math.comb(n + 1, 2) if len(dists) == 2 else 0)
+    assert (kernel, len(scalar)) == ([], 3 * tallies)
+    with mock.patch.object(analysis, "_symmetry", _every_voter):
+        assert got == [pivotality(rule, distribution=d) for d in dists]
+    assert kernel
 
 
 def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
