@@ -49,7 +49,6 @@ from .tables import (
     relabel_table,
     respects_table,
     slab,
-    table_outcomes,
     voter_outcomes,
 )
 
@@ -87,11 +86,6 @@ def _extremal_profiles(n: int, subsets: np.ndarray) -> np.ndarray:
     votes[subsets, np.arange(b)[:, None]] = 1
     votes[:, b:] = -votes[:, :b]
     return votes
-
-
-def _extremal_wins(extremal_outcomes: np.ndarray) -> np.ndarray:
-    b = len(extremal_outcomes) // 2
-    return (extremal_outcomes[:b] == 1) & (extremal_outcomes[b:] == -1)
 
 
 def _extremal_win(rule: VotingRule, members: Iterable[int]) -> bool:
@@ -170,18 +164,17 @@ def _scan_size(
 ) -> list[tuple[int, ...]]:
     """The first `keep` winning size-k subsets, in combination order.
 
-    Subsets are checked block by block, the first `prefix` of them on their
-    own: the caller vouches that every size-k subset has a translate among
-    them, so when none of them wins, none wins, and when there is one and
-    it wins, all win and no other is checked. Without a table the rule must
-    be monotone; the caller refuses the rest. Without a table and with one
-    such subset the certified group is k-homogeneous, so the first subset
-    alone is decided, on its two extremal profiles through the scalar
-    `outcome`, and no block is built.
+    Subsets are checked block by block on their extremal profiles through
+    `rule.batch`, the first `prefix` of them on their own: the caller
+    vouches that every size-k subset has a translate among them, so when
+    none of them wins, none wins, and when there is one, the scalar
+    `outcome` decides it with no block, and if it wins, all win. A rule
+    that is not monotone comes with its table, read by the slab check.
     """
     combos = itertools.combinations(range(n), k)
-    if table is None and prefix == 1:
-        wins = _extremal_win(rule, range(k))
+    if prefix == 1:
+        first = tuple(range(k))
+        wins = _extremal_win(rule, first) and (monotone or _slab_wins(table, n, first))
         return list(itertools.islice(combos, keep)) if wins else []
     winners: list[tuple[int, ...]] = []
     # each subset gives two extremal profiles: one evaluation block in all
@@ -190,8 +183,6 @@ def _scan_size(
     while start < count:
         if start == prefix and not winners:
             break
-        if start == prefix == 1:
-            return winners + list(itertools.islice(combos, keep - 1))
         end = prefix if start < prefix else count
         # no more subsets than the winners still needed take at the rate
         # seen so far: exactly that many where every subset wins
@@ -200,12 +191,8 @@ def _scan_size(
         start += size
         block = itertools.chain.from_iterable(itertools.islice(combos, size))
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
-        extremal = _extremal_profiles(n, subsets)
-        if table is not None:
-            outcomes = table_outcomes(table, extremal)
-        else:
-            outcomes = rule.batch(extremal)
-        for row in subsets[_extremal_wins(outcomes)]:
+        outcomes = rule.batch(_extremal_profiles(n, subsets))
+        for row in subsets[(outcomes[:size] == 1) & (outcomes[size:] == -1)]:
             ms = tuple(row.tolist())
             if monotone or _slab_wins(table, n, ms):
                 winners.append(ms)
@@ -252,15 +239,18 @@ def min_winning_coalitions(
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
     lower-bound-only partial result instead of silently truncating. At most
-    WITNESS_LIMIT witnesses are kept, in combination order. Without a table
-    a coalition rule's winners are read off its family
-    (`_contained_winners`); any other rule's are scanned. An automorphism
+    WITNESS_LIMIT witnesses are kept, in combination order. The method is
+    "table" within the scan cap, where every subset the certified group
+    does not vouch for is evaluated and a table is built only for the slab
+    check of a rule with no monotone certificate, and "direct" above it,
+    where a coalition rule's winners are read off its family
+    (`_contained_winners`) and any other rule's are scanned. An automorphism
     maps winning coalitions to winning ones, so with a certified group that
     is t-transitive and s = min(k, t), the size-k subsets that contain
     0..s-1 decide whether any size-k subset wins. The budget and
     `subsets_checked` count every subset so decided.
 
-    Without a table, a GRD whose every node has odd arity has no winner
+    Above the cap, a GRD whose every node has odd arity has no winner
     below `grd_min_coalition_structural(tree)`, so those sizes are counted
     and not scanned. On an extremal profile no voter abstains, so an odd
     node's children sum to an odd number and the node never ties. A node
@@ -269,18 +259,17 @@ def min_winning_coalitions(
     """
     n = rule.n
     monotone = rule.monotone
-    table = outcome_table(rule) if n <= scan_cap else None
-    if table is None and not monotone:
+    direct = n > scan_cap
+    if direct and not monotone:
         raise InfeasibleError(
             "degree above table cap requires a monotone certificate"
         )
-    method = ("direct" if table is None else "table") + (
-        "+monotone" if monotone else "+slab"
-    )
-    contained = table is None and isinstance(rule, CoalitionRule)
+    table = None if monotone else outcome_table(rule)
+    method = ("direct" if direct else "table") + ("+monotone" if monotone else "+slab")
+    contained = direct and isinstance(rule, CoalitionRule)
     # reading winners off the family needs no group
     t = 0 if contained else _symmetry(rule)[0]
-    odd = table is None and isinstance(rule, GRD) and _odd_branching(rule.tree)
+    odd = direct and isinstance(rule, GRD) and _odd_branching(rule.tree)
     floor = grd_min_coalition_structural(rule.tree) if odd else 1
     checked = 0
     for k in range(1, n + 1):

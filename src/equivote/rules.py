@@ -16,7 +16,6 @@ certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -30,6 +29,7 @@ from .tables import outcome_table, respects_table, voter_outcomes
 GRDTree = Union[int, tuple]
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
+FAMILY_WINDOW = 1 << 12  # members the intersection check holds voter masks for
 CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
 # voters a rule document or a uniform tree may have; above CCC(100, 100)'s
 # 10,000, and low enough that n-sized permutations and orbits stay small
@@ -218,15 +218,35 @@ class CoalitionRule:
         for m in members:
             if not m:
                 raise ValueError("family members must be nonempty")
-            if not all(0 <= v < self.n for v in m):
+            if min(m) < 0 or max(m) >= self.n:
                 raise ValueError("family member out of range")
         if self.grid is not None and self.family == ccc_family(*self.grid):
             return  # row i + column j meets row k + column l in cell (i, l)
         if frozenset.intersection(*members):
             return  # every member holds a common voter
-        for a, b in itertools.combinations(members, 2):
-            if a.isdisjoint(b):
-                raise ValueError(f"family members {sorted(a)} and {sorted(b)} are disjoint")
+        # Bit j of voter v's mask is set when member lo + j holds v, in
+        # windows of FAMILY_WINDOW members that bound each mask. The first
+        # member whose voters' masks miss a bit, and its lowest miss, are the
+        # first disjoint pair in `itertools.combinations` order, so a later
+        # window need only check the members before it.
+        first = len(members)
+        for lo in range(0, len(members), FAMILY_WINDOW):
+            masks = [0] * self.n
+            for j, m in enumerate(members[lo : lo + FAMILY_WINDOW]):
+                for v in m:
+                    masks[v] |= 1 << j
+            full = (1 << min(FAMILY_WINDOW, len(members) - lo)) - 1
+            for i in range(first):
+                met = 0
+                for v in members[i]:
+                    met |= masks[v]
+                if met != full:
+                    missed = full & ~met
+                    first, miss = i, lo + (missed & -missed).bit_length() - 1
+                    break
+        if first < len(members):
+            a, b = sorted(members[first]), sorted(members[miss])
+            raise ValueError(f"family members {a} and {b} are disjoint")
 
     def scalar(self, votes: tuple[int, ...]) -> int:
         return eval_coalition(self.family, votes)

@@ -3,14 +3,15 @@
 Every scan hands the numpy kernel the rule class carries (`rule.batch`)
 voter-major, C-contiguous int8 blocks of at most `block_width(n)` profiles
 (one per column, votes in {-1, 0, +1}); `profile_blocks` yields every
-profile of some voters that way, in code order, without codes.
+profile of some voters over some vote values that way, in code order,
+without codes; binary pivotality reads it over {-1, +1}.
 The table of a degree-n rule is its value on every base-3 profile code (voter
 v's vote plus one is the digit of weight 3^v), so it is also an n-axis
 3 x 3 x ... x 3 array whose axis v is voter v's vote, and this module alone
 knows that layout: relabelling voters transposes the axes, a coalition's
 unanimous slab fixes the members' axes, and one voter's outcomes over the
-others' profiles move that voter's axis to the front. `table_outcomes` is
-the one place that computes profile codes.
+others' profiles move that voter's axis to the front. No profile code is
+ever computed.
 The automorphism search extends permutations one voter at a time:
 `automorphism_filter` checks each prefix of images on the profiles it is
 the first to decide, those where every voter it leaves free votes alike,
@@ -42,19 +43,21 @@ def block_width(n: int) -> int:
     return max(1, min(BATCH_ROWS, (BATCH_ROWS << 6) // n))
 
 
-def profile_blocks(f: int, n: int) -> Iterator[np.ndarray]:
-    """The votes of f voters over all 3^f of their profiles, in code order,
-    as voter-major int8 blocks of 3^k profiles for a kernel of n voters:
-    k is at most f and the largest with 3^k within `block_width`. The low
-    k voters run through one fixed digit pattern and each higher voter
-    votes alike across a block. Every block is the same array, refilled."""
-    k = 0
-    while k < f and 3 ** (k + 1) <= block_width(n):
+def profile_blocks(f: int, n: int, values: tuple = (-1, 0, 1)) -> Iterator[np.ndarray]:
+    """The votes of f voters over all b^f of their profiles over b vote
+    values, in code order (digit d of the code is a vote of values[d]), as
+    voter-major int8 blocks of b^k profiles for a kernel of n voters: k is
+    at most f and the largest with b^k within `block_width`. The low k
+    voters run through one fixed digit pattern and each higher voter votes
+    alike across a block. Every block is the same array, refilled."""
+    b, k = len(values), 0
+    while k < f and b ** (k + 1) <= block_width(n):
         k += 1
-    block = np.empty((f, 3**k), dtype=np.int8)
+    block = np.empty((f, b**k), dtype=np.int8)
     # np.indices varies its last axis fastest, and voter 0 is the lowest digit
-    block[:k] = np.indices((3,) * k, dtype=np.int8)[::-1].reshape(k, 3**k) - 1
-    for high in itertools.product((-1, 0, 1), repeat=f - k):
+    digits = np.indices((b,) * k, dtype=np.int8)[::-1].reshape(k, b**k)
+    np.take(np.array(values, dtype=np.int8), digits, out=block[:k])
+    for high in itertools.product(values, repeat=f - k):
         block[k:] = np.array(high[::-1], dtype=np.int8)[:, None]
         yield block
 
@@ -80,12 +83,6 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     while len(_TABLES) > 1 and cached > _TABLE_CACHE_BYTES:
         cached -= _TABLES.popitem(last=False)[1].nbytes
     return table
-
-
-def table_outcomes(table: np.ndarray, ballots: np.ndarray) -> np.ndarray:
-    """The table's outcome on each profile of a voter-major block."""
-    weights = 3 ** np.arange(len(ballots), dtype=np.int64)
-    return table[weights @ (ballots + 1)]
 
 
 def _cube(table: np.ndarray, n: int) -> np.ndarray:
@@ -161,19 +158,12 @@ def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
 
 
 def binary_voter_outcomes(rule: VotingRule, v: int) -> Iterator[np.ndarray]:
-    """The binary counterpart of `voter_outcomes`, evaluated in blocks of
-    at most `block_width` columns: row d holds the outcomes with voter v
-    voting d - 1, column j the profile of the other voters whose votes, in
-    voter order, are the bits of j (1 for +1)."""
-    n = rule.n
-    others = [u for u in range(n) if u != v]
-    step = block_width(n)
-    for lo in range(0, 2 ** (n - 1), step):
-        codes = np.arange(lo, min(lo + step, 2 ** (n - 1)), dtype=np.int32)
-        ballots = np.empty((n, len(codes)), dtype=np.int8)
-        for bit, u in enumerate(others):
-            ballots[u] = 2 * (codes >> bit & 1) - 1
-        block = np.empty((3, len(codes)), dtype=np.int8)
+    """The binary counterpart of `voter_outcomes`, in blocks: row d holds
+    the outcomes with voter v voting d - 1, column j the j-th profile, in
+    code order, of the other voters over {-1, +1}."""
+    for profiles in profile_blocks(rule.n - 1, rule.n, (-1, 1)):
+        ballots = np.insert(profiles, v, 0, axis=0)
+        block = np.empty((3, profiles.shape[1]), dtype=np.int8)
         for d in range(3):
             ballots[v] = d - 1
             block[d] = rule.batch(ballots)

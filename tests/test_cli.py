@@ -699,6 +699,7 @@ def cli_start_modules(cwd, *argv):
         ("analyze", "--rule", "maj19.rule", "--min-coalition"),
         ("analyze", "--rule", "grd27.rule", "--min-coalition", "--caps", "budget=200000"),
         ("verify", "thm3", "--depth", "3"),
+        ("analyze", "--rule", "maj5.rule", "--min-coalition"),
     ],
 )
 def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
@@ -719,8 +720,9 @@ def test_symmetric_pivotality_does_not_load_numpy(tmp_path):
 
 
 def test_analysis_loads_numpy(tmp_path):
-    (tmp_path / "maj5.rule").write_text('{"format":1,"type":"majority","n":5}')
-    rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "maj5.rule", "--min-coalition")
+    # a rule with no monotone certificate reads its outcome table's slabs
+    (tmp_path / "lr5.rule").write_text('{"format":1,"type":"longest_run","n":5}')
+    rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "lr5.rule", "--min-coalition")
     assert rc == 0
     assert any(m.startswith("numpy.") for m in modules)
 

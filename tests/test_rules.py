@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from profile_oracle import all_profiles, apply_to_profile, profile_code, votes_from_code
 
+from equivote import rules
 from equivote.perms import Permutation
 from equivote.profiles import VoteProfile
 from equivote.rules import (
@@ -262,6 +264,56 @@ def test_star_family_skips_the_pairwise_check():
     pairs = itertools.combinations(range(1, 400), 2)
     family = [{0, i, j} for i, j in itertools.islice(pairs, 40_000)]
     assert len(make_coalition_rule(400, family).family) == 40_000
+
+
+def _pairwise_verdict(n, family):
+    """The message of the first disjoint pair in `itertools.combinations`
+    order, or None: the quadratic reference for the bitmask check."""
+    for a, b in itertools.combinations(family, 2):
+        if a.isdisjoint(b):
+            return f"family members {sorted(a)} and {sorted(b)} are disjoint"
+    return None
+
+
+@st.composite
+def families(draw):
+    """Intersecting families (a random one, a star, or the non-star
+    {0,1,x}, {0,2,x}, {1,2,x}), in a random order, with one member
+    disjoint from a drawn member put at a random position or not."""
+    n = draw(st.integers(4, 12))
+    kind = draw(st.sampled_from(["intersecting", "star", "non-star"]))
+    member = st.frozensets(st.integers(0, n - 1), min_size=1)
+    if kind == "intersecting":
+        family = [draw(member)]
+        for candidate in draw(st.lists(member, max_size=12)):
+            if all(candidate & m for m in family):
+                family.append(candidate)
+    elif kind == "star":
+        centre = draw(st.integers(0, n - 1))
+        family = [m | {centre} for m in draw(st.lists(member, min_size=1, max_size=12))]
+    else:
+        pairs = st.sampled_from([(0, 1), (0, 2), (1, 2)])
+        family = [frozenset({*draw(pairs), x}) for x in draw(st.lists(st.integers(3, n - 1)))]
+        family += [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    family = draw(st.permutations(family))
+    outside = set(range(n)) - draw(st.sampled_from(family))
+    if outside and draw(st.booleans()):
+        loner = draw(st.frozensets(st.sampled_from(sorted(outside)), min_size=1))
+        family.insert(draw(st.integers(0, len(family))), loner)
+    return n, tuple(family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.sampled_from([1, 2, 3, 5, rules.FAMILY_WINDOW]))
+def test_bitmask_intersection_check_matches_the_pairwise_check(case, window):
+    n, family = case
+    got = None
+    with mock.patch.object(rules, "FAMILY_WINDOW", window):
+        try:
+            CoalitionRule(n, family)
+        except ValueError as err:
+            got = str(err)
+    assert got == _pairwise_verdict(n, family)
 
 
 def test_coalition_rule_canonicalizes():

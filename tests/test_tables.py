@@ -154,13 +154,21 @@ def test_table_matches_outcome_when_blocks_hold_few_voters(rule, batch_rows):
 
 
 @pytest.mark.parametrize("batch_rows", [1, 3, 10, tables.BATCH_ROWS])
-@pytest.mark.parametrize("f", range(5))
-def test_profile_blocks_run_in_code_order(f, batch_rows, monkeypatch):
+@pytest.mark.parametrize(
+    "f, values",
+    [pytest.param(f, (-1, 0, 1), id=str(f)) for f in range(5)]
+    + [pytest.param(f, (-1, 1), id=f"{f}-binary") for f in range(5)],
+)
+def test_profile_blocks_run_in_code_order(f, values, batch_rows, monkeypatch):
     monkeypatch.setattr(tables, "BATCH_ROWS", batch_rows)
-    blocks = [block.copy() for block in tables.profile_blocks(f, f or 1)]
+    blocks = [block.copy() for block in tables.profile_blocks(f, f or 1, values)]
     assert len({block.shape for block in blocks}) == 1
     got = np.concatenate(blocks, axis=1).T.tolist()
-    assert got == [list(votes_from_code(c, f)) for c in range(3**f)]
+    b = len(values)
+    # voter v votes values[d], d the base-b digit of weight b^v of the code
+    assert got == [[values[c // b**v % b] for v in range(f)] for c in range(b**f)]
+    if values == (-1, 0, 1):
+        assert got == [list(votes_from_code(c, f)) for c in range(3**f)]
 
 
 def test_table_of_one_voter():
@@ -641,7 +649,7 @@ def test_every_kernel_block_is_voter_major_int8_within_the_block_width(
         lambda: outcome_table(CCC(2, 3)),
         lambda: outcome_table(GRD((0, 1, (2, 3, 4)))),
         lambda: is_winning_coalition(lr, (0, 1, 2, 3, 6)),
-        # the table search reaches the kernel through its table alone
+        # the table search calls the kernel on its extremal blocks
         lambda: min_winning_coalitions(LongestRun(8)),
         lambda: pivotality(lr),
         lambda: pivotality(make_coalition_rule(5, [{0, 1}, {1, 2}])),
@@ -703,9 +711,13 @@ def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypa
     assert (sum(evaluated), len(scalar)) == (0, 6 + 2)
     scalar.clear()
     min_winning_coalitions(LongestRun(9))
-    # the rotation is transitive: the subsets that hold voter 0, then size 5
-    assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(1, 5)) + 126
-    assert scalar == []
+    # the rotation is transitive: sizes 2..4 scan the subsets that hold
+    # voter 0, then size 5 all 126
+    assert sum(evaluated) == sum(math.comb(8, k - 1) for k in range(2, 5)) + 126
+    # size 1 is one subset, {0}, decided through the scalar outcome: it loses
+    # its +1 profile, so neither its negation nor its slab is read
+    assert scalar == [(1,) + (-1,) * 8]
+    scalar.clear()
     evaluated.clear()
     got = min_winning_coalitions(Majority(19))
     # {0..9} wins, so every size-10 subset does
