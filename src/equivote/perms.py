@@ -1,12 +1,13 @@
 """Finite permutations, and permutation groups given by their generators,
-whose order, elements, n-cycles and k-transitivity come from one
-stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of CGT,
+whose order, elements, membership, n-cycles and k-transitivity come from
+one stabilizer chain (Sims 1970; Holt, Eick and O'Brien, Handbook of CGT,
 2005, section 4.4). Orbits, and so transitivity, come from the generators
 alone.
 
 The chain and its elements are tuples of images, composed with
 `operator.itemgetter`, so no group work loads numpy. One lazy walk over the
-chain yields the elements; the listing and the n-cycle search both read it."""
+chain yields the elements, and the n-cycle search prunes it; one sift builds
+the chain and tests membership (Seress, Permutation Group Algorithms, 3.1)."""
 
 from __future__ import annotations
 
@@ -19,14 +20,15 @@ from typing import Iterable, Iterator, Optional
 from ._record import record
 
 Images = tuple[int, ...]
+Chain = dict[int, dict[int, Images]]  # level i -> orbit point b -> row u_b
 
-# entries in the largest element list (order x degree) or chain: admits
+# entries in the largest walk (order x degree) or chain: admits
 # PGL(2,31) (952,320 entries) and a cyclic group on up to 1,024 points
 MAX_GROUP_ENTRIES = 1 << 20
 
 
 class ClosureOverflow(ValueError):
-    """A group's chain or element list would exceed MAX_GROUP_ENTRIES."""
+    """A group's chain or walk would exceed MAX_GROUP_ENTRIES."""
 
 
 @record
@@ -88,7 +90,7 @@ def cycle_lengths(p: Permutation) -> tuple[int, ...]:
 
 
 def check_group_entries(entries: int, what: str) -> None:
-    """Refuse a chain or element list before it is built."""
+    """Refuse a chain or walk before it is built."""
     if entries > MAX_GROUP_ENTRIES:
         raise ClosureOverflow(f"{what} needs over {MAX_GROUP_ENTRIES} entries")
 
@@ -96,8 +98,8 @@ def check_group_entries(entries: int, what: str) -> None:
 @record
 class PermGroup:
     """The permutation group of degree n that the generators generate.
-    Its order, elements, n-cycles and k-transitivity for k >= 2 come from
-    one stabilizer chain, built on first use."""
+    Its order, elements, membership, n-cycles and k-transitivity for k >= 2
+    come from one stabilizer chain, built on first use."""
 
     n: int
     generators: tuple[Permutation, ...]
@@ -108,26 +110,27 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
 
     @functools.cached_property
-    def _chain(self) -> dict[int, tuple[Images, ...]]:
+    def _chain(self) -> Chain:
         return _stabilizer_chain(self.n, self.generators)
 
     @property
     def order(self) -> int:
         return math.prod(map(len, self._chain.values()))
 
-    @functools.cached_property
-    def elements(self) -> tuple[Images, ...]:
-        """Every element as its images, in walk order; refused by order x
-        degree before any is built."""
-        order = self.order
-        check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
-        return tuple(self.walk())
+    elements = order  # the count bench/trace_boot.py reads off generate_closure
+
+    def __contains__(self, images: Images) -> bool:
+        """Whether the permutation with these images sifts through the chain."""
+        identity = tuple(range(self.n))
+        return len(images) == self.n and _sift(self._chain, identity, images) is None
 
     def walk(self) -> Iterator[Images]:
         """Every element once, lazily: the products u_0 u_1 ... of one
         transversal row per level, the rows of the deepest level varying
         fastest. The identity comes first, since each level's first row is
-        the identity."""
+        the identity. Refused by order x degree before any is built."""
+        order = self.order
+        check_group_entries(order * self.n, f"{order} elements of degree {self.n}")
         elements: Iterator[Images] = iter([tuple(range(self.n))])
         for level in self._chain.values():
             elements = _times(elements, level)
@@ -140,83 +143,80 @@ def _after(g: Images, h: Images) -> Images:
     return operator.itemgetter(*h)(g) if len(h) > 1 else tuple(g[x] for x in h)
 
 
-def _times(prefixes: Iterator[Images], level: tuple[Images, ...]) -> Iterator[Images]:
+def _times(prefixes: Iterator[Images], level: dict[int, Images]) -> Iterator[Images]:
     """Each prefix after each row of the level, the rows varying fastest."""
     for g in prefixes:
-        for u in level:
+        for u in level.values():
             yield _after(g, u)
 
 
-def _stabilizer_chain(
-    n: int, generators: Iterable[Permutation]
-) -> dict[int, tuple[Images, ...]]:
+def _moved(g: Images, identity: Images) -> int:
+    """The first point g moves; len(g) when g is the identity."""
+    if g == identity:
+        return len(g)
+    return next(itertools.compress(itertools.count(), map(operator.ne, g, identity)))
+
+
+def _sift(chain: Chain, identity: Images, g: Images) -> Optional[Images]:
+    """None when g is in the group, else a residue that is not: while the
+    first point i that g moves has a row u mapping i to g^-1(i) (past i), g
+    becomes g after u, fixing 0..i. This sifts g^-1, so it inverts nothing."""
+    while (i := _moved(g, identity)) in chain and (u := chain[i].get(g.index(i, i))):
+        g = _after(g, u)
+    return None if i == len(g) else g
+
+
+def _stabilizer_chain(n: int, generators: Iterable[Permutation]) -> Chain:
     """The transversals of a stabilizer chain on the base 0..n-1, by
-    deterministic Schreier-Sims, keyed by level in increasing order.
-    Level i, kept when its orbit has more than one point, has one row per
-    orbit point b: an element that fixes 0..i-1 and maps i to b, the
-    identity first.
+    deterministic Schreier-Sims. Level i, kept when its orbit has more than
+    one point, has one row per orbit point b: an element that fixes 0..i-1
+    and maps i to b, the identity first.
 
     The chain is built again, with one more strong generator, until every
-    Schreier generator of every level sifts through the levels below.
-    Each row is built beside its inverse, so sifting inverts nothing. Every
-    image tuple holds the int objects of `identity`, so comparing one with
-    it compares pointers.
-    """
+    Schreier generator of every level sifts through the levels below; the
+    rows' inverses are kept beside them until then."""
     identity = tuple(range(n))
-
-    def level(g: Images) -> int:
-        if g == identity:
-            return n
-        moved = itertools.compress(itertools.count(), map(operator.ne, g, identity))
-        return next(moved)
 
     def invert(g: Images) -> Images:
         return tuple(sorted(identity, key=g.__getitem__))
 
-    def sift(h: Images) -> Optional[Images]:
-        while (i := level(h)) < n:
-            u = reps.get(i, {}).get(h[i])
-            if u is None:
-                return h
-            h = _after(u[1], h)  # u^-1 after h fixes 0..i
-        return None
-
     def schreier() -> Iterator[Images]:
-        """u_{s(b)}^-1 s u_b, which fixes 0..i, for each level i, orbit point
-        b and strong generator s that fixes 0..i-1, deepest level first. One
-        that is the identity, because s u_b is u_{s(b)}, sifts through and
-        is skipped."""
-        for i, level_reps in reversed(reps.items()):
-            for b, (u, _) in level_reps.items():
-                for lv, s, _ in strong:
-                    if lv >= i:
-                        w, w_inv = level_reps[s[b]]
-                        if (su := _after(s, u)) != w:
-                            yield _after(w_inv, su)
+        """The inverse u_b^-1 s^-1 u_{s(b)} of each Schreier generator,
+        which fixes 0..i, for each level i, orbit point b and strong
+        generator s that fixes 0..i-1, deepest level first. One that is the
+        identity, because s u_b is u_{s(b)}, sifts through and is skipped."""
+        for i, level in reversed(chain.items()):
+            for b, u in level.items():
+                for lv, s, s_inv in strong:
+                    if lv >= i and (m := _after(s_inv, level[s[b]])) != u:
+                        yield _after(inverses[i][b], m)
 
     images = (_after(identity, p.images) for p in generators)
-    strong = [(level(g), g, invert(g)) for g in images]
+    strong = [(_moved(g, identity), g, invert(g)) for g in images]
     while True:
-        # level -> orbit point b -> (u_b, u_b^-1)
-        reps: dict[int, dict[int, tuple[Images, Images]]] = {}
+        chain: Chain = {}
+        inverses: Chain = {}
         rows = 0
         for i in sorted({lv for lv, _, _ in strong if lv < n}):
-            level_reps = reps[i] = {i: (identity, identity)}
+            level = chain[i] = {i: identity}
+            level_inv = inverses[i] = {i: identity}
             rows += 1
             frontier = [i]
             for x in frontier:  # breadth first: the list grows while it is read
-                u, u_inv = level_reps[x]
+                u, u_inv = level[x], level_inv[x]
                 for lv, g, g_inv in strong:
                     y = g[x]
-                    if lv >= i and y not in level_reps:
+                    if lv >= i and y not in level:
                         check_group_entries(n * (rows + 1), f"a chain of degree {n}")
                         rows += 1
-                        level_reps[y] = (_after(g, u), _after(u_inv, g_inv))
+                        level[y] = _after(g, u)
+                        level_inv[y] = _after(u_inv, g_inv)
                         frontier.append(y)
-        residue = next((r for r in map(sift, schreier()) if r is not None), None)
+        sifted = map(functools.partial(_sift, chain, identity), schreier())
+        residue = next((r for r in sifted if r is not None), None)
         if residue is None:
-            return {i: tuple(u for u, _ in r.values()) for i, r in reps.items()}
-        strong.append((level(residue), residue, invert(residue)))
+            return chain
+        strong.append((_moved(residue, identity), invert(residue), residue))
 
 
 def generate_closure(n: int, generators: Iterable[Permutation]) -> PermGroup:

@@ -44,8 +44,7 @@ def verify_intersecting_set(group: PermGroup, points) -> bool:
     A set of every voter is its only translate, and needs no element."""
     pts = frozenset(points)
     return pts == set(range(group.n)) or all(
-        not pts.isdisjoint(frozenset(g[v] for v in pts))
-        for g in group.elements
+        not pts.isdisjoint(map(g.__getitem__, pts)) for g in group.walk()
     )
 
 
@@ -73,12 +72,7 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
     for attempt in range(1, MAX_ATTEMPTS + 1):
         draws = [rng.randrange(n) for _ in range(ell)]
         point_set = set(base) | set(draws)
-        ok = True
-        for g in group.elements:
-            if not any(g[v] in point_set for v in point_set):
-                ok = False
-                break
-        if ok:
+        if all(any(g[v] in point_set for v in point_set) for g in group.walk()):
             points = tuple(sorted(point_set))
             if not verify_intersecting_set(group, points):
                 raise AssertionError("verification disagrees with search")
@@ -110,7 +104,7 @@ def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
     whole = frozenset(range(group.n))
     if whole == frozenset(members):
         return (whole,)
-    seen = {frozenset(g[v] for v in members) for g in group.elements}
+    seen = {frozenset(g[v] for v in members) for g in group.walk()}
     return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 
 

@@ -30,7 +30,12 @@ GRDTree = Union[int, tuple]
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
 FAMILY_WINDOW = 1 << 12  # members the intersection check holds voter masks for
-CCC_MAX_ENTRIES = 1 << 21  # voters listed over all CCC members; (100, 100) has 1,990,000
+# voters listed over all members of a CCC or a coalition document; CCC(100,
+# 100) has 1,990,000
+CCC_MAX_ENTRIES = 1 << 21
+# members of a coalition document, whose intersection check is quadratic in
+# them; above the 40,000 of the largest document a test or CI builds
+FAMILY_MAX_MEMBERS = 1 << 16
 # voters a rule document or a uniform tree may have; above CCC(100, 100)'s
 # 10,000, and low enough that n-sized permutations and orbits stay small
 MAX_DEGREE = 1 << 14

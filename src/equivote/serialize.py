@@ -12,6 +12,8 @@ from typing import Any, Callable
 from .analysis import AnalysisReport
 from .rules import (
     CCC,
+    CCC_MAX_ENTRIES,
+    FAMILY_MAX_MEMBERS,
     GRD,
     Dictatorship,
     GRDTree,
@@ -75,6 +77,17 @@ def _family_field(key: str, value: Any) -> list[frozenset[int]]:
         for member in value
     ):
         raise ValueError(f"rule field {key!r} must be a list of integer lists")
+    if len(value) > FAMILY_MAX_MEMBERS:
+        raise ValueError(
+            f"rule field {key!r}: {len(value)} members, "
+            f"above the limit of {FAMILY_MAX_MEMBERS}"
+        )
+    entries = sum(map(len, value))
+    if entries > CCC_MAX_ENTRIES:
+        raise ValueError(
+            f"rule field {key!r}: {entries} voters listed over its members, "
+            f"above the limit of {CCC_MAX_ENTRIES}"
+        )
     return [frozenset(member) for member in value]
 
 

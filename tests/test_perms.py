@@ -109,9 +109,9 @@ def test_closure_overflow(monkeypatch):
     group = generate_closure(5, symmetric_generators(5))
     assert group.order == 120
     with pytest.raises(ClosureOverflow, match="120 elements of degree 5"):
-        group.elements
+        group.walk()
     monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", 120 * 5)
-    assert len(group.elements) == 120
+    assert len(list(group.walk())) == 120
 
 
 def test_closure_identity_only():
@@ -222,11 +222,11 @@ def test_walk_yields_each_element_once_identity_first(case):
 
 
 def test_find_n_cycle_walks_a_group_too_large_to_list(monkeypatch):
-    # a fresh group, so no listing cached on the shared PGL(2,13) is read
+    # the pruned search walks the chain itself, below the walk's budget
     group = PermGroup(14, pgl2_elements(13).generators)
     monkeypatch.setattr(perms_module, "MAX_GROUP_ENTRIES", group.order * group.n - 1)
     with pytest.raises(ClosureOverflow, match="2184 elements of degree 14"):
-        group.elements
+        group.walk()
     assert cycle_lengths(find_n_cycle(group)) == (14,)
 
 
@@ -279,6 +279,30 @@ def test_catalog_chains_match_closure():
         _matches_closure(group)
 
 
+def _sifts_closure(group):
+    """Every element of the closure is in the group; below degree 7, no
+    other permutation is."""
+    closure = bfs_closure(group.n, group.generators)
+    assert all(g in group for g in closure)
+    assert tuple(range(group.n + 1)) not in group
+    if group.n <= 6:
+        members = set(closure)
+        others = (p.images for p in iter_permutations(group.n))
+        assert not any(g in group for g in others if g not in members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets)
+def test_membership_by_sifting_matches_closure(case):
+    n, gens = case
+    _sifts_closure(PermGroup(n, gens))
+
+
+def test_catalog_membership_matches_closure():
+    for group in _catalog_groups():
+        _sifts_closure(group)
+
+
 def test_catalog_k_transitivity_matches_tuple_walk():
     for group in _catalog_groups():
         for k in range(1, min(group.n, 4) + 1):
@@ -293,7 +317,7 @@ import sys
 from equivote.geometry import pgl2_elements
 from equivote.perms import Permutation, find_n_cycle, generate_closure, transitivity
 cyclic = generate_closure(1000, [Permutation.rotation(1000)])
-print(len(cyclic.elements), transitivity(cyclic), pgl2_elements(31).order)
+print(sum(1 for _ in cyclic.walk()), transitivity(cyclic), pgl2_elements(31).order)
 print(find_n_cycle(pgl2_elements(31)) is not None)
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
 """

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -18,6 +19,7 @@ from equivote.randomized import (
     verify_intersecting_set,
 )
 from equivote.rules import CoalitionRule
+from equivote.serialize import dumps_rule
 
 
 def cyclic(n):
@@ -91,9 +93,13 @@ def test_intersecting_set_needs_enumerated_group():
         verify_intersecting_set(sym12, (0, 1))
 
 
-def test_every_voter_needs_no_element_list():
+def test_every_voter_needs_no_element_list(monkeypatch):
     # ell = 70 >= 12 for Sym(12): the fixed block is every voter, which
-    # meets each of its translates, so none of the 12! elements is listed
+    # meets each of its translates, so none of the 12! elements is walked
+    def no_walk(group):
+        raise AssertionError("walked a group")
+
+    monkeypatch.setattr(PermGroup, "walk", no_walk)
     sym12 = PermGroup(n=12, generators=symmetric_generators(12))
     got = intersecting_set(sym12, seed=3)
     assert (got.points, got.ell, got.attempts) == (tuple(range(12)), 70, 1)
@@ -173,3 +179,32 @@ def test_build_3_equitable_rule():
     assert is_k_equitable(got.rule, 3) is True
     again = build_3_equitable_rule(3)
     assert got == again
+
+
+# sha256 of the `construct --type group_orbit` document (with its trailing
+# newline) for each group descriptor and seed, pinned when the groups were
+# still listed; the walk must give the same families byte for byte
+ORBIT_DOCUMENTS = {
+    ("cyclic", 12, 0): "056cf9bc8dfb060383daa30e6932bd1584d1c7473e39fbee58df9390972be092",
+    ("cyclic", 16, 0): "b43f26d14bbe0b14ca88f1ca2a38627e94ba33b40fca7a9bfba63bdc396d211c",
+    ("cyclic", 40, 0): "ba6aa4558a8a689f442437824377daba9a00e8d22f15d7b9dcf191582440f525",
+    ("cyclic", 1000, 0): "375909d1acd3e289fcdf058ed4d37899a414c0de6e3226d0a20a2f0111618d32",
+    ("pgl2", 13, 0): "76670153f4c77e22a8183bf2fdf13987edd0709102d0f25b3edde171eceaebb8",
+    ("pgl2", 19, 0): "b90fc8c848add980b4ddc1e9b1ce6ff322011a90f92e4b34e6368c5f65783029",
+    ("pgl2", 31, 0): "603b082e0ca37afccd36a0ccb8b60a2d25a50d88e3b10dccc99ab9727b9003fd",
+    ("cyclic", 12, 1): "3a6dd0654423eb46fe8de55c77c62ff2ed55c41fcb231eee70ce53064d7b23af",
+    ("cyclic", 16, 1): "2d39f0c2a440483f9452f71636f31733f7f0d11b8c5872bf47bc3819cea5fb5f",
+    ("cyclic", 40, 1): "edadc4bf96c66d484d2746b840ffca6c157e487e0a7694b2e89759b68e942be9",
+    ("cyclic", 1000, 1): "d39c50f0993dad3597beec3b44187d2b1c3dc14fbb2f2a135418720912a3ecc2",
+    ("pgl2", 13, 1): "cb0aaddd3e398e7a93b304a2b84d2895502e6156d428c41776d6c0af89c518fc",
+    ("pgl2", 19, 1): "b43d9425783dce43d5ec9d9fcc8b12c8bcd1882bd78f30fefd0c7e64346399ac",
+    ("pgl2", 31, 1): "eeaeb423ec129517614ad7a8fac4110fe7b8463ba4afe4455ab4607af48ccf14",
+}
+
+
+@pytest.mark.parametrize("kind, size, seed", sorted(ORBIT_DOCUMENTS))
+def test_orbit_documents_keep_their_bytes(kind, size, seed):
+    desc = {"kind": kind, {"cyclic": "n", "pgl2": "p"}[kind]: size}
+    rule = build_rule_from_group(group_from_descriptor(desc), desc, seed=seed)
+    text = dumps_rule(rule) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ORBIT_DOCUMENTS[kind, size, seed]

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,8 @@ from equivote.geometry import build_projective_rule
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,
+    CCC_MAX_ENTRIES,
+    FAMILY_MAX_MEMBERS,
     Dictatorship,
     GRD,
     LongestRun,
@@ -18,6 +25,7 @@ from equivote.rules import (
 from equivote.serialize import (
     FORMAT_VERSION,
     RULE_TYPES,
+    _family_field,
     canonical_json,
     dumps_rule,
     load_rule_file,
@@ -171,3 +179,81 @@ def test_loads_rule_refuses_deep_nesting():
     nested = "[" * 100_000 + "0" + "]" * 100_000
     with pytest.raises(ValueError, match="nests too deeply"):
         loads_rule('{"format":1,"type":"grd","tree":' + nested + "}")
+
+
+# Runs the CLI in a fresh process under a 1 GiB address-space limit, so a
+# document that allocated without bound fails instead of growing.
+BOUNDED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from equivote.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def bounded_analyze(tmp_path, n, family):
+    """Exit code, stderr lines and seconds of `analyze` of a coalition
+    document in a bounded process."""
+    path = tmp_path / "family.rule"
+    path.write_text(json.dumps({"format": 1, "type": "coalition", "n": n, "family": family}))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["analyze", "--rule", str(path), "--format", "machine"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_CLI, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stderr.splitlines(), time.perf_counter() - start
+
+
+def non_star_family(members):
+    """4-voter members {a, b, x, y} of 16,384 voters, with (a, b) one of
+    (0, 1), (0, 2) and (1, 2): pairwise intersecting, no voter in all."""
+    family = [
+        [a, b, x, y]
+        for a, b in ((0, 1), (0, 2), (1, 2))
+        for x in range(3, 16384)
+        for y in (x + 1, x + 2)
+        if y < 16384
+    ]
+    assert len(family) >= members
+    return family[: members - 1] + family[-1:]
+
+
+def test_family_member_limit(tmp_path):
+    rc, err, _ = bounded_analyze(tmp_path, 16384, non_star_family(FAMILY_MAX_MEMBERS))
+    assert (rc, err) == (0, [])
+    rc, err, seconds = bounded_analyze(
+        tmp_path, 16384, non_star_family(FAMILY_MAX_MEMBERS + 1)
+    )
+    assert rc == 2 and seconds < 10
+    assert err == [
+        f"error: rule field 'family': {FAMILY_MAX_MEMBERS + 1} members, "
+        f"above the limit of {FAMILY_MAX_MEMBERS}"
+    ]
+
+
+def test_family_entry_limit(tmp_path):
+    # as many members as the limit allows, 32 voters each, and one voter more
+    family = [list(range(32))] * (FAMILY_MAX_MEMBERS - 1) + [list(range(33))]
+    assert sum(map(len, family)) == CCC_MAX_ENTRIES + 1
+    rc, err, seconds = bounded_analyze(tmp_path, 33, family)
+    assert rc == 2 and seconds < 10
+    assert err == [
+        f"error: rule field 'family': {CCC_MAX_ENTRIES + 1} voters listed over its "
+        f"members, above the limit of {CCC_MAX_ENTRIES}"
+    ]
+
+
+def test_family_limits_admit_the_largest_built_documents():
+    # CCC(100, 100)'s family as a coalition document: 10,000 members and
+    # 1,990,000 entries; CI's two documents have 40,000 members each
+    family = [sorted(member) for member in ccc_family(100, 100)]
+    assert len(_family_field("family", family)) == 10_000
+    assert sum(map(len, family)) == 1_990_000 <= CCC_MAX_ENTRIES
+    assert 40_000 <= FAMILY_MAX_MEMBERS

@@ -64,3 +64,11 @@ def test_package_and_cli_imports_load_every_hooked_module():
         timeout=60,
     ).stdout.split()
     assert sorted(wanted - set(loaded)) == []
+
+
+def test_closures_carry_the_count_the_trace_reads():
+    # the perms.generate_closure.elements metric reads `elements` off each
+    # closure, as a tuple's length or an int
+    from equivote.perms import generate_closure, symmetric_generators
+
+    assert generate_closure(4, symmetric_generators(4)).elements == 24
