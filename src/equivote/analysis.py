@@ -35,7 +35,6 @@ from .rules import (
     InfeasibleError,
     PROFILE_SCAN_CAP,
     VotingRule,
-    ccc_family,
     grid_certificate,
     outcome,
     preserves_family,
@@ -511,8 +510,8 @@ def certified_subgroup(
 
     The rule names its own certificate. Generators and the named n-cycle
     of profile-defined rules are validated by a full outcome-table scan
-    when the degree is within the scan cap. A coalition rule that holds
-    its grid's own family keeps `grid_certificate`'s shifts and diagonal
+    when the degree is within the scan cap. A grid rule, whose family its
+    constructor checked, keeps `grid_certificate`'s shifts and diagonal
     cycle, which permute the row-plus-column sets by construction. Any
     other named group, the provenance's included, is validated at any
     degree by set preservation of each generator and the n-cycle, and
@@ -534,7 +533,6 @@ def certified_subgroup(
     if cert is not None and (
         rule.grid is not None
         and cert is grid_certificate(*rule.grid)
-        and rule.family == ccc_family(*rule.grid)
         or all(preserves_family(g, family_set) for g in _named_perms(cert))
     ):
         return EquityCertificate(cert.group, cert.kind, True, cert.cycle)

@@ -203,10 +203,11 @@ class CoalitionRule:
     """Consensus on any family member forces the outcome; majority otherwise.
 
     The family must be pairwise intersecting, so the two consensus branches
-    can never both fire. `grid` is set only by `CCC`: the rows x cols grid
-    whose row-union-column sets make up the family. Equality and hashing
-    ignore `provenance` and `grid`, so the caches keyed on rules treat a
-    CCC and the coalition document of its family as one rule.
+    can never both fire. `grid` is set only by `CCC`: a rows x cols grid
+    rule has rows * cols voters and exactly `ccc_family(rows, cols)`,
+    checked here once, so every reader may trust `grid`. Equality and
+    hashing ignore `provenance` and `grid`, so the caches keyed on rules
+    treat a CCC and the coalition document of its family as one rule.
     """
 
     n: int
@@ -219,14 +220,17 @@ class CoalitionRule:
     def __post_init__(self) -> None:
         if not self.family:
             raise ValueError("family must be nonempty")
+        if self.grid is not None:
+            rows, cols = self.grid
+            if self.n != rows * cols or self.family != ccc_family(rows, cols):
+                raise ValueError(f"n and family are not the {rows} x {cols} grid's")
+            return  # row i + column j meets row k + column l in cell (i, l)
         members = list(self.family)
         for m in members:
             if not m:
                 raise ValueError("family members must be nonempty")
             if min(m) < 0 or max(m) >= self.n:
                 raise ValueError("family member out of range")
-        if self.grid is not None and self.family == ccc_family(*self.grid):
-            return  # row i + column j meets row k + column l in cell (i, l)
         if frozenset.intersection(*members):
             return  # every member holds a common voter
         # Bit j of voter v's mask is set when member lo + j holds v, in
@@ -282,8 +286,9 @@ class CoalitionRule:
         if self.grid is not None:
             return "ccc{}x{}".format(*self.grid)
         prov = self.provenance or {}
-        if prov.get("kind") == "projective_plane":
-            return f"projective_p{prov['p']}"
+        p = prov.get("p")
+        if prov.get("kind") == "projective_plane" and type(p) is int:
+            return f"projective_p{p}"  # provenance is only a hint
         return f"coalition{self.n}"
 
 
@@ -360,15 +365,14 @@ def uniform_grd(branching: Iterable[int]) -> GRD:
     return GRD(tree=uniform_tree(tuple(branching)))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def ccc_family(rows: int, cols: int) -> tuple[frozenset[int], ...]:
-    members = []
-    for i in range(rows):
-        for j in range(cols):
-            row = {i * cols + c for c in range(cols)}
-            col = {r * cols + j for r in range(rows)}
-            members.append(frozenset(row | col))
-    return tuple(sorted(set(members), key=lambda s: (len(s), sorted(s))))
+    cells = list(range(rows * cols))  # one int per voter, shared by the members
+    members = {
+        frozenset(cells[i * cols : (i + 1) * cols] + cells[j::cols])
+        for i in range(rows) for j in range(cols)
+    }
+    return tuple(sorted(members, key=lambda s: (len(s), sorted(s))))
 
 
 @lru_cache(maxsize=64)

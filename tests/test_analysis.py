@@ -353,10 +353,16 @@ def test_grid_certificate_is_taken_without_a_family_scan(monkeypatch):
 
 
 def test_grid_certificate_needs_the_grids_family():
-    # a grid rule may hold another intersecting family, which the shifts break
-    rule = CoalitionRule(6, ccc_family(2, 3)[:-1], grid=(2, 3))
-    assert certified_subgroup(rule).kind == "family_stabilizer"
-    assert certified_subgroup(CoalitionRule(9, ccc_family(3, 3)[:-1], grid=(3, 3))) is None
+    # the shifts break any other intersecting family, so a grid rule cannot
+    # hold one; as a coalition document that family gets no grid certificate
+    for rows, cols in ((2, 3), (3, 3)):
+        family = ccc_family(rows, cols)[:-1]
+        with pytest.raises(ValueError, match=f"{rows} x {cols} grid"):
+            CoalitionRule(rows * cols, family, grid=(rows, cols))
+    assert certified_subgroup(make_coalition_rule(6, ccc_family(2, 3)[:-1])).kind == (
+        "family_stabilizer"
+    )
+    assert certified_subgroup(make_coalition_rule(9, ccc_family(3, 3)[:-1])) is None
 
 
 @pytest.mark.parametrize(

@@ -772,3 +772,58 @@ def test_coalition_search_at_the_degree_limit_stays_small(tmp_path, doc, search)
     report = json.loads(out)
     assert report["min_coalition"] == search
     assert report["methods"] == {"min_coalition": "direct+monotone"}
+
+
+# Runs the CLI's main in a fresh interpreter under a 150 MiB address-space
+# limit, so a run that needs more fails instead of passing; prints, as JSON,
+# its exit code and the numpy submodules it loaded, after its output.
+CLI_150_MIB = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
+from equivote.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+CCC100_ANALYSIS = {
+    "caps": {"budget": 2000000, "factorial": 8, "scan": 12, "workers": 1},
+    "equitable": "true",
+    "format": 1,
+    "kind": "analysis",
+    "methods": {"equitable": "grid_shifts", "min_coalition": "direct+monotone"},
+    "min_coalition": {
+        "exact": False,
+        "lower_bound": 2,
+        "size": None,
+        "subsets_checked": 10000,
+        "witness_count": 0,
+        "witnesses": [],
+        "witnesses_complete": False,
+    },
+    "n": 10000,
+    "rule": {"cols": 100, "format": 1, "rows": 100, "type": "ccc"},
+}
+
+
+def test_ccc100_fits_in_150_mib(tmp_path):
+    # a 100 x 100 grid lists 1,990,000 voters over its 10,000 members; both
+    # commands need about 118 MiB of address space on Python 3.11
+    def bounded(*argv):
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_150_MIB, *argv],
+            cwd=tmp_path,
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        out, _, status = done.stdout.rstrip("\n").rpartition("\n")
+        assert json.loads(status) == [0, []]
+        return out
+
+    bounded("construct", "--type", "ccc", "--rows", "100", "--cols", "100", "--out", "ccc100.rule")
+    rule = {"cols": 100, "format": 1, "rows": 100, "type": "ccc"}
+    assert (tmp_path / "ccc100.rule").read_text() == json.dumps(rule, indent=2) + "\n"
+    out = bounded("analyze", "--rule", "ccc100.rule", "--equity", "--min-coalition")
+    assert out == json.dumps(CCC100_ANALYSIS, indent=2, sort_keys=True)

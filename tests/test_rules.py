@@ -218,6 +218,57 @@ def test_ccc_family_frozen():
     assert all(len(m) == 5 for m in fam33)
 
 
+def _set_union_family(rows, cols):
+    """Every row-union-column set, built one set per cell: the reference
+    for `ccc_family`'s members and their order."""
+    members = []
+    for i in range(rows):
+        for j in range(cols):
+            row = {i * cols + c for c in range(cols)}
+            col = {r * cols + j for r in range(rows)}
+            members.append(frozenset(row | col))
+    return tuple(sorted(set(members), key=lambda s: (len(s), sorted(s))))
+
+
+def test_ccc_family_matches_the_set_union_construction():
+    for rows, cols in itertools.product(range(1, 13), repeat=2):
+        assert ccc_family(rows, cols) == _set_union_family(rows, cols)
+
+
+def test_ccc_family_shares_one_int_per_voter():
+    # voters above 256 are not interned, so each is built once, not once
+    # per member that holds it
+    assert len({id(v) for member in ccc_family(20, 20) for v in member}) == 400
+
+
+def test_ccc_family_keeps_only_the_last_family():
+    CCC(20, 20)
+    CCC(21, 21)
+    assert ccc_family.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "n, family, grid, message",
+    [
+        (6, ccc_family(2, 3)[:-1], (2, 3), "2 x 3 grid"),  # another family
+        (13, ccc_family(3, 4), (3, 4), "3 x 4 grid"),  # one voter too many
+        (0, (), (0, 5), "nonempty"),  # an empty grid has no family
+    ],
+)
+def test_grid_rule_holds_exactly_its_grids_family(n, family, grid, message):
+    with pytest.raises(ValueError, match=message):
+        CoalitionRule(n, family, grid=grid)
+
+
+def test_label_names_a_plane_only_by_an_int():
+    # provenance is an untrusted hint: a malformed one names no plane
+    for p in ({}, {"p": [1]}, {"p": "2"}, {"p": True}):
+        provenance = {"kind": "projective_plane", **p}
+        rule = make_coalition_rule(3, [[0, 1], [1, 2], [0, 2]], provenance=provenance)
+        assert rule.label == "coalition3"
+    assert build_projective_rule(2).label == "projective_p2"
+
+
 def test_ccc_matches_its_family():
     assert CCC(2, 3) == make_coalition_rule(6, ccc_family(2, 3))
     with pytest.raises(ValueError, match="grid dimensions must be positive"):
@@ -250,7 +301,7 @@ def test_coalition_rule_validation():
         make_coalition_rule(4, [frozenset()])
     with pytest.raises(ValueError):
         make_coalition_rule(4, [frozenset({0, 4})])
-    # a grid only skips the pairwise check for its own row-union-column family
+    # a grid rule holds exactly its own row-union-column family
     with pytest.raises(ValueError):
         CoalitionRule(4, (frozenset({0}), frozenset({1})), grid=(2, 2))
     # members that share a voter only in part are still compared pairwise

@@ -6,6 +6,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_analysis import intersecting_families
 
 from equivote.analysis import AnalysisReport, analyze_rule
 from equivote.geometry import build_projective_rule
@@ -14,6 +17,7 @@ from equivote.rules import (
     CCC,
     CCC_MAX_ENTRIES,
     FAMILY_MAX_MEMBERS,
+    CoalitionRule,
     Dictatorship,
     GRD,
     LongestRun,
@@ -94,6 +98,27 @@ def test_grid_documents_frozen():
     assert rule == CCC(2, 3)
     assert dumps_rule(rule, indent=None) == coalition
     assert dumps_rule(loads_rule(coalition), indent=None) == coalition
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        intersecting_families(),
+        st.builds(CCC, st.integers(1, 6), st.integers(1, 6)),
+    ),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+)
+def test_every_coalition_rule_reads_back_as_itself(rule, grid):
+    # with `grid` set, a rule constructs only over that grid's own family,
+    # so its "ccc" document cannot read back as another rule
+    built = [rule]
+    try:
+        built.append(CoalitionRule(rule.n, rule.family, grid=grid))
+    except ValueError:
+        pass
+    for r in built:
+        back = loads_rule(dumps_rule(r))
+        assert back == r and back.label == r.label
 
 
 def test_provenance_survives_roundtrip():
