@@ -153,15 +153,9 @@ def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
 
 
 def _scan_size(
-    rule: VotingRule,
-    n: int,
-    k: int,
-    monotone: bool,
-    table: Optional[np.ndarray],
-    keep: int,
-    prefix: int,
-) -> list[tuple[int, ...]]:
-    """The first `keep` winning size-k subsets, in combination order.
+    rule: VotingRule, k: int, table: Optional[np.ndarray], prefix: int
+) -> Iterator[tuple[int, ...]]:
+    """Every winning size-k subset, in combination order, as it is found.
 
     Subsets are checked block by block on their extremal profiles through
     `rule.batch`, the first `prefix` of them on their own: the caller
@@ -169,43 +163,37 @@ def _scan_size(
     none of them wins, none wins, and when there is one, the scalar
     `outcome` decides it with no block, and if it wins, all win. A rule
     that is not monotone comes with its table, read by the slab check.
+    A block is evaluated only when the next winner is asked for.
     """
+    n = rule.n
     combos = itertools.combinations(range(n), k)
     if prefix == 1:
         first = tuple(range(k))
-        wins = _extremal_win(rule, first) and (monotone or _slab_wins(table, n, first))
-        return list(itertools.islice(combos, keep)) if wins else []
-    winners: list[tuple[int, ...]] = []
+        if _extremal_win(rule, first) and (table is None or _slab_wins(table, n, first)):
+            yield from combos
+        return
     # each subset gives two extremal profiles: one evaluation block in all
     step = max(1, block_width(n) // 2)
-    start, count = 0, math.comb(n, k)
+    start, count, found = 0, math.comb(n, k), False
     while start < count:
-        if start == prefix and not winners:
-            break
-        end = prefix if start < prefix else count
-        # no more subsets than the winners still needed take at the rate
-        # seen so far: exactly that many where every subset wins
-        per_winner = start // len(winners) if winners else step
-        size = min(step, (keep - len(winners)) * per_winner, end - start)
+        if start == prefix and not found:
+            return
+        size = min(step, (prefix if start < prefix else count) - start)
         start += size
         block = itertools.chain.from_iterable(itertools.islice(combos, size))
         subsets = np.fromiter(block, dtype=np.int64, count=size * k).reshape(size, k)
         outcomes = rule.batch(_extremal_profiles(n, subsets))
         for row in subsets[(outcomes[:size] == 1) & (outcomes[size:] == -1)]:
             ms = tuple(row.tolist())
-            if monotone or _slab_wins(table, n, ms):
-                winners.append(ms)
-                if len(winners) == keep:
-                    return winners
-    return winners
+            if table is None or _slab_wins(table, n, ms):
+                found = True
+                yield ms
 
 
-def _contained_winners(
-    rule: CoalitionRule, k: int, keep: int
-) -> list[tuple[int, ...]]:
-    """The first `keep` winning size-k subsets of a coalition rule, in
-    combination order, read off its family; no smaller size may have a
-    winner, as in the ascending search.
+def _contained_winners(rule: CoalitionRule, k: int) -> Iterator[tuple[int, ...]]:
+    """The winning size-k subsets of a coalition rule, in combination
+    order, read off its family; no smaller size may have a winner, as in
+    the ascending search.
 
     Let S vote +1 and the rest -1. The family is pairwise intersecting, so
     a member inside S forces +1 and then no member lies in the complement
@@ -222,11 +210,10 @@ def _contained_winners(
     n = rule.n
     m0 = min(map(len, rule.family))
     if k < min(m0, n // 2 + 1):
-        return []
+        return iter(())
     if 2 * m0 <= n:
-        smallest = {tuple(sorted(m)) for m in rule.family if len(m) == m0}
-        return sorted(smallest)[:keep]
-    return list(itertools.islice(itertools.combinations(range(n), k), keep))
+        return iter(sorted({tuple(sorted(m)) for m in rule.family if len(m) == m0}))
+    return itertools.combinations(range(n), k)
 
 
 def min_winning_coalitions(
@@ -237,8 +224,10 @@ def min_winning_coalitions(
     """Smallest winning coalition size with all witnesses of that size.
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
-    lower-bound-only partial result instead of silently truncating. At most
-    WITNESS_LIMIT witnesses are kept, in combination order. The method is
+    lower-bound-only partial result instead of silently truncating. The
+    search takes WITNESS_LIMIT + 1 of a size's winners from its lazy
+    helpers, so it keeps at most WITNESS_LIMIT witnesses, in combination
+    order, and knows whether the list is complete. The method is
     "table" within the scan cap, where every subset the certified group
     does not vouch for is evaluated and a table is built only for the slab
     check of a rule with no monotone certificate, and "direct" above it,
@@ -283,16 +272,15 @@ def min_winning_coalitions(
                 method=method,
                 witnesses_complete=False,
             )
-        # one winner past the limit tells whether the witness list is complete
         if contained:
-            winners = _contained_winners(rule, k, WITNESS_LIMIT + 1)
+            found = _contained_winners(rule, k)
         elif k < floor:
-            winners = []
+            found = iter(())
         else:
             s = min(k, t)
-            winners = _scan_size(
-                rule, n, k, monotone, table, WITNESS_LIMIT + 1, math.comb(n - s, k - s)
-            )
+            found = _scan_size(rule, k, table, math.comb(n - s, k - s))
+        # one winner past the limit tells whether the witness list is complete
+        winners = list(itertools.islice(found, WITNESS_LIMIT + 1))
         checked += count_k
         if winners:
             complete = len(winners) <= WITNESS_LIMIT

@@ -17,7 +17,7 @@ import random
 from ._record import record
 from .geometry import pgl2_elements
 from .perms import PermGroup, Permutation, generate_closure
-from .rules import CoalitionRule, make_coalition_rule, preserves_family
+from .rules import CoalitionRule, canonical_family, preserves_family
 
 MAX_ATTEMPTS = 64
 
@@ -104,8 +104,7 @@ def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
     whole = frozenset(range(group.n))
     if whole == frozenset(members):
         return (whole,)
-    seen = {frozenset(g[v] for v in members) for g in group.walk()}
-    return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
+    return canonical_family((g[v] for v in members) for g in group.walk())
 
 
 def build_rule_from_group(
@@ -118,10 +117,9 @@ def build_rule_from_group(
     the whole group does and is a certified automorphism subgroup.
     """
     found = intersecting_set(group, seed=seed)
-    family = orbit_family(group, found.points)
-    rule = make_coalition_rule(
+    rule = CoalitionRule(
         group.n,
-        family,
+        orbit_family(group, found.points),
         provenance={
             "kind": "group_orbit",
             "group": descriptor,

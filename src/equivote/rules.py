@@ -295,12 +295,16 @@ class CoalitionRule:
 VotingRule = Union[Majority, LongestRun, Dictatorship, GRD, CoalitionRule]
 
 
+def canonical_family(family: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """The distinct members in document order: by size, then sorted voters."""
+    return tuple(sorted({frozenset(m) for m in family}, key=lambda s: (len(s), sorted(s))))
+
+
 def make_coalition_rule(
     n: int, family: Iterable[Iterable[int]], provenance: Optional[dict] = None
 ) -> CoalitionRule:
     """Canonicalize (dedupe, sort) and validate a coalition family."""
-    fam = sorted({frozenset(m) for m in family}, key=lambda s: (len(s), sorted(s)))
-    return CoalitionRule(n=n, family=tuple(fam), provenance=provenance)
+    return CoalitionRule(n=n, family=canonical_family(family), provenance=provenance)
 
 
 def preserves_family(
@@ -368,11 +372,10 @@ def uniform_grd(branching: Iterable[int]) -> GRD:
 @lru_cache(maxsize=1)
 def ccc_family(rows: int, cols: int) -> tuple[frozenset[int], ...]:
     cells = list(range(rows * cols))  # one int per voter, shared by the members
-    members = {
-        frozenset(cells[i * cols : (i + 1) * cols] + cells[j::cols])
+    return canonical_family(
+        cells[i * cols : (i + 1) * cols] + cells[j::cols]
         for i in range(rows) for j in range(cols)
-    }
-    return tuple(sorted(members, key=lambda s: (len(s), sorted(s))))
+    )
 
 
 @lru_cache(maxsize=64)

@@ -36,6 +36,7 @@ from .randomized import (
     intersecting_set,
     verify_intersecting_set,
 )
+from .serialize import FORMAT_VERSION
 from .rules import (
     CCC,
     GRD,
@@ -85,7 +86,7 @@ def _finish(
 
 def verification_to_dict(report: VerificationReport) -> dict:
     return {
-        "format": 1,
+        "format": FORMAT_VERSION,
         "kind": "verification",
         "claim": report.claim,
         "passed": report.passed,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -223,6 +224,27 @@ def test_analyze_min_coalition(capsys, tmp_path):
     )
     assert rc == 0
     assert json.loads(out)["min_coalition"]["size"] == 3
+
+
+def test_witness_limit_cuts_a_kernel_scan(capsys, tmp_path):
+    # above the scan cap, with no transitive group and an even node, every
+    # size is scanned by the kernel; size 10 has 43,758 winners, so the
+    # witness list fills up inside that scan
+    rule = tmp_path / "grd20.rule"
+    rule.write_text(json.dumps({"format": 1, "type": "grd", "tree": [*range(18), [18, 19]]}))
+    rc, out, _ = run(
+        capsys, "analyze", "--rule", str(rule), "--min-coalition", "--format", "machine"
+    )
+    assert rc == 0
+    search = json.loads(out)["min_coalition"]
+    assert (search["size"], search["witness_count"], search["witnesses_complete"]) == (
+        10,
+        20000,
+        False,
+    )
+    assert search["subsets_checked"] == 616665
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ab5691478193cab12fb12acf5b4d02fc1dfc332d8b1cf7bcee952ae27b04533c"
 
 
 def test_analyze_caps(capsys, tmp_path):

@@ -3,6 +3,7 @@ force: every subset on every profile, and every voter on every binary
 profile of the others, through the scalar `outcome` alone."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivote.analysis import min_winning_coalitions, pivotality
+from equivote.analysis import _scan_size, min_winning_coalitions, pivotality
 from equivote.perms import PermGroup, Permutation, symmetric_generators
 from equivote.rules import (
     Dictatorship,
@@ -20,6 +21,7 @@ from equivote.rules import (
     eval_majority,
     outcome,
 )
+from equivote.tables import outcome_table
 from rule_strategies import coalition_rules, grd_rules
 
 
@@ -52,10 +54,9 @@ class AbstentionFlip:
         return EquityCertificate(group, "symmetric", cycle=Permutation.rotation(self.n))
 
 
-def _brute_force_winners(rule):
-    """The winning coalitions of the smallest size that has one, in
-    combination order: a subset wins when every profile on which it votes
-    x unanimously has outcome x, for x = +1 and x = -1."""
+def _brute_force_wins(rule):
+    """Whether a subset wins: every profile on which it votes x unanimously
+    has outcome x, for x = +1 and x = -1."""
     n = rule.n
     outcomes = {
         votes: outcome(rule, votes)
@@ -73,8 +74,15 @@ def _brute_force_winners(rule):
                     return False
         return True
 
-    for k in range(1, n + 1):
-        winners = [ms for ms in itertools.combinations(range(n), k) if wins(ms)]
+    return wins
+
+
+def _brute_force_winners(rule):
+    """The winning coalitions of the smallest size that has one, in
+    combination order."""
+    wins = _brute_force_wins(rule)
+    for k in range(1, rule.n + 1):
+        winners = [ms for ms in itertools.combinations(range(rule.n), k) if wins(ms)]
         if winners:
             return k, winners
     return None, []
@@ -121,6 +129,28 @@ def test_search_matches_brute_force(rule):
 @given(RANDOM_RULES)
 def test_search_matches_brute_force_on_random_trees_and_families(rule):
     _check_search(rule)
+
+
+def _check_scan(rule):
+    """Every size's scan of every subset, with no witness limit and, for a
+    rule that is not monotone, its table, against brute force."""
+    n = rule.n
+    wins = _brute_force_wins(rule)
+    table = None if rule.monotone else outcome_table(rule)
+    for k in range(1, n + 1):
+        got = list(_scan_size(rule, k, table, math.comb(n, k)))
+        assert got == [ms for ms in itertools.combinations(range(n), k) if wins(ms)], k
+
+
+@pytest.mark.parametrize("rule", FIXED_RULES, ids=repr)
+def test_scan_of_every_size_matches_brute_force(rule):
+    _check_scan(rule)
+
+
+@settings(max_examples=50, deadline=None)
+@given(RANDOM_RULES)
+def test_scan_of_every_size_matches_brute_force_on_random_trees_and_families(rule):
+    _check_scan(rule)
 
 
 @pytest.mark.parametrize("rule", FIXED_RULES, ids=repr)

@@ -724,9 +724,9 @@ def test_reduced_search_evaluates_one_subset_per_size_below_the_minimum(monkeypa
     assert (sum(evaluated), len(scalar)) == (0, 9 + 2)
     combos = itertools.combinations(range(19), 10)
     assert got.witnesses == tuple(itertools.islice(combos, analysis.WITNESS_LIMIT))
-    # the first `keep` winners are returned, evaluated or not
-    got = analysis._scan_size(Majority(7), 7, 4, True, None, keep=5, prefix=1)
-    assert got == list(itertools.islice(itertools.combinations(range(7), 4), 5))
+    # the winners are yielded in combination order, evaluated or not
+    got = itertools.islice(analysis._scan_size(Majority(7), 4, None, prefix=1), 5)
+    assert list(got) == list(itertools.islice(itertools.combinations(range(7), 4), 5))
 
 
 @pytest.mark.parametrize("scan_cap", [PROFILE_SCAN_CAP, 0], ids=["table", "direct"])
@@ -764,9 +764,9 @@ def _sizes_scanned(sizes):
     """`_scan_size`, recording each size it is asked to scan."""
     scan_size = analysis._scan_size
 
-    def recording(rule, n, k, *rest):
+    def recording(rule, k, *rest):
         sizes.append(k)
-        return scan_size(rule, n, k, *rest)
+        return scan_size(rule, k, *rest)
 
     return recording
 
@@ -797,10 +797,11 @@ def test_symmetric_search_matches_the_table_and_the_kernel_scan(n, monkeypatch):
     # below n, so that more than one subset has the size
     for k in range(1, n):
         scalar.clear()
-        one = analysis._scan_size(rule, n, k, True, None, 3, prefix=1)
+        one = list(itertools.islice(analysis._scan_size(rule, k, None, prefix=1), 3))
         assert (len(kernel), len(scalar)) == (0, 1 if k < size else 2)
         # every subset is its own translate: the kernel scans them all
-        every = analysis._scan_size(rule, n, k, True, None, 3, prefix=math.comb(n, k))
+        every = analysis._scan_size(rule, k, None, prefix=math.comb(n, k))
+        every = list(itertools.islice(every, 3))
         assert kernel and one == every, k
         kernel.clear()
 
@@ -884,8 +885,7 @@ def test_symmetric_pivotality_counts_one_profile_per_tally(n, monkeypatch):
 
 def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
     # 171 of the 1,140 size-3 subsets hold voter 19, spread through the
-    # order; a block sized to the winners still needed alone would shrink
-    # to one subset at the end
+    # order; every block holds the full 32 subsets, the last one included
     sizes = []
     extremal = analysis._extremal_profiles
 
@@ -903,10 +903,43 @@ def test_sparse_winners_keep_coalition_blocks_large(monkeypatch):
     assert not got.witnesses_complete
     # the search reads a coalition rule's winners off its family, so the
     # scan it would otherwise run is called on its own
-    scanned = analysis._scan_size(rule, 20, 3, True, None, 20, math.comb(20, 3))
-    assert tuple(scanned) == got.witnesses + ((1, 3, 19),)
-    # 19 of the first 192 subsets win, so the 20th is looked for at that rate
-    assert [rows for rows, k in sizes if k == 3] == [32] * 6 + [192 // 19] * 2
+    scanned = analysis._scan_size(rule, 3, None, math.comb(20, 3))
+    assert tuple(itertools.islice(scanned, 20)) == got.witnesses + ((1, 3, 19),)
+    # the 20th winner, (1, 3, 19), is subset 203, in the 7th block, and no
+    # block after it is evaluated
+    assert [rows for rows, k in sizes if k == 3] == [32] * 7
+
+
+def test_the_scan_evaluates_only_the_blocks_up_to_the_winner_read(monkeypatch):
+    sizes = []
+    extremal = analysis._extremal_profiles
+
+    def counting(n, subsets):
+        sizes.append(len(subsets))
+        return extremal(n, subsets)
+
+    monkeypatch.setattr(analysis, "_extremal_profiles", counting)
+    monkeypatch.setattr(tables, "BATCH_ROWS", 64)  # blocks of 32 subsets
+    scalar = _count_outcomes(monkeypatch)
+    # every member holds voter 19 and two of voters 1..18: the first size-3
+    # winner, (1, 2, 19), is subset 187, in the 6th block, and the next,
+    # (1, 3, 19), is subset 203, in the 7th
+    pairs = itertools.combinations(range(1, 19), 2)
+    rule = make_coalition_rule(20, ({a, b, 19} for a, b in pairs))
+    scan = analysis._scan_size(rule, 3, None, math.comb(20, 3))
+    assert sizes == []
+    assert next(scan) == (1, 2, 19)
+    assert sizes == [32] * 6
+    assert next(scan) == (1, 3, 19)
+    assert (sizes, scalar) == ([32] * 7, [])
+    # one subset decides the size through the scalar outcome, once the first
+    # winner is read; the rest follow with no evaluation
+    one = analysis._scan_size(Majority(7), 4, None, prefix=1)
+    assert scalar == []
+    assert next(one) == (0, 1, 2, 3)
+    assert scalar == [(1,) * 4 + (-1,) * 3, (-1,) * 4 + (1,) * 3]
+    assert list(itertools.islice(one, 2)) == [(0, 1, 2, 4), (0, 1, 2, 5)]
+    assert (len(scalar), sizes) == (2, [32] * 7)
 
 
 @st.composite
@@ -938,8 +971,9 @@ def _scanned_minimum(rule, keep):
     decision equals that scan at each size up to it."""
     n = rule.n
     for k in range(1, n + 1):
-        scanned = analysis._scan_size(rule, n, k, True, None, keep, math.comb(n, k))
-        assert analysis._contained_winners(rule, k, keep) == scanned
+        scanned = analysis._scan_size(rule, k, None, math.comb(n, k))
+        scanned = list(itertools.islice(scanned, keep))
+        assert list(itertools.islice(analysis._contained_winners(rule, k), keep)) == scanned
         if scanned:
             return k, scanned
     raise AssertionError("the grand coalition always wins")
