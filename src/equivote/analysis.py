@@ -208,11 +208,11 @@ def _contained_winners(rule: CoalitionRule, k: int) -> Iterator[tuple[int, ...]]
       voters, so every k*-subset wins.
     """
     n = rule.n
-    m0 = min(map(len, rule.family))
+    m0 = len(rule.family[0])  # the family lists its smallest members first
     if k < min(m0, n // 2 + 1):
         return iter(())
     if 2 * m0 <= n:
-        return iter(sorted({tuple(sorted(m)) for m in rule.family if len(m) == m0}))
+        return itertools.takewhile(lambda m: len(m) == m0, rule.family)
     return itertools.combinations(range(n), k)
 
 
@@ -404,10 +404,10 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
         ]
         admits = functools.partial(automorphism_filter, table, n)
         return _chain_search(n, invariants, admits)
-    family = frozenset(rule.family)
-    by_last: dict[int, list[frozenset[int]]] = {}
-    for member in family:
-        by_last.setdefault(max(member), []).append(member)
+    members = set(rule.family)
+    by_last: dict[int, list[tuple[int, ...]]] = {}
+    for member in rule.family:
+        by_last.setdefault(member[-1], []).append(member)
 
     def admits(prefixes: list[Prefix]) -> list[Prefix]:
         # a prefix of length j is the first to decide the image of each
@@ -416,12 +416,12 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
             p
             for p in prefixes
             if all(
-                frozenset(p[v] for v in member) in family
+                tuple(sorted([p[v] for v in member])) in members
                 for member in by_last.get(len(p) - 1, ())
             )
         ]
 
-    invariants = [sorted(len(m) for m in family if v in m) for v in range(n)]
+    invariants = [sorted(len(m) for m in rule.family if v in m) for v in range(n)]
     return _chain_search(n, invariants, admits)
 
 
@@ -517,11 +517,10 @@ def certified_subgroup(
     if cert is None:
         group = _group_from_provenance(rule.provenance or {}, n)
         cert = None if group is None else EquityCertificate(group, "family_group")
-    family_set = frozenset(rule.family)
     if cert is not None and (
         rule.grid is not None
         and cert is grid_certificate(*rule.grid)
-        or all(preserves_family(g, family_set) for g in _named_perms(cert))
+        or preserves_family(rule.family, _named_perms(cert))
     ):
         return EquityCertificate(cert.group, cert.kind, True, cert.cycle)
     if n > factorial_cap:
@@ -647,7 +646,7 @@ def is_cyclic_rule(
     def rotation_probe() -> Optional[EquityCertificate]:
         rot = Permutation.rotation(n)
         if (
-            rule.family is not None and preserves_family(rot, frozenset(rule.family))
+            rule.family is not None and preserves_family(rule.family, (rot,))
         ) or (n <= scan_cap and respects_table(outcome_table(rule), n, rot)):
             group = PermGroup(n=n, generators=(rot,))
             return EquityCertificate(group, "rotation", validated=True, cycle=rot)

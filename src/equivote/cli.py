@@ -1,14 +1,15 @@
 """Command-line surface: construct, eval, analyze, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-Machine-format output is canonical JSON with sorted keys and no timing
-data, so identical inputs produce byte-identical documents.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error, 141
+stdout closed early. Machine-format output is canonical JSON with sorted
+keys and no timing data, so identical inputs give byte-identical documents.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe fails here, not at exit
 
 
 def _parse_votes(raw: str) -> VoteProfile:
@@ -110,7 +111,7 @@ def _group_descriptor(args: argparse.Namespace) -> dict:
 def cmd_eval(args: argparse.Namespace) -> int:
     rule = load_rule_file(args.rule)
     phi = _parse_votes(args.profile)
-    print(evaluate(rule, phi))
+    print(evaluate(rule, phi), flush=True)
     return 0
 
 
@@ -326,6 +327,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader has gone; exit flushes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, InfeasibleError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

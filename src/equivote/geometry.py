@@ -46,24 +46,21 @@ def projective_points(p: int, dim: int = 3) -> tuple[tuple[int, ...], ...]:
     return tuple(pts)
 
 
-def projective_lines(p: int) -> tuple[frozenset[int], ...]:
-    """Lines of the order-p plane as index sets into projective_points(p)."""
+def projective_lines(p: int) -> tuple[tuple[int, ...], ...]:
+    """Lines of the order-p plane as increasing index tuples into
+    projective_points(p): line i holds the points orthogonal to point i."""
     pts = projective_points(p)
-    index = {pt: i for i, pt in enumerate(pts)}
-    lines = []
-    for coeff in pts:
-        members = frozenset(
-            index[x] for x in pts if sum(a * b for a, b in zip(coeff, x)) % p == 0
-        )
-        lines.append(members)
-    return tuple(lines)
+    return tuple(
+        tuple(i for i, x in enumerate(pts) if not sum(map(operator.mul, c, x)) % p)
+        for c in pts
+    )
 
 
 @record
 class ProjectivePlane:
     p: int
     points: tuple[tuple[int, int, int], ...]
-    lines: tuple[frozenset[int], ...]
+    lines: tuple[tuple[int, ...], ...]
 
 
 def projective_plane(p: int) -> ProjectivePlane:

@@ -17,7 +17,7 @@ import random
 from ._record import record
 from .geometry import pgl2_elements
 from .perms import PermGroup, Permutation, generate_closure
-from .rules import CoalitionRule, canonical_family, preserves_family
+from .rules import CoalitionRule, Family, canonical_family, preserves_family
 
 MAX_ATTEMPTS = 64
 
@@ -99,10 +99,10 @@ def group_from_descriptor(desc: dict) -> PermGroup:
     raise ValueError(f"unknown group descriptor {kind!r}")
 
 
-def orbit_family(group: PermGroup, members) -> tuple[frozenset[int], ...]:
-    """All translates of the member set, deduplicated."""
-    whole = frozenset(range(group.n))
-    if whole == frozenset(members):
+def orbit_family(group: PermGroup, members) -> Family:
+    """All translates of the member set, deduplicated, in canonical form."""
+    whole = tuple(range(group.n))
+    if set(members) == set(whole):
         return (whole,)
     return canonical_family((g[v] for v in members) for g in group.walk())
 
@@ -129,8 +129,7 @@ def build_rule_from_group(
             "points": list(found.points),
         },
     )
-    family_set = frozenset(rule.family)
-    if not all(preserves_family(g, family_set) for g in group.generators):
+    if not preserves_family(rule.family, group.generators):
         raise AssertionError("group generator does not permute the family")
     return rule
 
@@ -157,11 +156,10 @@ def build_3_equitable_rule(p: int, seed: int = 0) -> EquitableConstruction:
     n = group.n
     rule = build_rule_from_group(group, {"kind": "pgl2", "p": p}, seed=seed)
     prov = rule.provenance
-    points = prov["points"]
     m = group.order
     return EquitableConstruction(
         rule=rule,
-        points=tuple(sorted(points)),
+        points=tuple(prov["points"]),  # drawn in increasing order
         ell=prov["ell"],
         attempts=prov["attempts"],
         group_order=m,

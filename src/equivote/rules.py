@@ -17,8 +17,9 @@ certificate.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from ._numpy import np
 from ._record import record
@@ -27,6 +28,7 @@ from .profiles import VoteProfile
 from .tables import outcome_table, respects_table, voter_outcomes
 
 GRDTree = Union[int, tuple]
+Family = tuple[tuple[int, ...], ...]  # members as `canonical_family` builds them
 
 PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
 FAMILY_WINDOW = 1 << 12  # members the intersection check holds voter masks for
@@ -203,15 +205,15 @@ class CoalitionRule:
     """Consensus on any family member forces the outcome; majority otherwise.
 
     The family must be pairwise intersecting, so the two consensus branches
-    can never both fire. `grid` is set only by `CCC`: a rows x cols grid
-    rule has rows * cols voters and exactly `ccc_family(rows, cols)`,
-    checked here once, so every reader may trust `grid`. Equality and
-    hashing ignore `provenance` and `grid`, so the caches keyed on rules
-    treat a CCC and the coalition document of its family as one rule.
+    can never both fire, and in `canonical_family`'s form. `grid` is set
+    only by `CCC`: a rows x cols grid rule has rows * cols voters and
+    exactly `ccc_family(rows, cols)`, checked here once, so every reader may
+    trust `grid`. Equality and hashing ignore `provenance` and `grid`, so a
+    CCC and the coalition document of its family are one key to a cache.
     """
 
     n: int
-    family: tuple[frozenset[int], ...]
+    family: Family
     provenance: Optional[dict] = None
     grid: Optional[tuple[int, int]] = None
 
@@ -225,13 +227,18 @@ class CoalitionRule:
             if self.n != rows * cols or self.family != ccc_family(rows, cols):
                 raise ValueError(f"n and family are not the {rows} x {cols} grid's")
             return  # row i + column j meets row k + column l in cell (i, l)
-        members = list(self.family)
+        members = self.family
+        last: tuple = (0, ())  # the (size, voters) key of the member before
         for m in members:
             if not m:
                 raise ValueError("family members must be nonempty")
-            if min(m) < 0 or max(m) >= self.n:
+            key = (len(m), m)
+            if type(m) is not tuple or key <= last or any(map(operator.ge, m, m[1:])):
+                raise ValueError(f"family is not in canonical form at member {list(m)}")
+            if m[0] < 0 or m[-1] >= self.n:
                 raise ValueError("family member out of range")
-        if frozenset.intersection(*members):
+            last = key
+        if set(members[0]).intersection(*members[1:]):
             return  # every member holds a common voter
         # Bit j of voter v's mask is set when member lo + j holds v, in
         # windows of FAMILY_WINDOW members that bound each mask. The first
@@ -254,7 +261,7 @@ class CoalitionRule:
                     first, miss = i, lo + (missed & -missed).bit_length() - 1
                     break
         if first < len(members):
-            a, b = sorted(members[first]), sorted(members[miss])
+            a, b = list(members[first]), list(members[miss])
             raise ValueError(f"family members {a} and {b} are disjoint")
 
     def scalar(self, votes: tuple[int, ...]) -> int:
@@ -270,7 +277,7 @@ class CoalitionRule:
         doc = {
             "type": "coalition",
             "n": self.n,
-            "family": [sorted(member) for member in self.family],
+            "family": [list(member) for member in self.family],
         }
         if self.provenance is not None:
             doc["provenance"] = self.provenance
@@ -295,9 +302,10 @@ class CoalitionRule:
 VotingRule = Union[Majority, LongestRun, Dictatorship, GRD, CoalitionRule]
 
 
-def canonical_family(family: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
-    """The distinct members in document order: by size, then sorted voters."""
-    return tuple(sorted({frozenset(m) for m in family}, key=lambda s: (len(s), sorted(s))))
+def canonical_family(family: Iterable[Iterable[int]]) -> Family:
+    """Distinct members as increasing voter tuples, by size, then by voters."""
+    members = {tuple(sorted(set(m))) for m in family}
+    return tuple(sorted(members, key=lambda t: (len(t), t)))
 
 
 def make_coalition_rule(
@@ -307,13 +315,11 @@ def make_coalition_rule(
     return CoalitionRule(n=n, family=canonical_family(family), provenance=provenance)
 
 
-def preserves_family(
-    perm: Permutation, family_set: frozenset[frozenset[int]]
-) -> bool:
-    """Whether perm maps every member of the family onto a member."""
+def preserves_family(family: Family, perms: Iterable[Permutation]) -> bool:
+    """Whether each perm maps every member onto a member, in canonical form."""
+    held = set(family)
     return all(
-        frozenset(perm.images[v] for v in member) in family_set
-        for member in family_set
+        tuple(sorted([p.images[v] for v in m])) in held for p in perms for m in family
     )
 
 
@@ -370,7 +376,7 @@ def uniform_grd(branching: Iterable[int]) -> GRD:
 
 
 @lru_cache(maxsize=1)
-def ccc_family(rows: int, cols: int) -> tuple[frozenset[int], ...]:
+def ccc_family(rows: int, cols: int) -> Family:
     cells = list(range(rows * cols))  # one int per voter, shared by the members
     return canonical_family(
         cells[i * cols : (i + 1) * cols] + cells[j::cols]
@@ -479,7 +485,7 @@ def eval_grd(tree: GRDTree, votes: tuple[int, ...]) -> int:
     return sign(sum(eval_grd(child, votes) for child in tree))
 
 
-def eval_coalition(family: tuple[frozenset[int], ...], votes: tuple[int, ...]) -> int:
+def eval_coalition(family: Family, votes: tuple[int, ...]) -> int:
     for x in (1, -1):
         for member in family:
             if all(votes[v] == x for v in member):
@@ -532,11 +538,11 @@ def _grd_sum(tree: GRDTree, ballots: np.ndarray) -> np.ndarray:
     return np.sign(sum(_grd_sum(child, ballots) for child in tree))
 
 
-def _coalition(family: Sequence[frozenset[int]], ballots: np.ndarray) -> np.ndarray:
+def _coalition(family: Family, ballots: np.ndarray) -> np.ndarray:
     out = _majority(ballots)
     yes, no = ballots == 1, ballots == -1
     for member in family:
-        rows = sorted(member)
+        rows = list(member)  # a tuple would index one axis per voter
         out[yes[rows].all(axis=0)] = 1
         out[no[rows].all(axis=0)] = -1
     return out

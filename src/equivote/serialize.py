@@ -71,7 +71,7 @@ def _tree_field(key: str, value: Any) -> GRDTree:
     return tree
 
 
-def _family_field(key: str, value: Any) -> list[frozenset[int]]:
+def _family_field(key: str, value: Any) -> list[list[int]]:
     if not isinstance(value, list) or not all(
         isinstance(member, list) and all(_is_int(v) for v in member)
         for member in value
@@ -88,7 +88,7 @@ def _family_field(key: str, value: Any) -> list[frozenset[int]]:
             f"rule field {key!r}: {entries} voters listed over its members, "
             f"above the limit of {CCC_MAX_ENTRIES}"
         )
-    return [frozenset(member) for member in value]
+    return value
 
 
 def _provenance_field(key: str, value: Any) -> dict:

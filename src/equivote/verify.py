@@ -316,7 +316,6 @@ def verify_thm7() -> VerificationReport:
     checks: list[CheckResult] = []
     rule = build_projective_rule(2)
     search = min_winning_coalitions(rule)
-    lines = set(rule.family)
     checks.append(
         _check(
             "min_size",
@@ -327,9 +326,8 @@ def verify_thm7() -> VerificationReport:
     checks.append(
         _check(
             "witnesses_are_lines",
-            {frozenset(w) for w in search.witnesses} == lines
-            and len(search.witnesses) == 7,
-            f"witnesses={len(search.witnesses)} lines={len(lines)}",
+            search.witnesses == rule.family and len(rule.family) == 7,
+            f"witnesses={len(search.witnesses)} lines={len(rule.family)}",
         )
     )
     full = automorphism_group(rule, method="exhaustive")
@@ -440,7 +438,7 @@ def verify_thm8(
 
 
 def coalition_catalog() -> list[CoalitionRule]:
-    chair = make_coalition_rule(4, [frozenset({0})])
+    chair = make_coalition_rule(4, [(0,)])
     return [CCC(2, 2), CCC(2, 3), CCC(3, 3), build_projective_rule(2), chair]
 
 
@@ -451,9 +449,7 @@ def verify_lemma1() -> VerificationReport:
     for rule in coalition_catalog():
         label = rule.label
         family = rule.family
-        pairwise = all(
-            a & b for a in family for b in family
-        )
+        pairwise = all(not set(a).isdisjoint(b) for a in family for b in family)
         checks.append(
             _check(
                 f"pairwise_intersecting_{label}",
@@ -488,7 +484,7 @@ def verify_lemma1() -> VerificationReport:
         )
     rejected = False
     try:
-        make_coalition_rule(4, [frozenset({0}), frozenset({1})])
+        make_coalition_rule(4, [(0,), (1,)])
     except ValueError:
         rejected = True
     checks.append(
@@ -531,7 +527,7 @@ def roles_catalog() -> list[VotingRule]:
     return [
         Majority(4),
         Dictatorship(4),
-        make_coalition_rule(4, [frozenset({0})]),
+        make_coalition_rule(4, [(0,)]),
         LongestRun(4),
     ]
 

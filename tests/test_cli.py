@@ -796,14 +796,15 @@ def test_coalition_search_at_the_degree_limit_stays_small(tmp_path, doc, search)
     assert report["methods"] == {"min_coalition": "direct+monotone"}
 
 
-# Runs the CLI's main in a fresh interpreter under a 150 MiB address-space
-# limit, so a run that needs more fails instead of passing; prints, as JSON,
-# its exit code and the numpy submodules it loaded, after its output.
-CLI_150_MIB = """
+# Runs the CLI's main in a fresh interpreter under an address-space limit of
+# argv[1] MiB, so a run that needs more fails instead of passing; prints, as
+# JSON, its exit code and the numpy submodules it loaded, after its output.
+CLI_UNDER_LIMIT = """
 import json, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (150 << 20, 150 << 20))
+limit = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from equivote.cli import main
-rc = main(sys.argv[1:])
+rc = main(sys.argv[2:])
 print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("numpy."))]))
 """
 
@@ -827,12 +828,13 @@ CCC100_ANALYSIS = {
 }
 
 
-def test_ccc100_fits_in_150_mib(tmp_path):
-    # a 100 x 100 grid lists 1,990,000 voters over its 10,000 members; both
-    # commands need about 118 MiB of address space on Python 3.11
+def _ccc100_within(tmp_path, mib):
+    """Construct CCC(100, 100), then analyze it, each under a `mib` MiB
+    address-space limit, and check both outputs."""
+
     def bounded(*argv):
         done = subprocess.run(
-            [sys.executable, "-c", CLI_150_MIB, *argv],
+            [sys.executable, "-c", CLI_UNDER_LIMIT, str(mib), *argv],
             cwd=tmp_path,
             env=src_env(),
             capture_output=True,
@@ -849,3 +851,36 @@ def test_ccc100_fits_in_150_mib(tmp_path):
     assert (tmp_path / "ccc100.rule").read_text() == json.dumps(rule, indent=2) + "\n"
     out = bounded("analyze", "--rule", "ccc100.rule", "--equity", "--min-coalition")
     assert out == json.dumps(CCC100_ANALYSIS, indent=2, sort_keys=True)
+
+
+def test_ccc100_fits_in_150_mib(tmp_path):
+    # a 100 x 100 grid lists 1,990,000 voters over its 10,000 members; both
+    # commands need about 37 MiB of address space on Python 3.11 (117 MiB
+    # while members were frozensets)
+    _ccc100_within(tmp_path, 150)
+
+
+def test_ccc100_fits_in_64_mib(tmp_path):
+    # the 37 MiB measured on Python 3.11, with headroom for other versions;
+    # members held as frozensets needed 117 MiB and fail here
+    _ccc100_within(tmp_path, 64)
+
+
+def test_a_closed_stdout_exits_quietly_with_one_code(tmp_path):
+    # about 4 MB of output, far above a 64 KiB pipe buffer: the CLI is still
+    # writing when the reader leaves after one byte, as in `| head -c 1`
+    argv = ["construct", "--type", "group_orbit", "--group", "cyclic", "--n", "1000"]
+    results = set()
+    for _ in range(5):
+        with subprocess.Popen(
+            [sys.executable, "-m", "equivote.cli", *argv],
+            cwd=tmp_path,
+            env=src_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.read(1) == b"{"
+            child.stdout.close()
+            results.add((child.wait(timeout=60), child.stderr.read()))
+    # one exit code, and no message or traceback on stderr
+    assert results == {(141, b"")}

@@ -19,6 +19,7 @@ from equivote.rules import (
     InfeasibleError,
     LongestRun,
     Majority,
+    canonical_family,
     ccc_family,
     eval_coalition,
     eval_grd,
@@ -37,6 +38,7 @@ from equivote.rules import (
     uniform_tree,
 )
 from equivote.geometry import build_projective_rule
+from equivote.serialize import canonical_json, rule_from_dict
 from equivote.tables import outcome_table, relabel_table, respects_table, voter_outcomes
 
 PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
@@ -207,12 +209,7 @@ def test_uniform_tree_shape():
 
 def test_ccc_family_frozen():
     fam = ccc_family(2, 2)
-    assert fam == (
-        frozenset({0, 1, 2}),
-        frozenset({0, 1, 3}),
-        frozenset({0, 2, 3}),
-        frozenset({1, 2, 3}),
-    )
+    assert fam == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     fam33 = ccc_family(3, 3)
     assert len(fam33) == 9
     assert all(len(m) == 5 for m in fam33)
@@ -227,7 +224,8 @@ def _set_union_family(rows, cols):
             row = {i * cols + c for c in range(cols)}
             col = {r * cols + j for r in range(rows)}
             members.append(frozenset(row | col))
-    return tuple(sorted(set(members), key=lambda s: (len(s), sorted(s))))
+    ordered = sorted(set(members), key=lambda s: (len(s), sorted(s)))
+    return tuple(tuple(sorted(s)) for s in ordered)
 
 
 def test_ccc_family_matches_the_set_union_construction():
@@ -321,7 +319,7 @@ def _pairwise_verdict(n, family):
     """The message of the first disjoint pair in `itertools.combinations`
     order, or None: the quadratic reference for the bitmask check."""
     for a, b in itertools.combinations(family, 2):
-        if a.isdisjoint(b):
+        if set(a).isdisjoint(b):
             return f"family members {sorted(a)} and {sorted(b)} are disjoint"
     return None
 
@@ -357,7 +355,8 @@ def families(draw):
 @settings(max_examples=300, deadline=None)
 @given(families(), st.sampled_from([1, 2, 3, 5, rules.FAMILY_WINDOW]))
 def test_bitmask_intersection_check_matches_the_pairwise_check(case, window):
-    n, family = case
+    n, drawn = case
+    family = canonical_family(drawn)  # the loner's place now follows its voters
     got = None
     with mock.patch.object(rules, "FAMILY_WINDOW", window):
         try:
@@ -369,7 +368,72 @@ def test_bitmask_intersection_check_matches_the_pairwise_check(case, window):
 
 def test_coalition_rule_canonicalizes():
     rule = make_coalition_rule(3, [[1, 0], [0, 1], [0, 2]])
-    assert rule.family == (frozenset({0, 1}), frozenset({0, 2}))
+    assert rule.family == ((0, 1), (0, 2))
+
+
+def _frozenset_family(family):
+    """The distinct members as frozensets in document order, as families
+    were held before tuples: the reference for `canonical_family`."""
+    return tuple(sorted({frozenset(m) for m in family}, key=lambda s: (len(s), sorted(s))))
+
+
+@st.composite
+def listed_families(draw):
+    """(n, members) as a document may list them: a grid of up to 6 x 6 with
+    each row-plus-column cell listed twice, as `ccc_family` builds it, or
+    pairwise-intersecting members of unsorted voters, some repeated; either
+    with members listed again and in a random order."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        n = rows * cols
+        family = [
+            [*range(i * cols, (i + 1) * cols), *range(j, n, cols)]
+            for i in range(rows)
+            for j in range(cols)
+        ]
+    else:
+        n = draw(st.integers(1, 8))
+        family = []
+        for member in draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1), min_size=1)):
+            if all(set(member) & set(other) for other in family):
+                family.append(member)
+    family += draw(st.lists(st.sampled_from(family), max_size=3))
+    return n, draw(st.permutations(family))
+
+
+@settings(max_examples=200, deadline=None)
+@given(listed_families())
+def test_tuple_family_matches_the_frozenset_family(case):
+    n, listed = case
+    want = _frozenset_family(listed)
+    got = canonical_family(listed)
+    assert len(got) == len(want)
+    for member, reference in zip(got, want):
+        assert type(member) is tuple and member == tuple(sorted(reference))
+    rule = rule_from_dict({"format": 1, "type": "coalition", "n": n, "family": listed})
+    assert rule.family == got
+    doc = canonical_json(rule.to_doc())
+    assert doc == canonical_json(
+        {"type": "coalition", "n": n, "family": [sorted(m) for m in want]}
+    )
+    assert canonical_json(rule_from_dict({"format": 1, **rule.to_doc()}).to_doc()) == doc
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ((1, 0),),  # voters out of order
+        ((0, 0, 1),),  # a repeated voter
+        ((0, 1), (0, 1)),  # a repeated member
+        ((0, 1, 2), (0, 1)),  # a larger member first
+        ((0, 2), (0, 1)),  # members of one size out of order
+        ([0, 1],),  # a list, not a tuple
+    ],
+)
+def test_a_directly_built_family_must_be_canonical(family):
+    with pytest.raises(ValueError, match="not in canonical form"):
+        CoalitionRule(3, family)
+    assert make_coalition_rule(3, family).family == canonical_family(family)
 
 
 def test_evaluate_checks_degree():

@@ -945,10 +945,10 @@ def test_the_scan_evaluates_only_the_blocks_up_to_the_winner_read(monkeypatch):
 @st.composite
 def intersecting_families(draw):
     """A random coalition rule of at most 12 voters, its family sometimes
-    holding a member more than once."""
+    listing a member more than once before it is canonicalized."""
     rule = draw(coalition_rules(max_n=12))
     again = draw(st.lists(st.sampled_from(rule.family), max_size=3))
-    return CoalitionRule(rule.n, rule.family + tuple(again))
+    return make_coalition_rule(rule.n, rule.family + tuple(again))
 
 
 def _extremal_winners(rule, k):
@@ -999,7 +999,7 @@ BUDGETS = st.sampled_from(["below", "at", "at+", "decides", "default"])
     st.sampled_from([1, 3, analysis.WITNESS_LIMIT]),
     BUDGETS | st.integers(0, 2**12),
 )
-@example(CoalitionRule(5, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1}))), 1, "decides")
+@example(make_coalition_rule(5, [(1, 0), (1, 2), (0, 1, 1)]), 1, "decides")
 def test_contained_winners_match_the_scan_and_the_table_search(rule, limit, budget):
     n = rule.n
     with mock.patch.object(analysis, "WITNESS_LIMIT", limit):

@@ -131,7 +131,7 @@ def test_post_init_checks_still_run():
     with pytest.raises(ValueError, match="leaves"):
         GRD((0, 2))
     with pytest.raises(ValueError, match="disjoint"):
-        CoalitionRule(4, (frozenset({0, 1}), frozenset({2, 3})))
+        CoalitionRule(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation((0, 0))
     with pytest.raises(ValueError, match="generator degree mismatch"):
