@@ -224,7 +224,9 @@ def min_winning_coalitions(
     """Smallest winning coalition size with all witnesses of that size.
 
     Sizes are scanned in ascending order; a budget exhaustion returns a
-    lower-bound-only partial result instead of silently truncating. The
+    lower-bound-only partial result instead of silently truncating. Every
+    rule type is unanimous, so the whole electorate wins and the search
+    ends at k = n at the latest, with a winner or at the budget. The
     search takes WITNESS_LIMIT + 1 of a size's winners from its lazy
     helpers, so it keeps at most WITNESS_LIMIT witnesses, in combination
     order, and knows whether the list is complete. The method is
@@ -293,15 +295,7 @@ def min_winning_coalitions(
                 method=method,
                 witnesses_complete=complete,
             )
-    return MinCoalitionSearch(
-        min_size=None,
-        witnesses=(),
-        exact=True,
-        lower_bound=n + 1,
-        subsets_checked=checked,
-        method=method,
-        witnesses_complete=True,
-    )
+    raise AssertionError("every rule is unanimous, so the whole electorate wins")
 
 
 def grd_min_coalition_structural(tree: GRDTree) -> int:
@@ -638,8 +632,7 @@ def is_cyclic_rule(
     n = rule.n
 
     def holds(cert: EquityCertificate) -> bool:
-        named = (cert.cycle, *cert.group.generators)
-        if any(g is not None and cycle_lengths(g) == (n,) for g in named):
+        if any(cycle_lengths(g) == (n,) for g in _named_perms(cert)):
             return True
         return find_n_cycle(cert.group) is not None
 
@@ -735,7 +728,7 @@ def check_sqrt_lower_bound(
         raise ValueError("rule is not certified equitable")
     if search is None:
         search = min_winning_coalitions(rule)
-    if not search.exact or search.min_size is None:
+    if not search.exact:
         raise InfeasibleError("minimal coalition search did not complete")
     size = search.min_size
     if cert.kind == "symmetric":
@@ -754,25 +747,27 @@ def check_sqrt_lower_bound(
     }
 
 
-def assignment_table(rule: VotingRule, assignment: Permutation) -> np.ndarray:
-    """Outcome table of the rule after seating voters by the assignment."""
-    n = rule.n
-    if assignment.n != n:
-        raise ValueError("assignment degree mismatch")
-    if n > PROFILE_SCAN_CAP:
-        raise InfeasibleError("assignment comparison exceeds scan cap")
-    return relabel_table(outcome_table(rule), n, assignment)
-
-
 def assignment_classes(rule: VotingRule) -> dict[bytes, list[Permutation]]:
-    """All n! assignments grouped by the rule they induce."""
+    """All n! seatings grouped by the rule they induce, keyed by its
+    outcome table and listed in the order `itertools.permutations` yields
+    them, so the first class holds the identity."""
     n = rule.n
     if n > ASSIGNMENT_CAP:
         raise InfeasibleError(f"{n}! assignments exceed cap {ASSIGNMENT_CAP}")
+    table = outcome_table(rule)
     classes: dict[bytes, list[Permutation]] = {}
     for a in map(Permutation, itertools.permutations(range(n))):
-        classes.setdefault(assignment_table(rule, a).tobytes(), []).append(a)
+        classes.setdefault(relabel_table(table, n, a).tobytes(), []).append(a)
     return classes
+
+
+def _menus(rule: VotingRule) -> list[list[set[int]]]:
+    """For each seating class, in `assignment_classes` order, the roles
+    its seatings give each voter."""
+    return [
+        [{a.images[v] for a in members} for v in range(rule.n)]
+        for members in assignment_classes(rule).values()
+    ]
 
 
 def roles_equivalent(rule: VotingRule, r1: int, r2: int) -> bool:
@@ -782,37 +777,23 @@ def roles_equivalent(rule: VotingRule, r1: int, r2: int) -> bool:
     n = rule.n
     if not (0 <= r1 < n and 0 <= r2 < n):
         raise ValueError("role out of range")
-    for members in assignment_classes(rule).values():
-        for v in range(n):
-            roles_here = {a.images[v] for a in members}
-            if r1 in roles_here and r2 not in roles_here:
-                return False
-            if r2 in roles_here and r1 not in roles_here:
-                return False
-    return True
+    return all(
+        (r1 in roles) == (r2 in roles) for menu in _menus(rule) for roles in menu
+    )
 
 
 def has_uniform_assignment_menu(rule: VotingRule) -> bool:
     """Whether one outcome-equivalence class of seatings realizes every
     voter-role pair."""
-    n = rule.n
-    for members in assignment_classes(rule).values():
-        if all(
-            {a.images[v] for a in members} == set(range(n)) for v in range(n)
-        ):
-            return True
-    return False
+    everyone = set(range(rule.n))
+    return any(all(roles == everyone for roles in menu) for menu in _menus(rule))
 
 
 def identity_class_realizes_all(rule: VotingRule) -> bool:
     """Whether the seatings outcome-identical to the standard one already
     give every voter access to every role."""
-    n = rule.n
-    key = assignment_table(rule, Permutation.identity(n)).tobytes()
-    members = assignment_classes(rule)[key]
-    return all(
-        {a.images[v] for a in members} == set(range(n)) for v in range(n)
-    )
+    everyone = set(range(rule.n))
+    return all(roles == everyone for roles in _menus(rule)[0])
 
 
 @record

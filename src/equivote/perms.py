@@ -46,17 +46,14 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
     @classmethod
-    def rotation(cls, n: int, shift: int = 1) -> "Permutation":
-        """The cycle i -> i + shift mod n."""
-        return cls(tuple((i + shift) % n for i in range(n)))
+    def rotation(cls, n: int) -> "Permutation":
+        """The cycle i -> i + 1 mod n."""
+        return cls(tuple((i + 1) % n for i in range(n)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":

@@ -142,8 +142,8 @@ def rule_from_dict(doc: Any) -> VotingRule:
     return construct(**{key: _FIELD_READERS[key](key, doc[key]) for key in fields})
 
 
-def dumps_rule(rule: VotingRule, indent: int | None = 2) -> str:
-    return canonical_json(rule_to_dict(rule), indent=indent)
+def dumps_rule(rule: VotingRule) -> str:
+    return canonical_json(rule_to_dict(rule), indent=2)
 
 
 def loads_rule(text: str) -> VotingRule:

@@ -167,12 +167,11 @@ def verify_thm2() -> VerificationReport:
         label = rule.label
         need = _ceil_sqrt(n)
         search = min_winning_coalitions(rule)
-        ok = search.exact and search.min_size is not None
-        size = search.min_size if ok else -1
+        size = search.min_size if search.exact else -1
         checks.append(
             _check(
                 f"min_size_{label}",
-                ok and size >= need,
+                search.exact and size >= need,
                 f"n={n} min={size} need>={need} witnesses={len(search.witnesses)}",
             )
         )

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from closure_oracle import iter_permutations, listing
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equivote import analysis
@@ -14,7 +14,6 @@ from equivote.analysis import (
     EquityCertificate,
     analyze_rule,
     assignment_classes,
-    assignment_table,
     automorphism_group,
     certified_subgroup,
     check_sqrt_lower_bound,
@@ -49,6 +48,7 @@ from equivote.rules import (
     uniform_grd,
 )
 from equivote.tables import respects_table
+from equivote.verify import roles_catalog
 from rule_strategies import coalition_rules, dictatorships, grd_rules
 
 
@@ -166,6 +166,28 @@ def test_min_search_budget_partial():
     assert got.witnesses == ()
 
 
+# every rule type at n <= 8
+UNANIMITY_RULES = st.one_of(
+    st.integers(1, 8).map(Majority),
+    st.integers(1, 8).map(LongestRun),
+    dictatorships(max_n=8),
+    grd_rules(max_n=8),
+    st.builds(CCC, st.integers(1, 2), st.integers(1, 4)),
+    coalition_rules(max_n=8),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(UNANIMITY_RULES)
+def test_whole_electorate_wins_every_rule(rule):
+    # so the ascending search always ends at k = n at the latest
+    n = rule.n
+    assert is_winning_coalition(rule, range(n))
+    got = min_winning_coalitions(rule, budget=2**n)
+    assert got.exact
+    assert got.min_size <= n
+
+
 def test_min_search_witness_limit(monkeypatch):
     monkeypatch.setattr(analysis, "WITNESS_LIMIT", 3)
     got = min_winning_coalitions(Majority(5))
@@ -272,7 +294,11 @@ def test_family_stabilizer_matches_permutation_scan(rule):
     # the oracle compares member sets, apart from `preserves_family`
     family = {frozenset(m) for m in rule.family}
     perms = list(iter_permutations(rule.n))
-    want = [p for p in perms if {frozenset(map(p, m)) for m in family} == family]
+    want = [
+        p
+        for p in perms
+        if {frozenset(p.images[v] for v in m) for m in family} == family
+    ]
     stabilizer = automorphism_group(rule, method="coalition_preserving")
     assert list(listing(stabilizer)) == want
     assert [p for p in perms if preserves_family(rule.family, (p,))] == want
@@ -719,21 +745,6 @@ def test_sqrt_lower_bound_rejects_inequitable():
         check_sqrt_lower_bound(GRD((0, 1, (2, 3, 4))))
 
 
-def test_assignment_tables():
-    rule = Dictatorship(4)
-    seated = assignment_table(rule, Permutation.identity(4))
-    assert np.array_equal(
-        seated, assignment_table(rule, Permutation.transposition(4, 1, 2))
-    )
-    assert not np.array_equal(
-        seated, assignment_table(rule, Permutation.transposition(4, 0, 1))
-    )
-    with pytest.raises(ValueError):
-        assignment_table(rule, Permutation.identity(3))
-    with pytest.raises(InfeasibleError):
-        assignment_table(Majority(13), Permutation.identity(13))
-
-
 def test_assignment_classes(monkeypatch):
     classes = assignment_classes(Majority(4))
     assert len(classes) == 1
@@ -767,6 +778,61 @@ def test_assignment_menus():
     assert not identity_class_realizes_all(chair(4))
     assert not has_uniform_assignment_menu(chair(4))
     assert ASSIGNMENT_CAP == 5
+
+
+def seating_classes_oracle(rule):
+    """Seatings grouped by their outcomes, each through the scalar `outcome`
+    over all 3^n profiles: seating a moves voter u's vote to voter a[u]."""
+    n = rule.n
+    classes = {}
+    for a in itertools.permutations(range(n)):
+        outcomes = []
+        for votes in itertools.product((-1, 0, 1), repeat=n):
+            seated = [0] * n
+            for u in range(n):
+                seated[a[u]] = votes[u]
+            outcomes.append(outcome(rule, tuple(seated)))
+        classes.setdefault(tuple(outcomes), set()).add(a)
+    return list(classes.values())
+
+
+SEATING_RULES = st.one_of(
+    st.sampled_from(roles_catalog()),
+    st.integers(1, 4).map(Majority),
+    st.integers(1, 4).map(LongestRun),
+    dictatorships(max_n=4),
+    grd_rules(max_n=4),
+    st.builds(CCC, st.integers(1, 2), st.integers(1, 2)),
+    coalition_rules(max_n=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEATING_RULES)
+# voters 0, {1, 2} and 3 are three orbits: some menu offers neither of two
+# roles from different orbits, so one such menu does not decide equivalence
+@example(make_coalition_rule(4, [(0, 1), (0, 2)]))
+def test_seating_helpers_match_scalar_oracle(rule):
+    n = rule.n
+    want = seating_classes_oracle(rule)
+    classes = list(assignment_classes(rule).values())
+    got = {frozenset(a.images for a in c) for c in classes}
+    assert got == set(map(frozenset, want))
+    assert Permutation.identity(n) in classes[0]
+
+    def offers(c, v, r):
+        return any(a[v] == r for a in c)
+
+    def full(c):
+        return all(offers(c, v, r) for v in range(n) for r in range(n))
+
+    for r1, r2 in itertools.product(range(n), repeat=2):
+        assert roles_equivalent(rule, r1, r2) == all(
+            offers(c, v, r1) == offers(c, v, r2) for c in want for v in range(n)
+        )
+    assert has_uniform_assignment_menu(rule) == any(map(full, want))
+    identity = next(c for c in want if tuple(range(n)) in c)
+    assert identity_class_realizes_all(rule) == full(identity)
 
 
 def test_analyze_rule_full():

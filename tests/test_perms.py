@@ -52,7 +52,8 @@ def test_validation():
 def test_constructors():
     assert Permutation.identity(4).images == (0, 1, 2, 3)
     assert Permutation.rotation(5).images == (1, 2, 3, 4, 0)
-    assert Permutation.rotation(5, shift=2).images == (2, 3, 4, 0, 1)
+    rotation = Permutation.rotation(5)
+    assert compose(rotation, rotation).images == (2, 3, 4, 0, 1)
     assert Permutation.transposition(4, 1, 3).images == (0, 3, 2, 1)
 
 
@@ -95,7 +96,7 @@ def test_closure_cyclic():
     group = generate_closure(5, [Permutation.rotation(5)])
     assert group.order == 5
     assert set(listing(group)) == {
-        Permutation.rotation(5, shift=s) for s in range(5)
+        Permutation(tuple((i + s) % 5 for i in range(5))) for s in range(5)
     }
 
 
