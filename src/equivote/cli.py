@@ -1,5 +1,11 @@
 """Command-line surface: construct, eval, analyze, verify.
 
+`run` is the process entry point (the `equivote` console script and
+`python -m equivote.cli`): it calls `main` and freezes the heap before the
+interpreter shuts down, so shutdown's garbage collections skip every object
+the imports made (numpy's included). `main(argv)` never freezes, so tests
+and library callers keep a collectable heap.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error, 141
 stdout closed early. Machine-format output is canonical JSON with sorted
 keys and no timing data, so identical inputs give byte-identical documents.
@@ -8,6 +14,7 @@ keys and no timing data, so identical inputs give byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -335,5 +342,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Exit the process with `main`'s code, the heap frozen on every path."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -884,3 +885,91 @@ def test_a_closed_stdout_exits_quietly_with_one_code(tmp_path):
             results.add((child.wait(timeout=60), child.stderr.read()))
     # one exit code, and no message or traceback on stderr
     assert results == {(141, b"")}
+
+
+# Registers an atexit hook that writes the interpreter's frozen-object count
+# to the file argv[1], then runs the CLI's process entry point on argv[2:].
+CLI_FROZEN_AT_EXIT = """
+import atexit, gc, sys
+def note(path=sys.argv[1]):
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+atexit.register(note)
+sys.argv[1:] = sys.argv[2:]
+from equivote.cli import run
+run()
+"""
+
+EXIT_PATHS = [
+    (("construct", "--type", "majority", "--n", "5"), 0),
+    (("--help",), 0),
+    (("analyze",), 2),  # usage error: no --rule
+    (("analyze", "--rule", "missing.rule"), 2),  # input error
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_PATHS)
+def test_run_freezes_the_heap_on_every_exit_path(tmp_path, argv, code):
+    report = tmp_path / "frozen.txt"
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_FROZEN_AT_EXIT, str(report), *argv],
+        cwd=tmp_path,
+        env=src_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert int(report.read_text()) > 0
+
+
+def test_main_and_import_leave_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["construct", "--type", "majority", "--n", "5"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+    done = subprocess.run(
+        [sys.executable, "-c", "import gc, equivote.cli; print(gc.get_freeze_count())"],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.stdout == "0\n", done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in EXIT_PATHS]
+    + [("analyze", "--rule", "lr5.rule", "--min-coalition", "--format", "machine",
+        "--out", "report.json")],
+)
+def test_run_exits_as_main_returns(capsys, monkeypatch, tmp_path, argv):
+    # help text is wrapped to COLUMNS, which is fixed for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    lr5 = '{"format":1,"type":"longest_run","n":5}'
+    child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+    for d in (child_dir, own_dir):
+        d.mkdir()
+        (d / "lr5.rule").write_text(lr5)
+    done = subprocess.run(
+        [sys.executable, "-m", "equivote.cli", *argv],
+        cwd=child_dir,
+        env=src_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    monkeypatch.chdir(own_dir)
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert done.returncode == rc
+    assert done.stdout == captured.out.encode()
+    assert done.stderr.decode() == captured.err
+    def files(d):
+        return {p.name: p.read_bytes() for p in d.iterdir()}
+
+    assert files(child_dir) == files(own_dir)
