@@ -11,11 +11,11 @@ module.
 
 The start keeps other imports small the same way: the value classes are
 frozen records from `_record`, not dataclasses (so neither `dataclasses`
-nor `inspect` loads), and `fractions` is imported by the one function that
-returns fractions. The package and the CLI still import every equivote
-module eagerly: the benchmark's tracer (`bench/trace_boot.py`) wraps
-functions in each `equivote.<module>` it finds in `sys.modules` right after
-`import equivote, equivote.cli`.
+nor `inspect` loads), and the report writes pivotality shares as text
+without `fractions`: only the public `pivotality()` imports it. The package
+and the CLI still import every equivote module eagerly: the benchmark's
+tracer (`bench/trace_boot.py`) wraps functions in each `equivote.<module>`
+it finds in `sys.modules` right after `import equivote, equivote.cli`.
 """
 
 import importlib.util

@@ -652,7 +652,9 @@ def pivotality(
     rule: VotingRule,
     distribution: str = "binary",
     scan_cap: int = PROFILE_SCAN_CAP,
-) -> tuple[Fraction, ...]:
+    *,
+    as_text: bool = False,
+) -> tuple[Fraction, ...] | tuple[str, ...]:
     """Per-voter probability that changing the vote can change the outcome.
 
     Exact rational counts under the uniform distribution over {-1,+1}^n
@@ -666,9 +668,10 @@ def pivotality(
     orbit of voter 0's stabilizer, so one profile per tally is evaluated,
     through the scalar `outcome`, and weighted by its multinomial count;
     no table or block is built.
-    """
-    from fractions import Fraction  # only this path needs it at start-up
 
+    With `as_text` each share is its `str(Fraction)` text, reduced by
+    `math.gcd`, so the report's path never imports `fractions`.
+    """
     n = rule.n
     if distribution == "ternary":
         if n > scan_cap:
@@ -695,7 +698,19 @@ def pivotality(
             v: sum(np.count_nonzero(np.ptp(block, axis=0)) for block in blocks(v))
             for v in set(reps)
         }
-    return tuple(Fraction(swings[r], len(values) ** (n - 1)) for r in reps)
+    total = len(values) ** (n - 1)
+    if as_text:
+        return tuple(_share_text(swings[r], total) for r in reps)
+    from fractions import Fraction  # only this path needs it at start-up
+
+    return tuple(Fraction(swings[r], total) for r in reps)
+
+
+def _share_text(count: int, total: int) -> str:
+    """`str(Fraction(count, total))` for 0 <= count <= total."""
+    g = math.gcd(count, total)
+    count, total = count // g, total // g
+    return str(count) if total == 1 else f"{count}/{total}"
 
 
 def _tally_swings(rule: VotingRule, values: tuple[int, ...]) -> int:
@@ -876,8 +891,9 @@ def analyze_rule(
         pivot = {}
         for dist in pivot_distributions:
             try:
-                fractions = pivotality(rule, distribution=dist, scan_cap=scan_cap)
-                pivot[dist] = [str(f) for f in fractions]
+                pivot[dist] = list(
+                    pivotality(rule, distribution=dist, scan_cap=scan_cap, as_text=True)
+                )
             except InfeasibleError:
                 pivot[dist] = None
         methods["pivotality"] = "exhaustive"

@@ -1,10 +1,12 @@
 """Command-line surface: construct, eval, analyze, verify.
 
 `run` is the process entry point (the `equivote` console script and
-`python -m equivote.cli`): it calls `main` and freezes the heap before the
-interpreter shuts down, so shutdown's garbage collections skip every object
-the imports made (numpy's included). `main(argv)` never freezes, so tests
-and library callers keep a collectable heap.
+`python -m equivote.cli`): it turns automatic garbage collection off before
+it calls `main`, so no collection walks the objects numpy's import makes,
+and freezes the heap before the interpreter shuts down, because shutdown's
+collections run even with collection off. `main(argv)` and `import
+equivote.cli` leave the collector as they find it, so tests and library
+callers keep a collected heap.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error, 141
 stdout closed early. Machine-format output is canonical JSON with sorted
@@ -343,7 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    """Exit the process with `main`'s code, the heap frozen on every path."""
+    """Exit the process with `main`'s code, collection off, heap frozen at exit."""
+    gc.disable()
     try:
         sys.exit(main())
     finally:

@@ -714,6 +714,50 @@ def test_pivotality_caps(monkeypatch):
     assert report.pivotality == {"ternary": None}
 
 
+# a share is swings / values^(n-1): a count over a power of two or three
+SHARES = st.tuples(st.sampled_from((2, 3)), st.integers(0, 40)).flatmap(
+    lambda base_k: st.tuples(
+        st.integers(0, base_k[0] ** base_k[1]), st.just(base_k[0] ** base_k[1])
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHARES)
+@example((0, 2**4))
+@example((2**4, 2**4))
+@example((0, 3**4))
+@example((3**4, 3**4))
+@example((0, 1))
+@example((1, 1))
+def test_share_text_is_the_fraction_text(share):
+    count, total = share
+    assert analysis._share_text(count, total) == str(Fraction(count, total))
+
+
+@pytest.mark.parametrize(
+    "rule, shares",
+    [
+        (LongestRun(5), {"binary": ["3/8"] * 5, "ternary": ["47/81"] * 5}),
+        (
+            Majority(12),
+            {"binary": ["231/512"] * 12, "ternary": ["73789/177147"] * 12},
+        ),
+        (build_projective_rule(2), {"binary": ["9/32"] * 7, "ternary": ["367/729"] * 7}),
+        (Dictatorship(3), {"binary": ["1", "0", "0"], "ternary": ["1", "0", "0"]}),
+    ],
+)
+def test_report_shares_are_the_fraction_texts(rule, shares):
+    # the texts `analyze --pivotality both` printed when it formatted Fractions
+    report = analyze_rule(
+        rule, want_equity=False, pivot_distributions=("binary", "ternary")
+    )
+    assert report.pivotality == shares
+    assert {
+        dist: [str(f) for f in pivotality(rule, distribution=dist)] for dist in shares
+    } == shares
+
+
 def test_sqrt_lower_bound():
     got = check_sqrt_lower_bound(Majority(5))
     assert got == {"n": 5, "min_size": 3, "bound_ok": True, "witness_overlap_ok": True}

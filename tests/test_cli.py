@@ -723,6 +723,7 @@ def cli_start_modules(cwd, *argv):
         ("analyze", "--rule", "grd27.rule", "--min-coalition", "--caps", "budget=200000"),
         ("verify", "thm3", "--depth", "3"),
         ("analyze", "--rule", "maj5.rule", "--min-coalition"),
+        ("analyze", "--rule", "maj16.rule", "--pivotality", "binary"),
     ],
 )
 def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
@@ -732,14 +733,16 @@ def test_commands_without_arrays_do_not_load_numpy(capsys, tmp_path, argv):
     (tmp_path / "fan1414.rule").write_text('{"format":1,"type":"coalition","n":1414,"family":[[0,1,2]]}')
     (tmp_path / "maj19.rule").write_text('{"format":1,"type":"majority","n":19}')
     make_rule(capsys, tmp_path, "grd27.rule", "--type", "grd", "--branching", "3,3,3")
+    (tmp_path / "maj16.rule").write_text('{"format":1,"type":"majority","n":16}')
     assert cli_start_modules(tmp_path, *argv) == [0, []]
 
 
-def test_symmetric_pivotality_does_not_load_numpy(tmp_path):
-    # pivotality returns Fractions, so fractions and decimal load here
-    (tmp_path / "maj16.rule").write_text('{"format":1,"type":"majority","n":16}')
-    rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "maj16.rule", "--pivotality", "binary")
-    assert (rc, [m for m in modules if m.startswith("numpy.")]) == (0, [])
+def test_pivotality_report_does_not_load_fractions(tmp_path):
+    # the shares are written as text; numpy (and with it inspect) loads for
+    # this rule's blocks
+    (tmp_path / "lr5.rule").write_text('{"format":1,"type":"longest_run","n":5}')
+    rc, modules = cli_start_modules(tmp_path, "analyze", "--rule", "lr5.rule", "--pivotality", "both")
+    assert (rc, [m for m in modules if m in ("fractions", "decimal")]) == (0, [])
 
 
 def test_analysis_loads_numpy(tmp_path):
@@ -888,12 +891,13 @@ def test_a_closed_stdout_exits_quietly_with_one_code(tmp_path):
 
 
 # Registers an atexit hook that writes the interpreter's frozen-object count
-# to the file argv[1], then runs the CLI's process entry point on argv[2:].
+# and whether automatic collection is on to the file argv[1], then runs the
+# CLI's process entry point on argv[2:].
 CLI_FROZEN_AT_EXIT = """
 import atexit, gc, sys
 def note(path=sys.argv[1]):
     with open(path, "w") as fh:
-        fh.write(str(gc.get_freeze_count()))
+        fh.write(f"{gc.get_freeze_count()} {gc.isenabled()}")
 atexit.register(note)
 sys.argv[1:] = sys.argv[2:]
 from equivote.cli import run
@@ -919,7 +923,9 @@ def test_run_freezes_the_heap_on_every_exit_path(tmp_path, argv, code):
         timeout=60,
     )
     assert done.returncode == code, done.stderr
-    assert int(report.read_text()) > 0
+    frozen, enabled = report.read_text().split()
+    assert int(frozen) > 0
+    assert enabled == "False"
 
 
 def test_main_and_import_leave_the_heap_unfrozen(capsys):
@@ -929,14 +935,16 @@ def test_main_and_import_leave_the_heap_unfrozen(capsys):
         main(["--help"])
     capsys.readouterr()
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+    script = "import gc, equivote.cli; print(gc.get_freeze_count(), gc.isenabled())"
     done = subprocess.run(
-        [sys.executable, "-c", "import gc, equivote.cli; print(gc.get_freeze_count())"],
+        [sys.executable, "-c", script],
         env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert done.stdout == "0\n", done.stderr
+    assert done.stdout == "0 True\n", done.stderr
 
 
 @pytest.mark.parametrize(

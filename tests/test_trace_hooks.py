@@ -45,6 +45,25 @@ def test_trace_labels_read_parameters_that_exist():
     assert "perms" in inspect.signature(perms_filter).parameters
 
 
+def test_the_report_calls_the_hooked_pivotality(monkeypatch):
+    # the analysis.pivotality.<distribution> spans time the report's shares
+    # only while analyze_rule calls the module's `pivotality` by that name
+    from equivote import analysis
+    from equivote.rules import Majority
+
+    original, seen = analysis.pivotality, []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["distribution"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "pivotality", spy)
+    analysis.analyze_rule(
+        Majority(3), want_equity=False, pivot_distributions=("binary", "ternary")
+    )
+    assert seen == ["binary", "ternary"]
+
+
 def test_package_and_cli_imports_load_every_hooked_module():
     # install() reads sys.modules["equivote.<module>"] after importing only
     # the package and the CLI, so neither may defer a submodule import
