@@ -349,14 +349,14 @@ def _chain_search(
     point with i's invariant that the generators found so far do not
     reach, so at most one element per coset is checked. The generators
     found are a strong generating set on the base 0..n-1, whose chain
-    gives the group's order and elements.
+    gives the group's order and elements; equal invariants leave it to admits.
     """
     generators: list[Permutation] = []
 
     def children(prefix: Prefix, images: Iterable[int]) -> Iterator[Prefix]:
         j = len(prefix)
         fits = [y for y in images if y not in prefix and invariants[y] == invariants[j]]
-        return iter(admits([prefix + (y,) for y in fits]))
+        return iter(admits([prefix + (y,) for y in fits]) if fits else ())
 
     def extend(prefix: Prefix, images: Iterable[int]) -> Optional[Prefix]:
         """The first admitted permutation, depth first, that extends the
@@ -387,7 +387,10 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
     """The exhaustive automorphism group or the family stabilizer, found by
     one chain search once per process. Each depends only on the outcome
     table or on the family, so a rule key (which ignores grid and
-    provenance) is sound."""
+    provenance) is sound. The family stabilizer admits p, mapping voters
+    0..j-1 onto I, iff the multisets of traces (len(M), p(M & {0..j-1}))
+    and (len(M), M & I) agree: automorphisms keep them, and at j = n this
+    is "p preserves the family" (Leon 1991; McKay and Piperno 2014)."""
     n = rule.n
     if method == "exhaustive":
         table = outcome_table(rule)
@@ -398,25 +401,22 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
         ]
         admits = functools.partial(automorphism_filter, table, n)
         return _chain_search(n, invariants, admits)
-    members = set(rule.family)
-    by_last: dict[int, list[tuple[int, ...]]] = {}
-    for member in rule.family:
-        by_last.setdefault(member[-1], []).append(member)
+    # keys len(M) * 2^n + trace bitmask; float64 (BLAS) sums them exactly below 2^53
+    dtype = float if (n + 1) << n <= 1 << 53 else object
+    holds = np.zeros((n, len(rule.family)), dtype=dtype)
+    for col, member in enumerate(rule.family):
+        holds[list(member), col] = 1
 
     def admits(prefixes: list[Prefix]) -> list[Prefix]:
-        # a prefix of length j is the first to decide the image of each
-        # member whose largest voter is j-1
-        return [
-            p
-            for p in prefixes
-            if all(
-                tuple(sorted([p[v] for v in member])) in members
-                for member in by_last.get(len(p) - 1, ())
-            )
-        ]
+        count, images = len(prefixes), np.array(prefixes)
+        bits = 2 ** images.astype(dtype)
+        weights = np.full((2 * count, n), 1 << n, dtype=dtype)
+        weights[:count, : images.shape[1]] += bits  # moving voters 0..j-1
+        weights[np.arange(count, 2 * count)[:, None], images] += bits  # keeping I
+        keys = np.sort(weights @ holds, axis=1)
+        return list(itertools.compress(prefixes, (keys[:count] == keys[count:]).all(1)))
 
-    invariants = [sorted(len(m) for m in rule.family if v in m) for v in range(n)]
-    return _chain_search(n, invariants, admits)
+    return _chain_search(n, (0,) * n, admits)
 
 
 def automorphism_group(

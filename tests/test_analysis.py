@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -30,7 +31,12 @@ from equivote.analysis import (
     roles_equivalent,
     verdict_str,
 )
-from equivote.geometry import build_projective_rule, projective_plane
+from equivote.geometry import (
+    build_projective_rule,
+    projective_lines,
+    projective_plane,
+    projective_points,
+)
 from equivote.perms import Permutation, cycle_lengths, is_k_transitive
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
@@ -274,34 +280,128 @@ def test_automorphism_group_orders_unchanged():
 
 @st.composite
 def intersecting_families(draw):
-    """A coalition rule over random pairwise intersecting members, or over
-    the members of a small CCC grid."""
-    if draw(st.booleans()):
-        rows, cols = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 6)]))
+    """A coalition rule of degree up to 8: the members of a small CCC grid,
+    random pairwise intersecting members, the rotation orbit of one member
+    of more than n/2 voters, or the complements of the edges of a random
+    2-regular graph. In the last two, every voter lies in as many members
+    of each size, so only the members' traces tell voters apart."""
+    kind = draw(st.sampled_from(["grid", "random", "rotations", "cycles"]))
+    if kind == "grid":
+        rows, cols = draw(
+            st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (1, 6), (2, 4)])
+        )
         return make_coalition_rule(rows * cols, ccc_family(rows, cols))
-    n = draw(st.integers(1, 6))
-    family: list[set[int]] = []
+    if kind == "cycles":
+        # disjoint cycles of 3 or more voters; from 5 voters on, the
+        # complements of any two edges meet
+        n = draw(st.integers(5, 8))
+        order = draw(st.permutations(range(n)))
+        edges: list[tuple[int, int]] = []
+        while order:
+            k = draw(st.sampled_from([len(order), *range(3, len(order) - 2)]))
+            cycle, order = order[:k], order[k:]
+            edges += zip(cycle, cycle[1:] + cycle[:1])
+        return make_coalition_rule(n, [set(range(n)) - {u, v} for u, v in edges])
+    n = draw(st.integers(1, 8))
     voter = st.integers(0, n - 1)
+    if kind == "rotations":
+        member = draw(st.sets(voter, min_size=n // 2 + 1))
+        return make_coalition_rule(n, [{(v + r) % n for v in member} for r in range(n)])
+    family: list[set[int]] = []
     for member in draw(st.lists(st.sets(voter, min_size=1), min_size=1, max_size=8)):
         if all(member & other for other in family):
             family.append(member)
     return make_coalition_rule(n, family)
 
 
+def permutation_scan(rule):
+    """Every permutation, in lexicographic order, that maps the set of
+    members onto itself, with each member read as the bitmask of its
+    voters."""
+    perms = np.array(list(itertools.permutations(range(rule.n))))
+    masks = sorted(sum(1 << v for v in m) for m in rule.family)
+    moved = np.stack([(1 << perms[:, list(m)]).sum(axis=1) for m in rule.family], axis=1)
+    keep = (np.sort(moved, axis=1) == masks).all(axis=1)
+    return [Permutation(tuple(p)) for p in perms[keep].tolist()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(intersecting_families())
 def test_family_stabilizer_matches_permutation_scan(rule):
-    # the oracle compares member sets, apart from `preserves_family`
-    family = {frozenset(m) for m in rule.family}
-    perms = list(iter_permutations(rule.n))
-    want = [
-        p
-        for p in perms
-        if {frozenset(p.images[v] for v in m) for m in family} == family
-    ]
+    want = permutation_scan(rule)
     stabilizer = automorphism_group(rule, method="coalition_preserving")
     assert list(listing(stabilizer)) == want
-    assert [p for p in perms if preserves_family(rule.family, (p,))] == want
+    kept = set(want)
+    assert all(
+        preserves_family(rule.family, (p,)) == (p in kept)
+        for p in iter_permutations(rule.n)
+    )
+
+
+def _hyperplanes(p, dim):
+    """The hyperplanes of the projective space over GF(p) with dim
+    coordinates, as point indices: plane i holds the points orthogonal
+    to point i."""
+    points = projective_points(p, dim)
+    return [
+        [i for i, x in enumerate(points) if not sum(a * b for a, b in zip(c, x)) % p]
+        for c in points
+    ]
+
+
+def _edge_complements(n, adjacent):
+    pairs = itertools.combinations(range(n), 2)
+    return make_coalition_rule(n, [set(range(n)) - {u, v} for u, v in pairs if adjacent(u, v)])
+
+
+def _unnamed_cyclic_orbit(n):
+    return make_coalition_rule(n, _orbit_rule({"kind": "cyclic", "n": n}, 0).family)
+
+
+_QR13 = {x * x % 13 for x in range(1, 13)}
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        pytest.param(lambda: _unnamed_cyclic_orbit(11), 22, id="cyclic11-orbit"),
+        pytest.param(lambda: _unnamed_cyclic_orbit(12), 24, id="cyclic12-orbit"),
+        pytest.param(lambda: _unnamed_cyclic_orbit(13), 26, id="cyclic13-orbit"),
+        pytest.param(lambda: make_coalition_rule(12, ccc_family(3, 4)), 144, id="ccc3x4"),
+        pytest.param(
+            lambda: make_coalition_rule(
+                13, [set(range(13)) - set(line) for line in projective_lines(3)]
+            ),
+            5616,
+            id="pg23-line-complements",
+        ),
+        pytest.param(
+            lambda: make_coalition_rule(15, _hyperplanes(2, 4)), 20160, id="pg32-planes"
+        ),
+        pytest.param(
+            lambda: _edge_complements(13, lambda u, v: (v - u) % 13 in _QR13),
+            78,
+            id="paley13-edge-complements",
+        ),
+        pytest.param(lambda: make_coalition_rule(7, projective_lines(2)), 168, id="fano"),
+    ],
+)
+def test_family_stabilizer_orders_within_a_time_budget(build, order):
+    # with no named group to certify them, all but Fano once took seconds to minutes
+    rule = build()
+    analysis._scanned_group.cache_clear()
+    start = time.perf_counter()
+    group = automorphism_group(rule, method="coalition_preserving", cap=rule.n)
+    assert time.perf_counter() - start < 1.0
+    assert group.order == order
+
+
+def test_family_stabilizer_keys_stay_exact_beyond_float_precision():
+    # at 50 voters a trace key reaches 27 * 2^50, more bits than a float64
+    # mantissa holds; rounded keys would merge traces and admit too much
+    rule = make_coalition_rule(50, [range(26), [0, *range(26, 50)]])
+    group = automorphism_group(rule, method="coalition_preserving", cap=50)
+    assert group.order == math.factorial(25) * math.factorial(24)
 
 
 def test_automorphism_group_fano():

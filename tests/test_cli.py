@@ -585,6 +585,30 @@ def test_oversized_plane_group_is_capped(capsys, tmp_path):
     assert (doc["equitable"], doc["methods"]) == ("unknown", {"equitable": "capped"})
 
 
+def test_unnamed_cyclic_orbit_equity_finishes_in_seconds(capsys, tmp_path):
+    # with no provenance to name the rotation, the family stabilizer of this
+    # sub-kilobyte document once walked most of Sym(13) for minutes
+    path = tmp_path / "c13.rule"
+    make_rule(capsys, tmp_path, "c13.rule", "--type", "group_orbit", "--group", "cyclic",
+              "--n", "13", "--seed", "0")
+    doc = json.loads(path.read_text())
+    del doc["provenance"]
+    path.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "equivote.cli", "analyze", "--rule", str(path),
+         "--equity", "--caps", "factorial=13", "--format", "machine"],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["equitable"], report["methods"]) == (
+        "true", {"equitable": "family_stabilizer"}
+    )
+
+
 def _valid_documents():
     sizes = st.integers(1, 6)
     return st.one_of(
