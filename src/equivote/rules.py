@@ -356,19 +356,10 @@ def uniform_tree(branching: tuple[int, ...]) -> GRDTree:
     leaves = math.prod(branching)
     if not 1 <= leaves <= MAX_DEGREE:
         raise ValueError(f"branching gives {leaves} voters, outside 1..{MAX_DEGREE}")
-
-    def build(level: int, start: int) -> tuple[GRDTree, int]:
-        if level == len(branching):
-            return start, start + 1
-        children = []
-        cursor = start
-        for _ in range(branching[level]):
-            child, cursor = build(level + 1, cursor)
-            children.append(child)
-        return tuple(children), cursor
-
-    tree, _ = build(0, 0)
-    return tree
+    level: list[GRDTree] = list(range(leaves))
+    for b in reversed(branching):  # group consecutive nodes, deepest level first
+        level = [tuple(level[i : i + b]) for i in range(0, len(level), b)]
+    return level[0]
 
 
 def uniform_grd(branching: Iterable[int]) -> GRD:
@@ -432,24 +423,15 @@ def _torus_generators(branching: tuple[int, ...]) -> tuple[Permutation, ...]:
 def _odometer(branching: tuple[int, ...]) -> Permutation:
     """Increment the top-level block index, carrying into deeper levels."""
     n = math.prod(branching)
-    radii = list(branching)
-    images = []
-    for leaf in range(n):
-        digits = []
-        rest = leaf
-        for b in reversed(radii):
-            digits.append(rest % b)
-            rest //= b
-        digits.reverse()  # digits[0] is the top-level block
-        for level in range(len(digits)):
-            digits[level] += 1
-            if digits[level] < radii[level]:
-                break
-            digits[level] = 0
-        img = 0
-        for level, b in enumerate(radii):
-            img = img * b + digits[level]
-        images.append(img)
+    # the leaves in odometer order: the top level's digit varies fastest
+    seq = [0]
+    inner = n
+    for b in branching:
+        inner //= b
+        seq = [x + d * inner for d in range(b) for x in seq]
+    images = [0] * n
+    for leaf, after in zip(seq, seq[1:] + seq[:1]):
+        images[leaf] = after
     return Permutation(tuple(images))
 
 

@@ -8,6 +8,7 @@ regression cannot pass on its own say-so.
 import json
 import math
 import time
+from pathlib import Path
 
 from equivote.analysis import (
     automorphism_group,
@@ -29,25 +30,12 @@ from equivote.rules import (
     Majority,
     uniform_grd,
 )
-from equivote.verify import (
-    proof_coalition,
-    verify_lemma1,
-    verify_lemma3,
-    verify_prop1A,
-    verify_prop1B,
-    verify_prop3,
-    verify_prop4,
-    verify_thm1,
-    verify_thm2,
-    verify_thm3,
-    verify_thm7,
-    verify_thm8,
-)
+from equivote.verify import proof_coalition, verify_claim
 
 
 def test_criterion_01_proof_coalition_wins_at_every_size():
     t0 = time.monotonic()
-    report = verify_thm1()
+    report = verify_claim("thm1")
     assert report.passed
     coalition = proof_coalition(9)
     assert is_winning_coalition(LongestRun(9), coalition)
@@ -57,7 +45,7 @@ def test_criterion_01_proof_coalition_wins_at_every_size():
 
 def test_criterion_02_sqrt_lower_bound_on_catalog():
     t0 = time.monotonic()
-    report = verify_thm2()
+    report = verify_claim("thm2")
     assert report.passed
     assert min_winning_coalitions(LongestRun(9)).min_size == 5
     assert min_winning_coalitions(build_projective_rule(2)).min_size == 3
@@ -66,7 +54,7 @@ def test_criterion_02_sqrt_lower_bound_on_catalog():
 
 def test_criterion_03_ternary_tree_minima():
     t0 = time.monotonic()
-    report = verify_thm3()
+    report = verify_claim("thm3")
     assert report.passed
     assert min_winning_coalitions(uniform_grd((3, 3))).min_size == 4
     assert [grd_recursion_bound(3**d) for d in (1, 2, 3)] == [2, 4, 8]
@@ -75,7 +63,7 @@ def test_criterion_03_ternary_tree_minima():
 
 def test_criterion_04_plane_rule_structure():
     t0 = time.monotonic()
-    report = verify_thm7()
+    report = verify_claim("thm7")
     assert report.passed
     rule = build_projective_rule(2)
     search = min_winning_coalitions(rule)
@@ -86,7 +74,7 @@ def test_criterion_04_plane_rule_structure():
 
 def test_criterion_05_randomized_pipeline():
     t0 = time.monotonic()
-    report = verify_thm8()
+    report = verify_claim("thm8")
     assert report.passed
     got = build_3_equitable_rule(5)
     assert got.group_order == 120
@@ -98,14 +86,14 @@ def test_criterion_05_randomized_pipeline():
 
 def test_criterion_06_coalition_rules_neutral_responsive():
     t0 = time.monotonic()
-    report = verify_lemma1()
+    report = verify_claim("lemma1")
     assert report.passed
     assert time.monotonic() - t0 < 180
 
 
 def test_criterion_07_majority_floor():
     t0 = time.monotonic()
-    report = verify_lemma3()
+    report = verify_claim("lemma3")
     assert report.passed
     assert min_winning_coalitions(Majority(6)).min_size == 4
     assert time.monotonic() - t0 < 10
@@ -113,18 +101,18 @@ def test_criterion_07_majority_floor():
 
 def test_criterion_08_roles_match_symmetry():
     t0 = time.monotonic()
-    assert verify_prop1A().passed
-    assert verify_prop1B().passed
+    assert verify_claim("prop1A").passed
+    assert verify_claim("prop1B").passed
     assert time.monotonic() - t0 < 180
 
 
 def test_criterion_09_cyclic_verdicts():
     t0 = time.monotonic()
-    report = verify_prop3()
+    report = verify_claim("prop3")
     assert report.passed
     assert is_cyclic_rule(LongestRun(7)) is True
     assert is_cyclic_rule(Dictatorship(5)) is False
-    assert verify_prop4().passed
+    assert verify_claim("prop4").passed
     assert time.monotonic() - t0 < 60
 
 
@@ -156,6 +144,12 @@ def test_criterion_11_lopsided_tree_breaks_the_bound():
     assert time.monotonic() - t0 < 10
 
 
+REFERENCE = (
+    Path(__file__).resolve().parent.parent
+    / "bench" / "reference" / "verify-suite" / "verify-all.out"
+)
+
+
 def test_criterion_12_verify_all_byte_identical(capsys, tmp_path):
     outs = []
     for i, workers in enumerate((1, 1, 2)):
@@ -175,7 +169,7 @@ def test_criterion_12_verify_all_byte_identical(capsys, tmp_path):
         capsys.readouterr()
         assert rc == 0
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == REFERENCE.read_bytes()
     doc = json.loads(outs[0])
     assert doc["passed"] is True
     assert len(doc["reports"]) == 11

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from equivote.analysis import COALITION_BUDGET
 from equivote.cli import SCAN_CAP_LIMIT, main
 from equivote.serialize import load_rule_file, loads_rule, rule_from_dict, rule_to_dict
-from equivote.verify import CheckResult, VerificationReport
+from equivote.verify import CLAIM_IDS, CheckResult, VerificationReport
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -361,6 +362,19 @@ def test_verify_human(capsys):
     assert rc == 0
     assert "[PASS] lemma3" in out
     assert out.strip().endswith("overall: PASS")
+
+    # one line per claim, in CLAIM_IDS order, then the overall verdict
+    rc, out, _ = run(capsys, "verify", "all")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[-1] == "overall: PASS"
+    assert len(lines) == len(CLAIM_IDS) + 1
+    for claim, line in zip(CLAIM_IDS, lines):
+        got = re.fullmatch(
+            rf"\[PASS\] {claim}: (\d+)/(\d+) checks \(\d+\.\d\ds\)", line
+        )
+        assert got, line
+        assert got[1] == got[2] != "0"
 
 
 def test_verify_machine_deterministic(capsys, tmp_path):

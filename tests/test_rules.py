@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,56 @@ def test_uniform_tree_shape():
     assert uniform_branching((0, 1, (2, 3, 4))) is None
     assert uniform_branching(((0, 1), (2, 3, 4))) is None
     assert uniform_grd((3, 3)).n == 9
+
+
+def _uniform_tree_by_recursion(branching):
+    """uniform_tree as first written: a recursive build with a leaf cursor."""
+
+    def build(level, start):
+        if level == len(branching):
+            return start, start + 1
+        children = []
+        cursor = start
+        for _ in range(branching[level]):
+            child, cursor = build(level + 1, cursor)
+            children.append(child)
+        return tuple(children), cursor
+
+    return build(0, 0)[0]
+
+
+def _odometer_by_carry(branching):
+    """The odometer as first written: decode each leaf's digits, add one to
+    the top-level digit and carry."""
+    images = []
+    for leaf in range(math.prod(branching)):
+        digits = []
+        rest = leaf
+        for b in reversed(branching):
+            digits.append(rest % b)
+            rest //= b
+        digits.reverse()  # digits[0] is the top-level block
+        for level in range(len(digits)):
+            digits[level] += 1
+            if digits[level] < branching[level]:
+                break
+            digits[level] = 0
+        img = 0
+        for level, b in enumerate(branching):
+            img = img * b + digits[level]
+        images.append(img)
+    return tuple(images)
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_uniform_tree_and_odometer_match_their_first_forms(depth):
+    # every branching of arity 1..5 at this depth with at most 3,000 leaves
+    for branching in itertools.product(range(1, 6), repeat=depth):
+        if math.prod(branching) > 3000:
+            continue
+        assert uniform_tree(branching) == _uniform_tree_by_recursion(branching)
+        odometer = rules._odometer(branching).images
+        assert odometer == _odometer_by_carry(branching)
 
 
 def test_ccc_family_frozen():

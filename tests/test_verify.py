@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +64,22 @@ def test_report_with_no_checks_fails():
     report = verify_claim("thm1", ns=[])
     assert report.checks == ()
     assert not report.passed
+
+
+REFERENCE = (
+    Path(__file__).resolve().parent.parent
+    / "bench" / "reference" / "verify-suite" / "verify-all.out"
+)
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_report_matches_reference_suite(claim):
+    suite = json.loads(REFERENCE.read_text())
+    assert list(suite["reports"]) == sorted(CLAIM_IDS)
+    assert verification_to_dict(verify_claim(claim)) == suite["reports"][claim]
+
+
+def test_verifier_error_before_first_check_propagates():
+    # depth 14 is refused while the trees are built, before depth 8 is checked
+    with pytest.raises(ValueError, match="outside 1..16384"):
+        verify_claim("thm3", depths=[8, 14])
