@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Collection
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from ._numpy import np
@@ -41,14 +42,12 @@ from .rules import (
 )
 from .tables import (
     automorphism_filter,
-    binary_voter_outcomes,
     block_width,
     outcome_table,
     profile_blocks,
     relabel_table,
     respects_table,
     slab,
-    voter_outcomes,
 )
 
 if TYPE_CHECKING:
@@ -119,17 +118,21 @@ def is_winning_coalition(
     free = n - len(ms)
     if method == "exhaustive" and free > PROFILE_SCAN_CAP:
         raise InfeasibleError(f"3^{free} completions exceed cap {PROFILE_SCAN_CAP}")
-    if not _extremal_win(rule, ms):
-        return False
-    if method == "monotone":
-        return True
-    others = [v for v in range(n) if v not in ms]
+    return _extremal_win(rule, ms) and (method == "monotone" or _forces(rule, ms))
+
+
+def _forces(
+    rule: VotingRule, members: Collection[int], table: Optional[np.ndarray] = None
+) -> bool:
+    """Whether the rule gives x wherever the members all vote x, for x = +1
+    and then -1: read off the table's slabs if it is given, else blocks."""
     for x in (1, -1):
-        for block in profile_blocks(free, n):
-            votes = np.full((n, block.shape[1]), x, dtype=np.int8)
-            votes[others] = block
-            if not np.all(rule.batch(votes) == x):
+        fixed = dict.fromkeys(members, x)
+        if table is not None:
+            if not (slab(table, rule.n, fixed) == x).all():
                 return False
+        elif not all((rule.batch(b) == x).all() for b in profile_blocks(rule.n, fixed)):
+            return False
     return True
 
 
@@ -146,12 +149,6 @@ class MinCoalitionSearch:
     witnesses_complete: bool
 
 
-def _slab_wins(table: np.ndarray, n: int, ms: Sequence[int]) -> bool:
-    if not np.all(slab(table, n, ms, 1) == 1):
-        return False
-    return bool(np.all(slab(table, n, ms, -1) == -1))
-
-
 def _scan_size(
     rule: VotingRule, k: int, table: Optional[np.ndarray], prefix: int
 ) -> Iterator[tuple[int, ...]]:
@@ -162,14 +159,14 @@ def _scan_size(
     vouches that every size-k subset has a translate among them, so when
     none of them wins, none wins, and when there is one, the scalar
     `outcome` decides it with no block, and if it wins, all win. A rule
-    that is not monotone comes with its table, read by the slab check.
+    that is not monotone comes with its table, whose slabs `_forces` reads.
     A block is evaluated only when the next winner is asked for.
     """
     n = rule.n
     combos = itertools.combinations(range(n), k)
     if prefix == 1:
         first = tuple(range(k))
-        if _extremal_win(rule, first) and (table is None or _slab_wins(table, n, first)):
+        if _extremal_win(rule, first) and (table is None or _forces(rule, first, table)):
             yield from combos
         return
     # each subset gives two extremal profiles: one evaluation block in all
@@ -185,7 +182,7 @@ def _scan_size(
         outcomes = rule.batch(_extremal_profiles(n, subsets))
         for row in subsets[(outcomes[:size] == 1) & (outcomes[size:] == -1)]:
             ms = tuple(row.tolist())
-            if table is None or _slab_wins(table, n, ms):
+            if table is None or _forces(rule, ms, table):
                 found = True
                 yield ms
 
@@ -394,10 +391,12 @@ def _scanned_group(rule: VotingRule, method: str) -> PermGroup:
     n = rule.n
     if method == "exhaustive":
         table = outcome_table(rule)
-        # how often each outcome comes with each of the voter's three votes
+        # how often -1 and +1 come with each of the voter's three votes (every
+        # slab holds 3^(n-1) profiles, so the count of 0 follows)
+        masks = (table == -1, table == 1)
         invariants = [
-            [[np.count_nonzero(row == x) for x in (-1, 0, 1)] for row in rows]
-            for rows in (voter_outcomes(table, n, v) for v in range(n))
+            [[np.count_nonzero(slab(m, n, {v: d})) for m in masks] for d in (-1, 0, 1)]
+            for v in range(n)
         ]
         admits = functools.partial(automorphism_filter, table, n)
         return _chain_search(n, invariants, admits)
@@ -688,22 +687,29 @@ def pivotality(
         swings = {0: _tally_swings(rule, values)}
     else:
         table = outcome_table(rule) if distribution == "ternary" else None
-
-        def blocks(v: int) -> Iterable[np.ndarray]:
-            if table is None:
-                return binary_voter_outcomes(rule, v)
-            return [voter_outcomes(table, n, v)]
-
-        swings = {
-            v: sum(np.count_nonzero(np.ptp(block, axis=0)) for block in blocks(v))
-            for v in set(reps)
-        }
+        swings = {v: _swings(rule, v, table) for v in set(reps)}
     total = len(values) ** (n - 1)
     if as_text:
         return tuple(_share_text(swings[r], total) for r in reps)
     from fractions import Fraction  # only this path needs it at start-up
 
     return tuple(Fraction(swings[r], total) for r in reps)
+
+
+def _swings(rule: VotingRule, v: int, table: Optional[np.ndarray]) -> int:
+    """How many profiles of the others let v swing: over {-1, 0, +1} off the
+    table's slabs, else over {-1, +1} in blocks whose row v takes each vote."""
+    if table is not None:
+        lo, mid, hi = (slab(table, rule.n, {v: d}) for d in (-1, 0, 1))
+        return np.count_nonzero((lo != mid) | (mid != hi))
+    count = 0
+    for block in profile_blocks(rule.n, {v: 0}, (-1, 1)):
+        outcomes = np.empty((3, block.shape[1]), dtype=np.int8)
+        for d in range(3):
+            block[v] = d - 1
+            outcomes[d] = rule.batch(block)
+        count += np.count_nonzero(np.ptp(outcomes, axis=0))
+    return count
 
 
 def _share_text(count: int, total: int) -> str:

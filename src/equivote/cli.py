@@ -56,12 +56,12 @@ def _parse_votes(raw: str) -> VoteProfile:
     return VoteProfile.of(votes)
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    """Accept "4..16", "3,5,7", or a single integer."""
+def _parse_int_list(raw: str) -> Sequence[int]:
+    """Accept "4..16" (a range, never listed), "3,5,7", or a single integer."""
     raw = raw.strip()
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        grid = list(range(int(lo), int(hi) + 1))
+        grid: Sequence[int] = range(int(lo), int(hi) + 1)
     else:
         grid = [int(tok) for tok in raw.split(",") if tok != ""]
     if not grid:
@@ -213,7 +213,7 @@ def _verify_params(args: argparse.Namespace) -> dict:
     if grid_flag is not None:
         grid = _parse_int_list(_group_size(args))
         seed = 0 if args.seed is None else args.seed
-        params["configs"] = [({"kind": args.group, grid_flag: v}, seed) for v in grid]
+        params["configs"] = (({"kind": args.group, grid_flag: v}, seed) for v in grid)
     return params
 
 

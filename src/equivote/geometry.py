@@ -8,7 +8,7 @@ import operator
 
 from ._record import record
 from .perms import PermGroup, Permutation, check_group_entries
-from .rules import CoalitionRule, make_coalition_rule
+from .rules import MAX_DEGREE, CoalitionRule, make_coalition_rule
 
 
 def is_prime(p: int) -> bool:
@@ -37,8 +37,12 @@ def _canonical(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def projective_points(p: int, dim: int = 3) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives, lexicographically ordered."""
+    """Canonical representatives in lexicographic order, refused above MAX_DEGREE."""
     _require_prime(p)
+    if (count := sum(p**i for i in range(dim))) > MAX_DEGREE:
+        raise ValueError(
+            f"PG({dim - 1},{p}) has {count} points, above the limit of {MAX_DEGREE}"
+        )
     pts = []
     for vec in itertools.product(range(p), repeat=dim):
         if any(vec) and _canonical(vec, p) == vec:

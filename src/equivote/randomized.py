@@ -16,7 +16,7 @@ import random
 
 from ._record import record
 from .geometry import pgl2_elements
-from .perms import PermGroup, Permutation, generate_closure
+from .perms import PermGroup, Permutation, check_group_entries, generate_closure
 from .rules import CoalitionRule, Family, canonical_family, preserves_family
 
 MAX_ATTEMPTS = 64
@@ -90,9 +90,10 @@ def intersecting_set(group: PermGroup, seed: int = 0) -> IntersectingSet:
 
 def group_from_descriptor(desc: dict) -> PermGroup:
     """Rebuild a group from its serializable description; one too large
-    for its stabilizer chain raises ClosureOverflow."""
+    for its stabilizer chain raises ClosureOverflow before it is built."""
     kind = desc.get("kind")
     if kind == "cyclic":
+        check_group_entries(desc["n"] ** 2, f"a chain of degree {desc['n']}")
         return generate_closure(desc["n"], [Permutation.rotation(desc["n"])])
     if kind == "pgl2":
         return pgl2_elements(desc["p"])

@@ -25,7 +25,7 @@ from ._numpy import np
 from ._record import record
 from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile
-from .tables import outcome_table, respects_table, voter_outcomes
+from .tables import outcome_table, respects_table, slab
 
 GRDTree = Union[int, tuple]
 Family = tuple[tuple[int, ...], ...]  # members as `canonical_family` builds them
@@ -548,16 +548,16 @@ def evaluate(rule: VotingRule, phi: VoteProfile) -> int:
     return outcome(rule, phi.votes)
 
 
-def _require_scan(n: int) -> None:
+def _scanned_table(rule: VotingRule) -> np.ndarray:
+    n = rule.n
     if n > PROFILE_SCAN_CAP:
         raise InfeasibleError(f"3^{n} profile scan exceeds cap n<={PROFILE_SCAN_CAP}")
+    return outcome_table(rule)
 
 
 def is_neutral(rule: VotingRule) -> bool:
     """f(-phi) == -f(phi) over every profile."""
-    n = rule.n
-    _require_scan(n)
-    table = outcome_table(rule)
+    table = _scanned_table(rule)
     return bool(np.array_equal(table[::-1], -table))
 
 
@@ -565,8 +565,7 @@ def is_symmetric(rule: VotingRule) -> bool:
     """The outcome depends only on the vote tally: it is invariant under
     every relabelling, so under the generators of the symmetric group."""
     n = rule.n
-    _require_scan(n)
-    table = outcome_table(rule)
+    table = _scanned_table(rule)
     return all(respects_table(table, n, g) for g in symmetric_generators(n))
 
 
@@ -574,11 +573,10 @@ def is_positively_responsive(rule: VotingRule) -> bool:
     """Raising one vote from an outcome in {0, +1} must force +1, and the
     mirrored lowering condition must force -1."""
     n = rule.n
-    _require_scan(n)
-    table = outcome_table(rule)
+    table = _scanned_table(rule)
     for v in range(n):
-        outcomes = voter_outcomes(table, n, v)
-        below, above = outcomes[:-1], outcomes[1:]
-        if np.any((below >= 0) & (above != 1)) or np.any((above <= 0) & (below != -1)):
-            return False
+        lo, mid, hi = (slab(table, n, {v: d}) for d in (-1, 0, 1))
+        for below, above in ((lo, mid), (mid, hi)):
+            if np.any((below >= 0) & (above != 1) | (above <= 0) & (below != -1)):
+                return False
     return True

@@ -1,17 +1,15 @@
 """Vectorized rule evaluation and outcome tables over the full profile space.
 
-Every scan hands the numpy kernel the rule class carries (`rule.batch`)
-voter-major, C-contiguous int8 blocks of at most `block_width(n)` profiles
-(one per column, votes in {-1, 0, +1}); `profile_blocks` yields every
-profile of some voters over some vote values that way, in code order,
-without codes; binary pivotality reads it over {-1, +1}.
+Every profile where some voters vote fixed ways reaches the numpy kernel
+the rule class carries (`rule.batch`) one way, `profile_blocks`: voter-major,
+C-contiguous int8 blocks of at most `block_width(n)` profiles, built in that
+layout, so no block is transposed or copied on its way in. Given a table,
+`slab` is the one view of those profiles' outcomes.
 The table of a degree-n rule is its value on every base-3 profile code (voter
 v's vote plus one is the digit of weight 3^v), so it is also an n-axis
 3 x 3 x ... x 3 array whose axis v is voter v's vote, and this module alone
-knows that layout: relabelling voters transposes the axes, a coalition's
-unanimous slab fixes the members' axes, and one voter's outcomes over the
-others' profiles move that voter's axis to the front. No profile code is
-ever computed.
+knows that layout: relabelling voters transposes the axes, and fixing
+voters fixes their axes. No profile code is ever computed.
 The automorphism search extends permutations one voter at a time:
 `automorphism_filter` checks each prefix of images on the profiles it is
 the first to decide, those where every voter it leaves free votes alike,
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._numpy import np
 
@@ -43,22 +41,27 @@ def block_width(n: int) -> int:
     return max(1, min(BATCH_ROWS, (BATCH_ROWS << 6) // n))
 
 
-def profile_blocks(f: int, n: int, values: tuple = (-1, 0, 1)) -> Iterator[np.ndarray]:
-    """The votes of f voters over all b^f of their profiles over b vote
-    values, in code order (digit d of the code is a vote of values[d]), as
-    voter-major int8 blocks of b^k profiles for a kernel of n voters: k is
-    at most f and the largest with b^k within `block_width`. The low k
-    voters run through one fixed digit pattern and each higher voter votes
-    alike across a block. Every block is the same array, refilled."""
-    b, k = len(values), 0
+def profile_blocks(
+    n: int, fixed: Mapping[int, int], values: tuple = (-1, 0, 1)
+) -> Iterator[np.ndarray]:
+    """Every profile of n voters where each voter in `fixed` votes its value
+    and the f others run over `values` in code order (the lowest is the
+    lowest digit), in blocks of b^k profiles, k <= f the largest with b^k
+    within `block_width(n)`: the low k free voters run through one digit
+    pattern, and each higher one votes alike across a block. Every block is
+    the same array; fixed rows are written once, so a caller may overwrite them."""
+    free = np.array([v for v in range(n) if v not in fixed], dtype=np.intp)
+    f, b, k = len(free), len(values), 0
     while k < f and b ** (k + 1) <= block_width(n):
         k += 1
-    block = np.empty((f, b**k), dtype=np.int8)
-    # np.indices varies its last axis fastest, and voter 0 is the lowest digit
+    block = np.empty((n, b**k), dtype=np.int8)
+    for v, x in fixed.items():
+        block[v] = x
+    # np.indices varies its last axis fastest, the lowest digit's voter first
     digits = np.indices((b,) * k, dtype=np.int8)[::-1].reshape(k, b**k)
-    np.take(np.array(values, dtype=np.int8), digits, out=block[:k])
-    for high in itertools.product(values, repeat=f - k):
-        block[k:] = np.array(high[::-1], dtype=np.int8)[:, None]
+    block[free[:k]] = np.take(np.array(values, dtype=np.int8), digits)
+    for votes in itertools.product(values, repeat=f - k):
+        block[free[k:]] = np.array(votes[::-1], dtype=np.int8)[:, None]
         yield block
 
 
@@ -74,7 +77,7 @@ def outcome_table(rule: VotingRule) -> np.ndarray:
     n = rule.n
     table = np.empty(3**n, dtype=np.int8)
     lo = 0
-    for block in profile_blocks(n, n):
+    for block in profile_blocks(n, {}):
         table[lo : lo + block.shape[1]] = rule.batch(block)
         lo += block.shape[1]
     table.setflags(write=False)
@@ -141,30 +144,10 @@ def automorphism_filter(
     return [p for p in prefixes if agrees(p)]
 
 
-def slab(table: np.ndarray, n: int, members: Iterable[int], value: int) -> np.ndarray:
-    """A view of the outcomes of every profile where the members all vote
-    value, one axis per other voter."""
+def slab(table: np.ndarray, n: int, fixed: Mapping[int, int]) -> np.ndarray:
+    """A view of the outcomes of every profile where each voter in `fixed`
+    votes its value, one axis per other voter, in voter order."""
     index: list = [slice(None)] * n
-    for v in members:
-        index[v] = value + 1
+    for v, x in fixed.items():
+        index[v] = x + 1
     return _cube(table, n)[tuple(index)]
-
-
-def voter_outcomes(table: np.ndarray, n: int, v: int) -> np.ndarray:
-    """Shape (3, 3^(n-1)): row d holds the outcomes with voter v voting
-    d - 1, column j the j-th profile of the other voters."""
-    # code = (higher voters) * 3^(v+1) + d * 3^v + (lower voters)
-    return table.reshape(3 ** (n - 1 - v), 3, 3**v).transpose(1, 0, 2).reshape(3, -1)
-
-
-def binary_voter_outcomes(rule: VotingRule, v: int) -> Iterator[np.ndarray]:
-    """The binary counterpart of `voter_outcomes`, in blocks: row d holds
-    the outcomes with voter v voting d - 1, column j the j-th profile, in
-    code order, of the other voters over {-1, +1}."""
-    for profiles in profile_blocks(rule.n - 1, rule.n, (-1, 1)):
-        ballots = np.insert(profiles, v, 0, axis=0)
-        block = np.empty((3, profiles.shape[1]), dtype=np.int8)
-        for d in range(3):
-            ballots[v] = d - 1
-            block[d] = rule.batch(ballots)
-        yield block

@@ -5,9 +5,9 @@ it yields its `CheckResult`s in order and returns its params dict, and it
 is private, so `verify_claim` is the one way to run it. `verify_claim`
 times the run, collects the checks and builds the `VerificationReport`,
 which passes when there is at least one check and every check passes;
-`verify all` runs the whole suite. Reports are deterministic given
-(parameters, seeds, caps) and independent of worker count; wall time is
-measured but kept out of the machine format.
+`verify all` runs the whole suite. A grid is walked lazily, and its first
+size that cannot be checked exactly raises. Reports are deterministic given
+(parameters, seeds, caps); wall time is kept out of the machine format.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable, Generator, Iterable, Sequence
 
 from ._record import record
 from .analysis import (
+    COALITION_BUDGET,
     assignment_classes,
     automorphism_group,
     check_sqrt_lower_bound,
@@ -46,6 +47,7 @@ from .rules import (
     GRD,
     CoalitionRule,
     Dictatorship,
+    InfeasibleError,
     LongestRun,
     Majority,
     VotingRule,
@@ -104,12 +106,12 @@ def proof_coalition(n: int) -> tuple[int, ...]:
     return tuple(sorted(set(range(r)) | set(range(0, n, r))))
 
 
-def _thm1(ns: Iterable[int] = range(4, 17)) -> Checks:
+def _thm1(ns: Sequence[int] = range(4, 17)) -> Checks:
     """A small fixed coalition wins the cycle-run rule at every tested size."""
-    ns = list(ns)
-    # every rule is built, or its size refused, before any size is checked
-    rules = [LongestRun(n) for n in ns]
-    for n, rule in zip(ns, rules):
+    if ns:  # a size below 1 is refused first; a range's least size is an end
+        LongestRun(min(ns[0], ns[-1]) if isinstance(ns, range) else min(ns))
+    for n in ns:
+        rule = LongestRun(n)
         w = proof_coalition(n)
         bound = 2 * _ceil_sqrt(n) - 1
         yield _check(
@@ -135,7 +137,7 @@ def _thm1(ns: Iterable[int] = range(4, 17)) -> Checks:
             is_equitable(rule) is True,
             "validated" if n <= 12 else "structural rotation",
         )
-    return {"ns": ns}
+    return {"ns": list(ns)}
 
 
 def equitable_catalog() -> list[VotingRule]:
@@ -405,6 +407,9 @@ def _lemma3(ns: Sequence[int] = (3, 4, 5, 6)) -> Checks:
     """Majority rule admits no winning coalition below half the voters."""
     for n in ns:
         search = min_winning_coalitions(Majority(n))
+        if not search.exact:
+            what = f"the coalition search of Majority({n})"
+            raise InfeasibleError(f"{what} needs over {COALITION_BUDGET} subsets")
         expected = n // 2 + 1
         yield _check(
             f"min_size_n{n}",
@@ -492,13 +497,15 @@ def _prop3() -> Checks:
 
 
 def _prop4(
-    configs: Sequence[tuple[dict, int]] = (
+    configs: Iterable[tuple[dict, int]] = (
         ({"kind": "cyclic", "n": 16}, 0),
         ({"kind": "cyclic", "n": 100}, 7),
     ),
 ) -> Checks:
     """Seeded draws meet every group translate within the stated size."""
+    walked = []
     for desc, seed in configs:
+        walked.append([desc, seed])
         group = group_from_descriptor(desc)
         label = f"{desc['kind']}{group.n}_seed{seed}"
         found = intersecting_set(group, seed=seed)
@@ -519,7 +526,7 @@ def _prop4(
     except ValueError:
         rejected = True
     yield _check("small_group_rejected", rejected, "order must exceed 2")
-    return {"configs": [[desc, seed] for desc, seed in configs]}
+    return {"configs": walked}
 
 
 # in the order `verify all` runs and prints them

@@ -409,6 +409,14 @@ def test_verify_overrides(capsys):
     )
     assert rc == 0
 
+    # a grid is walked lazily, and each params dict still lists it
+    rc, out, _ = run(capsys, "verify", "thm1", "--n", "4..6", "--format", "machine")
+    assert (rc, json.loads(out)["reports"]["thm1"]["params"]) == (0, {"ns": [4, 5, 6]})
+    argv = ("verify", "prop4", "--group", "cyclic", "--n", "16,100", "--seed", "2")
+    rc, out, _ = run(capsys, *argv, "--format", "machine")
+    configs = [[{"kind": "cyclic", "n": n}, 2] for n in (16, 100)]
+    assert (rc, json.loads(out)["reports"]["prop4"]["params"]) == (0, {"configs": configs})
+
 
 # each override the claim does not take, and the flags its refusal names
 REFUSED_FLAGS = {
@@ -893,6 +901,53 @@ def _ccc100_within(tmp_path, mib):
     assert (tmp_path / "ccc100.rule").read_text() == json.dumps(rule, indent=2) + "\n"
     out = bounded("analyze", "--rule", "ccc100.rule", "--equity", "--min-coalition")
     assert out == json.dumps(CCC100_ANALYSIS, indent=2, sort_keys=True)
+
+
+# each request refused at the first size it cannot check or build, before
+# it allocates, and its one line; a grid built whole, a rotation built
+# before its chain is refused or a plane built before its size is checked
+# dies with a MemoryError or runs for minutes
+REFUSALS_UNDER_1GIB = {
+    ("verify", "lemma3", "--n", "22"): "the coalition search of Majority(22)"
+    " needs over 2000000 subsets",
+    ("verify", "lemma3", "--n", "3..40000000"): "the coalition search of"
+    " Majority(22) needs over 2000000 subsets",
+    ("verify", "thm1", "--n", "4..100000000"): "3^13 completions exceed cap 12",
+    ("verify", "thm3", "--depth", "1..100000000"): "branching gives 19683 voters,"
+    " outside 1..16384",
+    ("verify", "thm8", "--p", "3..100000000"): "4 is not prime",
+    # walking cyclic grids up to degree 1024 takes about 26 s, so one size
+    ("verify", "prop4", "--group", "cyclic", "--n", "100000000"): "a chain of"
+    " degree 100000000 needs over 1048576 entries",
+    ("construct", "--type", "group_orbit", "--group", "cyclic", "--n", "1000000000"):
+    "a chain of degree 1000000000 needs over 1048576 entries",
+    ("construct", "--type", "fano", "--p", "131"): "PG(2,131) has 17293 points,"
+    " above the limit of 16384",
+    ("construct", "--type", "fano", "--p", "1000003"): "PG(2,1000003) has"
+    " 1000007000013 points, above the limit of 16384",
+}
+
+# The equivote command in a fresh interpreter under a 1 GiB address-space limit
+CLI_RUN_UNDER_1GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from equivote.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("argv", list(REFUSALS_UNDER_1GIB), ids=" ".join)
+def test_oversized_request_is_refused_in_one_line_under_1_gib(tmp_path, argv):
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_RUN_UNDER_1GIB, *argv],
+        cwd=tmp_path,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {REFUSALS_UNDER_1GIB[argv]}\n"
 
 
 def test_ccc100_fits_in_150_mib(tmp_path):

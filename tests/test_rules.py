@@ -40,7 +40,7 @@ from equivote.rules import (
 )
 from equivote.geometry import build_projective_rule
 from equivote.serialize import canonical_json, rule_from_dict
-from equivote.tables import outcome_table, relabel_table, respects_table, voter_outcomes
+from equivote.tables import outcome_table, relabel_table, respects_table, slab
 
 PAIR_ORACLE_CAP = 5  # all-pairs oracle (9^n pairs) refused above this degree
 
@@ -50,7 +50,9 @@ def is_monotone(rule):
     n = rule.n
     table = outcome_table(rule)
     return all(
-        np.all(np.diff(voter_outcomes(table, n, v), axis=0) >= 0) for v in range(n)
+        np.all(slab(table, n, {v: d}) <= slab(table, n, {v: d + 1}))
+        for v in range(n)
+        for d in (-1, 0)
     )
 
 

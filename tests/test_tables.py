@@ -41,8 +41,8 @@ from equivote.tables import (
     outcome_table,
     relabel_table,
     respects_table,
+    profile_blocks,
     slab,
-    voter_outcomes,
 )
 from equivote.verify import equitable_catalog, proof_coalition
 from rule_strategies import coalition_rules, dictatorships, grd_rules
@@ -161,14 +161,67 @@ def test_table_matches_outcome_when_blocks_hold_few_voters(rule, batch_rows):
 )
 def test_profile_blocks_run_in_code_order(f, values, batch_rows, monkeypatch):
     monkeypatch.setattr(tables, "BATCH_ROWS", batch_rows)
-    blocks = [block.copy() for block in tables.profile_blocks(f, f or 1, values)]
-    assert len({block.shape for block in blocks}) == 1
-    got = np.concatenate(blocks, axis=1).T.tolist()
     b = len(values)
-    # voter v votes values[d], d the base-b digit of weight b^v of the code
-    assert got == [[values[c // b**v % b] for v in range(f)] for c in range(b**f)]
-    if values == (-1, 0, 1):
-        assert got == [list(votes_from_code(c, f)) for c in range(3**f)]
+    # free voter i votes values[d], d the base-b digit of weight b^i of the code
+    expected = [[values[c // b**i % b] for i in range(f)] for c in range(b**f)]
+    # no voter fixed, and two fixed ones, the first and one among the free
+    for n, fixed in ((f, {}), (f + 2, {0: 1, f // 2 + 1: -1})):
+        if n == 0:
+            continue  # a rule has at least one voter
+        blocks = [block.copy() for block in profile_blocks(n, fixed, values)]
+        assert len({block.shape for block in blocks}) == 1
+        got = np.concatenate(blocks, axis=1).T.tolist()
+        free = [v for v in range(n) if v not in fixed]
+        assert [[row[v] for v in free] for row in got] == expected
+        assert all(row[v] == x for row in got for v, x in fixed.items())
+        if values == (-1, 0, 1) and not fixed:
+            assert got == [list(votes_from_code(c, f)) for c in range(3**f)]
+
+
+def test_profile_blocks_keep_no_copy_of_a_fixed_row():
+    # the fixed row is written once, so a caller's overwrite stands
+    seen = []
+    for block in profile_blocks(3, {1: 0}, (-1, 1)):
+        seen.append(block[1].tolist())
+        block[1] = 1
+    assert seen == [[0, 0, 0, 0]]
+
+
+def _completions(n, fixed, values):
+    """Every profile with the fixed votes, the free voters in code order:
+    the lowest free voter is the lowest digit."""
+    free = [v for v in range(n) if v not in fixed]
+    for high_first in itertools.product(values, repeat=len(free)):
+        votes = dict(fixed)
+        votes.update(zip(reversed(free), high_first))
+        yield tuple(votes[v] for v in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(_rules_of_degree), st.data())
+def test_fixed_voters_match_the_scalar_outcome(rule, data):
+    # the coalition search, the exhaustive winning check, pivotality and the
+    # axiom scans all ask what a rule does on every profile with some votes
+    # fixed; each source must give the scalar outcome's answer
+    n = rule.n
+    table = outcome_table(rule)
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    fixed = data.draw(st.dictionaries(st.integers(0, n - 1), VOTE))
+    values = data.draw(st.sampled_from(((-1, 0, 1), (-1, 1))))
+    batch_rows = data.draw(st.sampled_from((1, 3, 10, tables.BATCH_ROWS)))
+    forced = all(
+        outcome(rule, votes) == x
+        for x in (1, -1)
+        for votes in _completions(n, dict.fromkeys(members, x), (-1, 0, 1))
+    )
+    ternary = [outcome(rule, votes) for votes in _completions(n, fixed, (-1, 0, 1))]
+    expected = [outcome(rule, votes) for votes in _completions(n, fixed, values)]
+    with mock.patch.object(tables, "BATCH_ROWS", batch_rows):
+        assert analysis._forces(rule, members, table) is forced
+        assert analysis._forces(rule, members) is forced
+        blocks = [rule.batch(block).tolist() for block in profile_blocks(n, fixed, values)]
+    assert slab(table, n, fixed).ravel(order="F").tolist() == ternary
+    assert list(itertools.chain.from_iterable(blocks)) == expected
 
 
 def test_table_of_one_voter():
@@ -450,7 +503,7 @@ def test_slab_holds_the_unanimous_profiles(data):
         for phi in all_profiles(n)
         if all(phi.votes[v] == value for v in members)
     ]
-    got = slab(np.arange(3**n), n, sorted(members), value)
+    got = slab(np.arange(3**n), n, dict.fromkeys(members, value))
     assert got.ndim == n - len(members)
     assert sorted(got.ravel().tolist()) == expected
 
@@ -458,7 +511,7 @@ def test_slab_holds_the_unanimous_profiles(data):
 def test_slab_with_no_free_voter():
     for value in (-1, 0, 1):
         phi = VoteProfile((value,) * 4)
-        got = slab(np.arange(3**4), 4, range(4), value)
+        got = slab(np.arange(3**4), 4, dict.fromkeys(range(4), value))
         assert got.ravel().tolist() == [profile_code(phi)]
 
 
@@ -481,7 +534,7 @@ def test_is_symmetric_matches_tally_definition(case):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_voter_outcomes_match_outcome(data):
+def test_voter_slabs_match_outcome(data):
     rule = data.draw(SMALL_RULES)
     n = rule.n
     v = data.draw(st.integers(0, n - 1))
@@ -490,9 +543,11 @@ def test_voter_outcomes_match_outcome(data):
         for phi in all_profiles(n)
         if phi.votes[v] == -1
     ]
-    got = voter_outcomes(outcome_table(rule), n, v)
-    assert got.shape == (3, 3 ** (n - 1))
-    assert got.T.tolist() == columns
+    table = outcome_table(rule)
+    got = [slab(table, n, {v: x}) for x in (-1, 0, 1)]
+    assert all(s.shape == (3,) * (n - 1) for s in got)
+    # the other voters' axes in voter order, so Fortran order is code order
+    assert np.stack([s.ravel(order="F") for s in got], axis=1).tolist() == columns
 
 
 @settings(max_examples=60, deadline=None)
