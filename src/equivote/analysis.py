@@ -17,6 +17,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from ._numpy import np
 from ._record import record
 from .geometry import is_prime, pgl2_elements, pgl3_elements
+from .limits import (
+    ASSIGNMENT_CAP, COALITION_BUDGET, FACTORIAL_CAP, PIVOT_BINARY_CAP, PROFILE_SCAN_CAP,
+    WITNESS_LIMIT,
+)
 from .perms import (
     ClosureOverflow,
     PermGroup,
@@ -34,7 +38,6 @@ from .rules import (
     EquityCertificate,
     GRDTree,
     InfeasibleError,
-    PROFILE_SCAN_CAP,
     VotingRule,
     grid_certificate,
     outcome,
@@ -52,12 +55,6 @@ from .tables import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-FACTORIAL_CAP = 8
-ASSIGNMENT_CAP = 5
-PIVOT_BINARY_CAP = 20
-COALITION_BUDGET = 2_000_000  # subsets the coalition search may decide
-WITNESS_LIMIT = 20_000  # minimal winning coalitions kept per search
 
 Verdict = Optional[bool]
 

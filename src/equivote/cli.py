@@ -22,11 +22,12 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .analysis import COALITION_BUDGET, FACTORIAL_CAP, analyze_rule
+from .analysis import analyze_rule
 from .geometry import build_projective_rule
+from .limits import COALITION_BUDGET, FACTORIAL_CAP, PROFILE_SCAN_CAP, SCAN_CAP_LIMIT
 from .profiles import VoteProfile
 from .randomized import build_rule_from_group, group_from_descriptor
-from .rules import InfeasibleError, PROFILE_SCAN_CAP, evaluate, uniform_grd
+from .rules import InfeasibleError, evaluate, uniform_grd
 from .serialize import (
     FORMAT_VERSION,
     RULE_TYPES,
@@ -125,11 +126,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 _CAP_KEYS = ("scan", "factorial", "budget")
-# At scan=15, --equity --k 2 --cyclic --min-coalition --pivotality ternary
-# took 12 s on LongestRun(15) and 208 MiB peak RSS on Majority(15), on
-# 2 cores; each degree above triples both. The automorphism search builds
-# the 3^n table too, so factorial has the same limit.
-SCAN_CAP_LIMIT = 15
 
 
 def _parse_caps(raw: Optional[str]) -> dict[str, int]:

@@ -7,18 +7,32 @@ import itertools
 import operator
 
 from ._record import record
+from .limits import MAX_DEGREE, refuse_above
 from .perms import PermGroup, Permutation, check_group_entries
-from .rules import MAX_DEGREE, CoalitionRule, make_coalition_rule
+from .rules import CoalitionRule, make_coalition_rule
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
+    """Miller-Rabin over the prime bases up to 41, which no composite below
+    3.3 * 10^24 passes (Sorenson and Webster 2015), so exact there."""
+    if p < 2 or p in _BASES:
+        return p in _BASES
+    if any(p % b == 0 for b in _BASES):
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):  # p is prime only if some b^(d 2^r) is -1
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -37,27 +51,22 @@ def _canonical(vec: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def projective_points(p: int, dim: int = 3) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives in lexicographic order, refused above MAX_DEGREE."""
+    """Canonical representatives in lexicographic order: k free coordinates
+    after the leading 1, fewest first."""
     _require_prime(p)
-    if (count := sum(p**i for i in range(dim))) > MAX_DEGREE:
-        raise ValueError(
-            f"PG({dim - 1},{p}) has {count} points, above the limit of {MAX_DEGREE}"
-        )
-    pts = []
-    for vec in itertools.product(range(p), repeat=dim):
-        if any(vec) and _canonical(vec, p) == vec:
-            pts.append(vec)
-    return tuple(pts)
+    count = sum(p**i for i in range(dim))
+    refuse_above(count, MAX_DEGREE, f"PG({dim - 1},{p}) has {count} points")
+    return tuple(
+        (0,) * (dim - 1 - k) + (1,) + rest
+        for k in range(dim)
+        for rest in itertools.product(range(p), repeat=k)
+    )
 
 
 def projective_lines(p: int) -> tuple[tuple[int, ...], ...]:
     """Lines of the order-p plane as increasing index tuples into
     projective_points(p): line i holds the points orthogonal to point i."""
-    pts = projective_points(p)
-    return tuple(
-        tuple(i for i, x in enumerate(pts) if not sum(map(operator.mul, c, x)) % p)
-        for c in pts
-    )
+    return projective_plane(p).lines
 
 
 @record
@@ -68,12 +77,23 @@ class ProjectivePlane:
 
 
 def projective_plane(p: int) -> ProjectivePlane:
+    """Line i, the points orthogonal to point i = c, is spanned by
+    e_j - c_j e_a for the two j other than the position a of c's leading
+    1, so its points are b1 and b2 + t b1 for t in F_p."""
     pts = projective_points(p)
-    lines = projective_lines(p)
+    index = {pt: i for i, pt in enumerate(pts)}
+    lines = []
+    for c in pts:
+        a = c.index(1)
+        b1, b2 = (
+            tuple((i == j) - (i == a) * c[j] for i in range(3)) for j in range(3) if j != a
+        )
+        span = [b1, *(tuple(y + t * x for x, y in zip(b1, b2)) for t in range(p))]
+        lines.append(tuple(sorted(index[_canonical(v, p)] for v in span)))
     expected = p * p + p + 1
     if len(pts) != expected or len(lines) != expected:
         raise AssertionError("plane construction size mismatch")
-    return ProjectivePlane(p=p, points=pts, lines=lines)
+    return ProjectivePlane(p=p, points=pts, lines=tuple(lines))
 
 
 def build_projective_rule(p: int) -> CoalitionRule:

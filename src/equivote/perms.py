@@ -18,13 +18,10 @@ import operator
 from typing import Iterable, Iterator, Optional
 
 from ._record import record
+from .limits import MAX_GROUP_ENTRIES
 
 Images = tuple[int, ...]
 Chain = dict[int, dict[int, Images]]  # level i -> orbit point b -> row u_b
-
-# entries in the largest walk (order x degree) or chain: admits
-# PGL(2,31) (952,320 entries) and a cyclic group on up to 1,024 points
-MAX_GROUP_ENTRIES = 1 << 20
 
 
 class ClosureOverflow(ValueError):

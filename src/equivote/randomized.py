@@ -16,10 +16,9 @@ import random
 
 from ._record import record
 from .geometry import pgl2_elements
+from .limits import MAX_ATTEMPTS
 from .perms import PermGroup, Permutation, check_group_entries, generate_closure
 from .rules import CoalitionRule, Family, canonical_family, preserves_family
-
-MAX_ATTEMPTS = 64
 
 
 class ConstructionFailed(RuntimeError):

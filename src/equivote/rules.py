@@ -23,24 +23,15 @@ from typing import Iterable, Optional, Union
 
 from ._numpy import np
 from ._record import record
+from .limits import (
+    CCC_MAX_ENTRIES, FAMILY_WINDOW, MAX_DEGREE, PROFILE_SCAN_CAP, refuse_above
+)
 from .perms import PermGroup, Permutation, compose, symmetric_generators
 from .profiles import VoteProfile
 from .tables import outcome_table, respects_table, slab
 
 GRDTree = Union[int, tuple]
 Family = tuple[tuple[int, ...], ...]  # members as `canonical_family` builds them
-
-PROFILE_SCAN_CAP = 12  # 3^n table scans refused above this degree
-FAMILY_WINDOW = 1 << 12  # members the intersection check holds voter masks for
-# voters listed over all members of a CCC or a coalition document; CCC(100,
-# 100) has 1,990,000
-CCC_MAX_ENTRIES = 1 << 21
-# members of a coalition document, whose intersection check is quadratic in
-# them; above the 40,000 of the largest document a test or CI builds
-FAMILY_MAX_MEMBERS = 1 << 16
-# voters a rule document or a uniform tree may have; above CCC(100, 100)'s
-# 10,000, and low enough that n-sized permutations and orbits stay small
-MAX_DEGREE = 1 << 14
 
 
 class InfeasibleError(ValueError):
@@ -397,11 +388,8 @@ def CCC(rows: int, cols: int) -> CoalitionRule:
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     entries = rows * cols * (rows + cols - 1)
-    if entries > CCC_MAX_ENTRIES:
-        raise ValueError(
-            f"a {rows} x {cols} grid lists {entries} voters over its members, "
-            f"above the limit of {CCC_MAX_ENTRIES}"
-        )
+    what = f"a {rows} x {cols} grid lists {entries} voters over its members"
+    refuse_above(entries, CCC_MAX_ENTRIES, what)
     return CoalitionRule(rows * cols, ccc_family(rows, cols), grid=(rows, cols))
 
 

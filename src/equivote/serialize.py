@@ -10,15 +10,13 @@ import json
 from typing import Any, Callable
 
 from .analysis import AnalysisReport
+from .limits import CCC_MAX_ENTRIES, FAMILY_MAX_MEMBERS, MAX_DEGREE, refuse_above
 from .rules import (
     CCC,
-    CCC_MAX_ENTRIES,
-    FAMILY_MAX_MEMBERS,
     GRD,
     Dictatorship,
     GRDTree,
     LongestRun,
-    MAX_DEGREE,
     Majority,
     VotingRule,
     make_coalition_rule,
@@ -57,12 +55,8 @@ def _int_field(key: str, value: Any) -> int:
 
 
 def _degree_field(key: str, value: Any) -> int:
-    """An int voter count within MAX_DEGREE."""
-    if _int_field(key, value) > MAX_DEGREE:
-        raise ValueError(
-            f"rule field {key!r}: {value} voters, above the limit of {MAX_DEGREE}"
-        )
-    return value
+    n = _int_field(key, value)
+    return refuse_above(n, MAX_DEGREE, f"rule field {key!r}: {n} voters")
 
 
 def _tree_field(key: str, value: Any) -> GRDTree:
@@ -77,17 +71,11 @@ def _family_field(key: str, value: Any) -> list[list[int]]:
         for member in value
     ):
         raise ValueError(f"rule field {key!r} must be a list of integer lists")
-    if len(value) > FAMILY_MAX_MEMBERS:
-        raise ValueError(
-            f"rule field {key!r}: {len(value)} members, "
-            f"above the limit of {FAMILY_MAX_MEMBERS}"
-        )
+    members = len(value)
+    refuse_above(members, FAMILY_MAX_MEMBERS, f"rule field {key!r}: {members} members")
     entries = sum(map(len, value))
-    if entries > CCC_MAX_ENTRIES:
-        raise ValueError(
-            f"rule field {key!r}: {entries} voters listed over its members, "
-            f"above the limit of {CCC_MAX_ENTRIES}"
-        )
+    what = f"rule field {key!r}: {entries} voters listed over its members"
+    refuse_above(entries, CCC_MAX_ENTRIES, what)
     return value
 
 
@@ -97,8 +85,6 @@ def _provenance_field(key: str, value: Any) -> dict:
     return value
 
 
-# CCC_MAX_ENTRIES admits at most about 10,400 voters, below MAX_DEGREE, so
-# rows and cols need no degree check
 _FIELD_READERS: dict[str, Callable[[str, Any], Any]] = {
     "n": _degree_field,
     "dictator": _int_field,

@@ -24,15 +24,13 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from ._numpy import np
+from .limits import _TABLE_CACHE_BYTES, BATCH_ROWS
 
 if TYPE_CHECKING:
     from .perms import Permutation
     from .rules import VotingRule
 
-BATCH_ROWS = 1 << 15  # profiles evaluated per block, bounding temporaries
-
 _TABLES: "OrderedDict[VotingRule, np.ndarray]" = OrderedDict()
-_TABLE_CACHE_BYTES = 32 << 20
 
 
 def block_width(n: int) -> int:

@@ -18,7 +18,6 @@ from typing import Callable, Generator, Iterable, Sequence
 
 from ._record import record
 from .analysis import (
-    COALITION_BUDGET,
     assignment_classes,
     automorphism_group,
     check_sqrt_lower_bound,
@@ -34,6 +33,7 @@ from .analysis import (
     roles_equivalent,
 )
 from .geometry import build_projective_rule, pgl2_order, pgl3_elements
+from .limits import COALITION_BUDGET, PROFILE_SCAN_CAP
 from .perms import Permutation, generate_closure, is_k_transitive
 from .randomized import (
     build_3_equitable_rule,
@@ -119,7 +119,7 @@ def _thm1(ns: Sequence[int] = range(4, 17)) -> Checks:
             len(w) <= bound,
             f"n={n} |W|={len(w)} bound={bound} W={list(w)}",
         )
-        if n <= 12:
+        if n <= PROFILE_SCAN_CAP:
             won = is_winning_coalition(rule, w, method="exhaustive")
             detail = "exhaustive"
         else:
@@ -135,7 +135,7 @@ def _thm1(ns: Sequence[int] = range(4, 17)) -> Checks:
         yield _check(
             f"equitable_n{n}",
             is_equitable(rule) is True,
-            "validated" if n <= 12 else "structural rotation",
+            "validated" if n <= PROFILE_SCAN_CAP else "structural rotation",
         )
     return {"ns": list(ns)}
 
@@ -221,7 +221,7 @@ def _thm3(depths: Sequence[int] = (1, 2, 3)) -> Checks:
             is_equitable(rule) is True,
             "level rotations are transitive",
         )
-        if n <= 12:
+        if n <= PROFILE_SCAN_CAP:
             search = min_winning_coalitions(rule)
             witness_formula = _ternary_witness_count(depth)
             yield _check(

@@ -597,6 +597,23 @@ def test_largest_uniform_tree_within_the_limit_is_built(capsys):
     assert loads_rule(out).n == 2**14  # MAX_DEGREE itself
 
 
+def test_plane_of_order_61_is_built_in_seconds(tmp_path):
+    # testing each of its 3,783 points against each line's normal took 5 to
+    # 9 s; spanning each line by two vectors takes about 1 s
+    done = subprocess.run(
+        [sys.executable, "-m", "equivote.cli", "construct", "--type", "fano", "--p", "61",
+         "--out", "pg61.rule"],
+        cwd=tmp_path,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=4,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    rule = load_rule_file(str(tmp_path / "pg61.rule"))
+    assert rule.n == len(rule.family) == 61 * 61 + 61 + 1
+
+
 def test_oversized_plane_group_is_capped(capsys, tmp_path):
     rule = make_rule(capsys, tmp_path, "fano5.rule", "--type", "fano", "--p", "5")
     start = time.perf_counter()
@@ -925,6 +942,10 @@ REFUSALS_UNDER_1GIB = {
     " above the limit of 16384",
     ("construct", "--type", "fano", "--p", "1000003"): "PG(2,1000003) has"
     " 1000007000013 points, above the limit of 16384",
+    # a prime near 10^18, refused at once only if primality is not trial division
+    ("construct", "--type", "fano", "--p", "1000000000000000003"): "PG(2,"
+    "1000000000000000003) has 1000000000000000007000000000000000013 points,"
+    " above the limit of 16384",
 }
 
 # The equivote command in a fresh interpreter under a 1 GiB address-space limit

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import operator
 import time
 
 import pytest
@@ -13,6 +15,7 @@ from equivote.geometry import (
     pgl2_order,
     pgl3_elements,
     pgl3_order,
+    projective_lines,
     projective_plane,
     projective_points,
 )
@@ -20,8 +23,17 @@ from equivote.perms import MAX_GROUP_ENTRIES, ClosureOverflow, is_k_transitive
 from equivote.rules import CoalitionRule
 
 
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert all(is_prime(p) == _trial_division(p) for p in range(10**5))
+    # strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; and 2 to 23
+    strong = [2047, 1373653, 25326001, 3215031751, 3825123056546413051]
+    assert not any(map(is_prime, strong))
+    assert is_prime(10**18 + 3) and is_prime(100000000000031)
 
 
 def test_prime_field_rejects_composite():
@@ -70,6 +82,15 @@ def test_fano_lines_frozen():
         [2, 3, 6],
         [2, 4, 5],
     ]
+
+
+def test_lines_are_the_points_orthogonal_to_each_point():
+    for p in (2, 3, 5, 7, 11, 13):
+        pts = projective_points(p)
+        assert projective_lines(p) == tuple(
+            tuple(i for i, x in enumerate(pts) if not sum(map(operator.mul, c, x)) % p)
+            for c in pts
+        )
 
 
 def test_incidence_axioms():

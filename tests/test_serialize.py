@@ -12,16 +12,14 @@ from test_analysis import intersecting_families
 
 from equivote.analysis import AnalysisReport, analyze_rule
 from equivote.geometry import build_projective_rule
+from equivote.limits import CCC_MAX_ENTRIES, FAMILY_MAX_MEMBERS, MAX_DEGREE
 from equivote.randomized import build_rule_from_group, group_from_descriptor
 from equivote.rules import (
     CCC,
-    CCC_MAX_ENTRIES,
-    FAMILY_MAX_MEMBERS,
     CoalitionRule,
     Dictatorship,
     GRD,
     LongestRun,
-    MAX_DEGREE,
     Majority,
     ccc_family,
     make_coalition_rule,
